@@ -80,12 +80,6 @@ class FiniteAlgebra:
         cols = [self.mul(u, self.basis_vector(j)) for j in range(self.dim)]
         return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
-    def power(self, u, n: int):
-        acc = self.unit
-        for _ in range(n):
-            acc = self.mul(acc, u)
-        return acc
-
     # -- locality -----------------------------------------------------
 
     def local_structure(self):

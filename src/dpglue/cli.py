@@ -9,18 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from dpglue import catalog, scenarios
-
-
-def seeded_rng() -> random.Random:
-    """RNG honoring the DPGLUE_SEED environment variable."""
-    seed = os.environ.get("DPGLUE_SEED")
-    return random.Random(int(seed) if seed else 0)
 
 
 def _report_lines(report: dict, mismatches) -> list:

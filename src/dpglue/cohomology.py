@@ -1,10 +1,20 @@
 """Cohomology of the glued curve over the projective line.
 
-Closed formulas: chi(O_X) = 1 - N(p-1) and h1(O_X) = N(p-1), where N is
-the sum of n_j over wild poles of order n_j p of the derivation datum.
+Closed formulas: chi(O_X) = 1 - N(p-1) and h1(O_X) = N(p-1), where
+N = sum of deg P * n_P over the wild places P of the derivation datum,
+with pole order n_P p at P.
+
 These are cross-checked by a truncated two-chart section computation
 that treats O_D(n) as pairs (f, g_i) with a f' + sum b_i g_i = 0 inside
-O(n) + sum O(n-1) y_i.
+O(n) + sum O(n-1) y_i.  The constraint is one linear map L acting column
+by column on Laurent monomials, so the sections over chart 0, chart 1
+and their intersection are kernels of column slices of one matrix of L
+on the overlap window W, and
+
+    h0 = nullity(chart 0 cap chart 1),
+    h1 = nullity(W) - nullity(chart 0) - nullity(chart 1) + h0,
+
+four ranks and no change of basis.
 """
 
 from __future__ import annotations
@@ -13,7 +23,6 @@ from dataclasses import dataclass
 
 from dpglue import linalg
 from dpglue.glue import GenericGlueData, gorenstein_at_point, is_tame, wild_cusp_ring
-from dpglue.polynomials import Poly
 from dpglue.rational import RationalFunction
 
 
@@ -62,15 +71,17 @@ def global_gorenstein(data: GenericGlueData):
 
 
 def wild_multiplicity(data: GenericGlueData) -> int:
-    """N = sum of n_j over wild poles of order n_j p; requires Gorenstein."""
+    """N = sum of deg P * n_P over wild places P of pole order n_P p.
+
+    A place of degree d splits into d points over the algebraic closure,
+    each with multiplicity n_P.  Requires the datum to be Gorenstein.
+    """
     ok, problems = global_gorenstein(data)
     if not ok:
         raise ValueError("; ".join(problems))
     p = data.characteristic
     _, wild = is_tame(data)
-    if not wild:
-        return 0
-    return sum(order // p for _, order in wild)
+    return sum(place.degree * (order // p) for place, order in wild)
 
 
 def chi_OX(data: GenericGlueData) -> int:
@@ -91,18 +102,20 @@ def h1_OX(data: GenericGlueData) -> int:
 
 
 def delta_P_wild(data: GenericGlueData) -> int:
-    """Sum of local delta invariants over wild points, via gap counts."""
+    """Sum of local delta invariants over wild points, via gap counts.
+
+    Each wild place counts once per geometric point, deg P times.
+    """
     p = data.characteristic
     _, wild = is_tame(data)
-    total = 0
-    for _, order in wild:
-        total += wild_cusp_ring(p, order // p).delta
-    return total
+    return sum(place.degree * wild_cusp_ring(p, order // p).delta
+               for place, order in wild)
 
 
 def total_pole_order(data: GenericGlueData) -> int:
+    """Degree of the wild pole divisor: sum of deg P * pole order."""
     _, wild = is_tame(data)
-    return sum(order for _, order in wild)
+    return sum(place.degree * order for place, order in wild)
 
 
 # -- truncated Cech oracle --------------------------------------------
@@ -113,8 +126,24 @@ def truncated_section_oracle(data: GenericGlueData, twist: int = 0,
                              unconstrained: bool = False):
     """(h0, h1) of O_D(twist) by two-chart sections with Laurent cutoff.
 
+    A section is a tuple (f, g_1..g_r) of Laurent polynomials in x, cut
+    to an exponent window per component: chart 0 (the affine line) keeps
+    exponents 0..B, chart 1 (around infinity) keeps n-B..n for f and
+    n-1-B..n-1 for g_i, and the overlap keeps the union of both.  The
+    constraint a f' + sum b_i g_i = 0 is one linear map L acting column
+    by column on these Laurent monomials, so for any window the sections
+    are ker L restricted to that window's columns.  Hence V_0, V_1 and
+    V_0 cap V_1 are the kernels of column slices of the single matrix of
+    L on the overlap window W, and with nullity(S) = |S| - rank L|_S
+
+        h0 = nullity(chart 0 cap chart 1),
+        h1 = dim W - dim(V_0 + V_1)
+           = nullity(W) - nullity(chart 0) - nullity(chart 1) + h0.
+
     ``unconstrained=True`` computes the ambient O + r O(-1) instead of
-    the derivation kernel.
+    the derivation kernel: every nullity is then a column count.
+    ``bound`` is B: at least the degree of the wild pole divisor plus
+    |twist| + 2, by default that degree plus |twist| + 4.
     """
     poles = total_pole_order(data)
     minimum = poles + abs(twist) + 2
@@ -125,97 +154,67 @@ def truncated_section_oracle(data: GenericGlueData, twist: int = 0,
     n = twist
     B = bound
     r = data.r
-    field = data.field.base
 
-    # exponent windows per component: f then g_1..g_r
-    windows0 = [(0, B)] + [(0, B)] * r
-    windows1 = [(n - B, n)] + [(n - 1 - B, n - 1)] * r
-    windowsW = [(n - B, B)] + [(n - 1 - B, B)] * r
+    # exponent windows (lo, hi) per component: f then g_1..g_r
+    chart0 = [(0, B)] * (r + 1)
+    chart1 = [(n - B, n)] + [(n - 1 - B, n - 1)] * r
+    overlap = [(n - B, B)] + [(n - 1 - B, B)] * r
+    both = [(max(lo0, lo1), min(hi0, hi1))
+            for (lo0, hi0), (lo1, hi1) in zip(chart0, chart1)]
+    for (lo, hi), (lo0, hi0), (lo1, hi1) in zip(overlap, chart0, chart1):
+        if not (lo <= lo0 and hi0 <= hi and lo <= lo1 and hi1 <= hi):
+            raise AssertionError("chart window escapes the overlap window")
 
-    def space_basis(windows):
-        cols = []
-        for comp, (lo, hi) in enumerate(windows):
-            for e in range(lo, hi + 1):
-                cols.append((comp, e))
-        if unconstrained:
-            return cols, linalg.identity(field, len(cols))
-        rows = _constraint_rows(data, cols, B)
-        return cols, linalg.nullspace(field, rows)
-
-    cols0, basis0 = space_basis(windows0)
-    cols1, basis1 = space_basis(windows1)
-    colsW, basisW = space_basis(windowsW)
-    w_index = {ce: k for k, ce in enumerate(colsW)}
-
-    def embed(cols, vec):
-        out = [field.zero] * len(colsW)
-        for c, ce in zip(vec, cols):
-            out[w_index[ce]] = c
-        return out
-
-    # express chart sections in the overlap space's own basis
-    wt = linalg.transpose(basisW) if basisW else []
-
-    def coords_in_W(vec):
-        if not basisW:
-            if any(bool(c) for c in vec):
-                raise AssertionError("restriction escapes the overlap space")
-            return []
-        sol = linalg.solve(field, wt, vec)
-        if sol is None:
-            raise AssertionError("restriction escapes the overlap space")
-        return sol
-
-    columns = []
-    for v in basis0:
-        columns.append(coords_in_W(embed(cols0, v)))
-    for v in basis1:
-        columns.append([-c for c in coords_in_W(embed(cols1, v))])
-    dim_w = len(basisW)
-    if columns:
-        mat = linalg.transpose(columns)
-        rank = linalg.rank(field, mat) if mat else 0
+    cols = [(comp, e) for comp, (lo, hi) in enumerate(overlap)
+            for e in range(lo, hi + 1)]
+    slices = [[k for k, (comp, e) in enumerate(cols)
+               if window[comp][0] <= e <= window[comp][1]]
+              for window in (overlap, chart0, chart1, both)]
+    if unconstrained:
+        dim_w, dim_0, dim_1, h0 = (len(s) for s in slices)
     else:
-        rank = 0
-    h0 = len(basis0) + len(basis1) - rank
-    h1 = dim_w - rank
-    return (h0, h1)
+        field = data.field.base
+        rows = _constraint_rows(data, cols, B)
+        dim_w, dim_0, dim_1, h0 = (
+            len(s) - linalg.rank(field, [[row[k] for k in s] for row in rows])
+            for s in slices)
+    return (h0, dim_w - dim_0 - dim_1 + h0)
 
 
 def _constraint_rows(data: GenericGlueData, cols, B: int):
-    """Coefficient rows of a f' + sum b_i g_i = 0 on Laurent monomials."""
+    """Coefficient rows of a f' + sum b_i g_i = 0 on Laurent monomials.
+
+    Column (comp, e) holds the image of x^e in component comp, times
+    Q x^shift with Q the common denominator: the coefficients of Q a,
+    scaled by e and shifted by e - 1 + shift, for f; those of Q b_i,
+    shifted by e + shift, for g_i.
+    """
     field = data.field.base
-    x = Poly.x(field)
     shift = 2 * B + 4
-    # common denominator
     Q = data.a.den
     for bi in data.b:
         Q = Q * bi.den
+    q = RationalFunction.from_poly(Q)
+    cleared = []
+    for h in (data.a,) + data.b:
+        val = h * q
+        if val.den.degree:
+            raise AssertionError("denominator failed to clear")
+        cleared.append(val.num.coeffs)
 
-    def laurent(comp, e):
-        """Contribution of the monomial x^e in component comp, times
-        Q x^shift, as a Poly."""
-        if comp == 0:
-            h = data.a * field.from_int(e)
-            expo = e - 1
-        else:
-            h = data.b[comp - 1]
-            expo = e
-        val = h * RationalFunction.from_poly(Q)
+    entries = []
+    for comp, e in cols:
+        expo = e - 1 if comp == 0 else e
         if expo + shift < 0:
             raise AssertionError("shift too small for Laurent clearing")
-        num = val.num * (x ** (expo + shift))
-        den = val.den
-        q, rem = divmod(num, den)
-        if not rem.is_zero():
-            raise AssertionError("denominator failed to clear")
-        return q
-
-    polys = [laurent(comp, e) for comp, e in cols]
-    top = max((p.degree for p in polys if not p.is_zero()), default=-1)
-    rows = []
-    for k in range(top + 1):
-        row = [p[k] for p in polys]
-        if any(bool(c) for c in row):
-            rows.append(row)
-    return rows
+        coeffs = cleared[comp]
+        if comp == 0:
+            scale = field.from_int(e)
+            coeffs = [scale * c for c in coeffs] if scale else []
+        entries.append((expo + shift, coeffs))
+    top = max((off + len(cs) for off, cs in entries), default=0)
+    rows = [[field.zero] * len(cols) for _ in range(top)]
+    for j, (off, coeffs) in enumerate(entries):
+        for k, c in enumerate(coeffs, start=off):
+            rows[k][j] = c
+    return [row for row in rows if any(bool(c) for c in row)]

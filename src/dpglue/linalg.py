@@ -50,20 +50,8 @@ def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def is_zero_matrix(a) -> bool:
-    return all(not x for row in a for x in row)
 
 
 def rref(field, mat):
@@ -160,10 +148,6 @@ def in_span(field, basis, vec) -> bool:
     if not basis:
         return all(not x for x in vec)
     return solve(field, transpose(basis), vec) is not None
-
-
-def span_dim(field, vectors) -> int:
-    return rank(field, vectors)
 
 
 def row_space_basis(field, vectors):

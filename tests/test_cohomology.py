@@ -4,9 +4,22 @@ import pytest
 
 from dpglue.cohomology import (LineSheafSum, chi_OX, d_plus_structure,
                                delta_P_wild, global_gorenstein, h1_OX,
-                               line_sheaf_chi, truncated_section_oracle,
-                               wild_multiplicity)
+                               line_sheaf_chi, total_pole_order,
+                               truncated_section_oracle, wild_multiplicity)
 from dpglue.glue import glue_data, is_tame
+
+# Monic irreducibles of degree 2 and 3 over GF(p).
+IRREDUCIBLES = {2: ("x^2+x+1", "x^3+x+1"), 3: ("x^2+1", "x^3+2*x+1"),
+                5: ("x^2+2", "x^3+x+1")}
+
+# (p, a, N) with b = (1): one wild place of degree 2 or 3 with n_P in
+# {1, 2}, and one degree-1 + degree-2 datum; N = sum deg P * n_P.
+HIGHER_DEGREE_WILD = [
+    (p, f"1/({place})^{n * p}", (deg + 2) * n)
+    for p, places in IRREDUCIBLES.items()
+    for deg, place in enumerate(places)
+    for n in (1, 2)
+] + [(3, "1/(x^3*(x^2+1)^3)", 1 + 2)]
 
 
 def test_chi_of_structure_plus_twist():
@@ -91,6 +104,29 @@ def test_chi_additivity_random_wild(p):
         assert delta_P_wild(data) == N * (p - 1)
 
 
+@pytest.mark.parametrize("p, a, N", HIGHER_DEGREE_WILD)
+def test_wild_places_of_higher_degree(p, a, N):
+    data = glue_data(p, a, ["1"])
+    assert wild_multiplicity(data) == N
+    assert delta_P_wild(data) == N * (p - 1)
+    h0, h1 = truncated_section_oracle(data)
+    assert h1_OX(data) == h1 == N * (p - 1)
+    assert h0 == 1
+
+
+# A place of degree d counts d times in N; counting it once gives the
+# closed form h1 = 1, 2, 2, 4 on these rows.
+@pytest.mark.parametrize("p, a, h1", [
+    (2, "1/(x^2+x+1)^2", 2), (3, "1/(x^2+1)^3", 4),
+    (2, "1/(x^3+x+1)^4", 6), (3, "1/(x^2+1)^6", 8),
+])
+def test_wild_place_degree_regressions(p, a, h1):
+    data = glue_data(p, a, ["1"])
+    assert (chi_OX(data), h1_OX(data)) == (1 - h1, h1)
+    assert truncated_section_oracle(data) == (1, h1)
+    assert truncated_section_oracle(data, bound=30) == (1, h1)
+
+
 def test_tame_iff_chi_one():
     for data in (glue_data(0, "1", ["1"]), glue_data(3, "2", ["1", "1"]),
                  glue_data(3, "1/x^3", ["1"]), glue_data(5, "1/x^5", ["1", "1"])):
@@ -128,11 +164,15 @@ def test_oracle_wild_p5():
 
 def test_oracle_bound_stability():
     for data in (glue_data(0, "1", ["1", "1"]), glue_data(3, "1/x^3", ["1"])):
-        from dpglue.cohomology import total_pole_order
-
         base = total_pole_order(data) + 4
         assert truncated_section_oracle(data, bound=base) == \
             truncated_section_oracle(data, bound=base + 3)
+    # the truncation is big enough: B and B + p agree
+    for p, a, _ in HIGHER_DEGREE_WILD:
+        data = glue_data(p, a, ["1"])
+        base = total_pole_order(data) + 4
+        assert truncated_section_oracle(data, bound=base) == \
+            truncated_section_oracle(data, bound=base + p)
 
 
 def test_oracle_rejects_small_bound():
