@@ -195,9 +195,6 @@ class FiniteModule:
                         orow[s] = orow[s] + c * row[s]
         return out
 
-    def apply(self, a, v):
-        return linalg.mat_vec(self.field, self.action_of(a), v)
-
 
 def length(module: FiniteModule) -> int:
     """Length over a local algebra with residue field F: the F-dimension."""
@@ -331,13 +328,6 @@ class Subalgebra:
             for k in range(self.parent.dim):
                 out[k] = out[k] + c * b[k]
         return out
-
-    def from_parent(self, vec):
-        field = self.parent.field
-        sol = linalg.solve(field, linalg.transpose(self.basis), vec)
-        if sol is None:
-            raise ValueError("vector not in subalgebra")
-        return sol
 
 
 def make_subalgebra(parent: FiniteAlgebra, basis, check: bool = True) -> Subalgebra:

@@ -321,62 +321,34 @@ def scenario_report(scenario: GlueScenario) -> dict:
         return report
     report["case"] = case
     r = len(scenario.blocks)
-    if case == "A":
-        gorenstein = True
-        singularity = (
-            "inseparable-node"
-            if scenario.characteristic == 2 and scenario.cover == "inseparable"
-            else "node"
-        )
-        tame, wild_points, chi, h1 = True, [], 1, 0
-    elif case.startswith("B"):
-        gorenstein = True
-        singularity = "node"
-        tame, wild_points, chi, h1 = True, [], 1, 0
-    elif case.startswith("C"):
-        ok, problems = node_matching_check(scenario)
-        gorenstein = ok
-        report["errors"].extend(problems)
-        singularity = "node" if ok else "not-gorenstein"
-        tame, wild_points, chi, h1 = True, [], (1 if ok else None), (0 if ok else None)
-    else:  # D family
-        data = scenario.derivation
-        ok, problems = cohomology.global_gorenstein(data)
-        gorenstein = ok
-        report["errors"].extend(problems)
-        tame, wild = glue.is_tame(data)
-        wild_points = [(glue._place_key(pl), order) for pl, order in wild]
-        if ok:
-            chi = cohomology.chi_OX(data)
-            h1 = cohomology.h1_OX(data)
-            if tame:
-                singularity = {1: "cusp", 2: "tacnode"}.get(
-                    r, f"r-concurrent-lines({r})"
-                )
-            else:
-                singularity = f"wild({r})"
-        else:
-            chi, h1, singularity = None, None, "not-gorenstein"
-        report["n_delta_generic"] = (2 * r, r)
-    if case[0] in "ABC" and scenario.derivation is not None and gorenstein:
-        # conductor-level derivation datum supplied for a tame family:
-        # it must confirm the closed-form answer
-        data = scenario.derivation
-        ok_d, problems = cohomology.global_gorenstein(data)
-        tame_d, wild_d = glue.is_tame(data)
-        if not ok_d or not tame_d:
-            report["errors"].extend(problems or ["derivation datum is wild"])
-            gorenstein, chi, h1 = False, None, None
-            singularity = "not-gorenstein"
-        else:
-            chi = cohomology.chi_OX(data)
-            h1 = cohomology.h1_OX(data)
+    tame, wild_points, h1 = True, [], 0
+    singularity = "node"
+    problems = []
+    if case == "A" and scenario.characteristic == 2 and scenario.cover == "inseparable":
+        singularity = "inseparable-node"
+    elif case[0] == "C":
+        _, problems = node_matching_check(scenario)
+    data = scenario.derivation
+    if data is not None and not problems:
+        # D: the datum decides; A/B/C: a conductor-level datum must
+        # confirm the tame closed-form answer
+        problems, wild, h1 = cohomology.closed_form(data)
         report["n_delta_generic"] = (2 * data.r, data.r)
-    report["gorenstein"] = gorenstein
+        if case[0] == "D":
+            tame = not wild
+            wild_points = [(glue._place_key(pl), order) for pl, order in wild]
+            singularity = (f"wild({r})" if wild else
+                           {1: "cusp", 2: "tacnode"}.get(r, f"r-concurrent-lines({r})"))
+        elif wild and not problems:
+            problems = ["derivation datum is wild"]
+    report["errors"].extend(problems)
+    if problems:
+        h1, singularity = None, "not-gorenstein"
+    report["gorenstein"] = not problems
     report["singularity"] = singularity
     report["tame"] = tame
     report["wildPoints"] = wild_points
-    report["chi"] = chi
+    report["chi"] = None if h1 is None else 1 - h1
     report["h1"] = h1
     return report
 
@@ -519,32 +491,27 @@ def degree12_catalog(characteristic: int = 0):
     """The degree-1 sextics and degree-2 quartics with their scenarios."""
     from dpglue.glue import glue_data
 
+    def single_block(tag, a, family, name):
+        extra = {}
+        if family == "C":
+            extra["identifications"] = [{"map": [[0, 0], [1, 1], ["inf", "inf"]],
+                                         "node": 0, "nodeTarget": 0}]
+        elif family == "D":
+            extra["derivation"] = glue_data(characteristic, 0, ["1"])
+        return GlueScenario(characteristic, [building_block(tag, a)], family,
+                            name=name, **extra)
+
     entries = []
     for eq in DEGREE1_SUBSTITUTIONS:
         nature = {"x1*x2": "a1", "x1^2": "a2"}.get(
             next((k for k in ("x1*x2", "x1^2") if k in eq), ""), "a3"
         )
-        block = building_block(nature)
-        if nature == "a1":
-            scen = GlueScenario(characteristic, [block], "A", name=f"degree1-{nature}")
-        elif nature == "a2":
-            scen = GlueScenario(
-                characteristic, [block], "C",
-                identifications=[{"map": [[0, 0], [1, 1], ["inf", "inf"]],
-                                  "node": 0, "nodeTarget": 0}],
-                name=f"degree1-{nature}",
-            )
-        else:
-            scen = GlueScenario(
-                characteristic, [block], "D",
-                derivation=glue_data(characteristic, 0, ["1"]),
-                name=f"degree1-{nature}",
-            )
+        family = {"a1": "A", "a2": "C", "a3": "D"}[nature]
         entries.append(
             {
                 "degree": 1,
                 "equation": eq,
-                "scenario": scen,
+                "scenario": single_block(nature, None, family, f"degree1-{nature}"),
                 "verified": verify_degree1(characteristic, eq),
             }
         )
@@ -566,29 +533,12 @@ def degree12_catalog(characteristic: int = 0):
         ("line pair, vertex on l", "c1", 2, "C"),
         ("line pair containing l", "c2", 2, "D"),
     ]
-    from dpglue.glue import glue_data as _gd
-
-    for desc, tag, a, fam in quartic_cases:
-        block = building_block(tag, a)
-        if fam == "A":
-            scen = GlueScenario(characteristic, [block], "A",
-                                name=f"degree2-{tag}")
-        elif fam == "C":
-            scen = GlueScenario(
-                characteristic, [block], "C",
-                identifications=[{"map": [[0, 0], [1, 1], ["inf", "inf"]],
-                                  "node": 0, "nodeTarget": 0}],
-                name=f"degree2-{tag}",
-            )
-        else:
-            scen = GlueScenario(characteristic, [block], "D",
-                                derivation=_gd(characteristic, 0, ["1"]),
-                                name=f"degree2-{tag}")
+    for desc, tag, a, family in quartic_cases:
         entries.append(
             {
                 "degree": 2,
                 "equation": f"y^2 - l^2*q  ({desc})",
-                "scenario": scen,
+                "scenario": single_block(tag, a, family, f"degree2-{tag}"),
                 "verified": None,
             }
         )

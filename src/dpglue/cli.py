@@ -10,9 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from dpglue import catalog, scenarios
+from dpglue.fields import base_field
 
 
 def _report_lines(report: dict, mismatches) -> list:
@@ -38,13 +38,6 @@ def _report_lines(report: dict, mismatches) -> list:
     return lines
 
 
-def _run_one(item):
-    scenario, expect = item
-    report = catalog.scenario_report(scenario)
-    mismatches = scenarios.check_expectations(report, expect)
-    return report, mismatches
-
-
 def cmd_run(args) -> int:
     loaded = []
     for path in args.files:
@@ -53,14 +46,11 @@ def cmd_run(args) -> int:
         except scenarios.ScenarioFileError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_one, loaded))
-    else:
-        results = [_run_one(item) for item in loaded]
     failed = 0
     out = []
-    for report, mismatches in results:
+    for scenario, expect in loaded:
+        report = catalog.scenario_report(scenario)
+        mismatches = scenarios.check_expectations(report, expect)
         if mismatches or report["errors"]:
             failed += 1
         if args.format == "json":
@@ -70,7 +60,7 @@ def cmd_run(args) -> int:
             out.append(entry)
         else:
             out.extend(_report_lines(report, mismatches))
-    total = len(results)
+    total = len(loaded)
     if args.format == "json":
         doc = {"scenarios": out, "passed": total - failed, "failed": failed}
         print(json.dumps(doc, indent=2, sort_keys=True, default=str))
@@ -83,6 +73,11 @@ def cmd_run(args) -> int:
 
 def cmd_catalog(args) -> int:
     if args.degree12:
+        try:
+            base_field(args.characteristic)
+        except ValueError as exc:
+            print(f"error: --characteristic: {exc}", file=sys.stderr)
+            return 2
         entries = catalog.degree12_catalog(args.characteristic)
         rows = []
         bad = False
@@ -163,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run scenario files")
     run.add_argument("files", nargs="+")
     run.add_argument("--format", choices=("text", "json"), default="text")
-    run.add_argument("--jobs", type=int, default=1)
     run.set_defaults(func=cmd_run)
 
     cat = sub.add_parser("catalog", help="print verified tables")
@@ -184,9 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
     return args.func(args)
 
 

@@ -2,7 +2,10 @@
 
 Closed formulas: chi(O_X) = 1 - N(p-1) and h1(O_X) = N(p-1), where
 N = sum of deg P * n_P over the wild places P of the derivation datum,
-with pole order n_P p at P.
+with pole order n_P p at P.  ``closed_form`` scans the pole divisor of
+the a/b_i once and returns the pointwise criterion's problems, the wild
+places and h1; ``global_gorenstein``, ``wild_multiplicity``, ``chi_OX``
+and ``h1_OX`` each read one call of it.
 
 These are cross-checked by a truncated two-chart section computation
 that treats O_D(n) as pairs (f, g_i) with a f' + sum b_i g_i = 0 inside
@@ -20,6 +23,7 @@ four ranks and no change of basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from dpglue import linalg
 from dpglue.glue import GenericGlueData, gorenstein_at_point, is_tame, wild_cusp_ring
@@ -48,12 +52,20 @@ def d_plus_structure(r: int):
     return LineSheafSum((0,) + (-1,) * r), LineSheafSum((-1,) * (r - 1))
 
 
-def global_gorenstein(data: GenericGlueData):
-    """Check the pointwise criterion at every place at once.
+class ClosedForm(NamedTuple):
+    """Verdict of one scan of the pole divisor of the a/b_i."""
+
+    problems: list  # empty iff the pointwise criterion holds everywhere
+    wild: list      # [(Place, pole order)] from glue.is_tame
+    h1: int | None  # N(p-1), or None when the criterion fails
+
+
+def closed_form(data: GenericGlueData) -> ClosedForm:
+    """The pointwise criterion and h1 from one scan of the pole divisor.
 
     On the projective line: b_i/b_1 must be constant (unit everywhere)
     and every pole of a/b_1, including infinity, must be wild of order
-    divisible by p.  Returns (ok, problems).
+    divisible by p.
     """
     problems = []
     b1 = data.b[0]
@@ -61,12 +73,29 @@ def global_gorenstein(data: GenericGlueData):
         if not (bi / b1).is_constant():
             problems.append(f"b_{i}/b_1 is non-constant")
     p = data.characteristic
-    tame, wild = is_tame(data)
+    _, wild = is_tame(data)
     for place, order in wild:
         if p == 0 or order % p:
             problems.append(f"pole of order {order} at {place} is not allowed")
         elif not gorenstein_at_point(data, place):
             problems.append(f"criterion fails at {place}")
+    h1 = None
+    if not problems:
+        # p divides every wild order, and there is none when p = 0
+        h1 = (p - 1) * sum(place.degree * (order // p) for place, order in wild)
+    return ClosedForm(problems, wild, h1)
+
+
+def _gorenstein_h1(data: GenericGlueData) -> int:
+    problems, _, h1 = closed_form(data)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return h1
+
+
+def global_gorenstein(data: GenericGlueData):
+    """(ok, problems) of the pointwise criterion at every place at once."""
+    problems = closed_form(data).problems
     return (not problems, problems)
 
 
@@ -76,29 +105,18 @@ def wild_multiplicity(data: GenericGlueData) -> int:
     A place of degree d splits into d points over the algebraic closure,
     each with multiplicity n_P.  Requires the datum to be Gorenstein.
     """
-    ok, problems = global_gorenstein(data)
-    if not ok:
-        raise ValueError("; ".join(problems))
-    p = data.characteristic
-    _, wild = is_tame(data)
-    return sum(place.degree * (order // p) for place, order in wild)
+    h1 = _gorenstein_h1(data)
+    return h1 // (data.characteristic - 1) if h1 else 0
 
 
 def chi_OX(data: GenericGlueData) -> int:
     """1 - N(p-1): equals 1 exactly in the tame case."""
-    n_wild = wild_multiplicity(data)
-    p = data.characteristic
-    return 1 - n_wild * (max(p, 1) - 1)
+    return 1 - _gorenstein_h1(data)
 
 
 def h1_OX(data: GenericGlueData) -> int:
-    """N(p-1); h0 = 1 forces h1 = 1 - chi, which is asserted."""
-    n_wild = wild_multiplicity(data)
-    p = data.characteristic
-    h1 = n_wild * (max(p, 1) - 1)
-    if h1 != 1 - chi_OX(data):
-        raise AssertionError("h1 and chi bookkeeping disagree")
-    return h1
+    """N(p-1), since h0 = 1; the Cech oracle checks it independently."""
+    return _gorenstein_h1(data)
 
 
 def delta_P_wild(data: GenericGlueData) -> int:

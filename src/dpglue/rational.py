@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from dpglue.fields import FpElement, PrimeField, base_field
+from dpglue.fields import FpElement, PrimeField
 from dpglue.polynomials import Poly, _is_element
 
 
@@ -65,11 +65,6 @@ class RationalFunction:
 
     def is_constant(self) -> bool:
         return self.num.degree <= 0 and self.den.degree == 0
-
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError("not a constant")
-        return self.num[0]
 
     # -- arithmetic ---------------------------------------------------
 
@@ -213,10 +208,6 @@ class Place:
     def finite(cls, poly: Poly) -> "Place":
         return cls(poly.monic())
 
-    @classmethod
-    def at_root(cls, field, c) -> "Place":
-        return cls(Poly(field, [-c, field.one]))
-
     def is_infinity(self) -> bool:
         return self.poly is None
 
@@ -292,10 +283,6 @@ class FunctionField:
         return f"{self.base!r}({self.var})"
 
 
-def function_field(characteristic: int, var: str = "x") -> FunctionField:
-    return FunctionField(base_field(characteristic), var)
-
-
 class SimpleExtension:
     """K[u]/(m(u)) for a monic irreducible m over a field K.
 
@@ -329,9 +316,6 @@ class SimpleExtension:
 
     def add(self, u, v):
         return [a + b for a, b in zip(u, v)]
-
-    def scalar_mul(self, c, u):
-        return [c * a for a in u]
 
     def mul(self, u, v):
         prod = Poly(self.base, u) * Poly(self.base, v)

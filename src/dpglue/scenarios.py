@@ -14,6 +14,7 @@ import json
 import jsonschema
 
 from dpglue.catalog import GlueScenario, building_block
+from dpglue.fields import base_field
 from dpglue.glue import glue_data
 
 _POINT = {"type": ["integer", "string"]}
@@ -157,7 +158,11 @@ def validate_document(doc, schema=SCENARIO_FILE_SCHEMA):
 
 
 def scenario_from_dict(entry: dict):
-    """(GlueScenario, expect dict or None); derivation b_i must be nonzero."""
+    """(GlueScenario, expect dict or None).
+
+    The characteristic must be 0 or prime and derivation b_i nonzero.
+    """
+    base_field(entry["characteristic"])
     blocks = [building_block(b["case"], b.get("a")) for b in entry["blocks"]]
     derivation = None
     if "derivation" in entry:
@@ -175,8 +180,8 @@ def scenario_from_dict(entry: dict):
     return scenario, entry.get("expect")
 
 
-def load_scenario_file(path: str):
-    """Parse + validate a scenario file; list of (scenario, expect)."""
+def _read_document(path: str, schema):
+    """Open, parse and validate one JSON file against ``schema``."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -186,9 +191,14 @@ def load_scenario_file(path: str):
         ) from exc
     except OSError as exc:
         raise ScenarioFileError(f"{path}: {exc}") from exc
-    validate_document(doc)
+    validate_document(doc, schema)
+    return doc
+
+
+def load_scenario_file(path: str):
+    """Parse + validate a scenario file; list of (scenario, expect)."""
     out = []
-    for entry in doc["scenarios"]:
+    for entry in _read_document(path, SCENARIO_FILE_SCHEMA)["scenarios"]:
         try:
             out.append(scenario_from_dict(entry))
         except (ValueError, ZeroDivisionError) as exc:
@@ -199,17 +209,7 @@ def load_scenario_file(path: str):
 
 
 def load_param_file(path: str):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ScenarioFileError(
-            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    except OSError as exc:
-        raise ScenarioFileError(f"{path}: {exc}") from exc
-    validate_document(doc, PARAM_FILE_SCHEMA)
-    return doc["checks"]
+    return _read_document(path, PARAM_FILE_SCHEMA)["checks"]
 
 
 def check_expectations(report: dict, expect: dict | None):

