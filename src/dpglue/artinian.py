@@ -333,62 +333,63 @@ class Subalgebra:
 def make_subalgebra(parent: FiniteAlgebra, basis, check: bool = True) -> Subalgebra:
     """Build the abstract algebra on a multiplicatively closed subspace.
 
-    Raises if the basis is dependent, misses the unit, or is not closed.
+    One elimination of [B^T | unit | every product b_i b_j] gives the
+    rank of the basis, the unit's coordinates and the structure
+    constants.  Raises if the basis is dependent, misses the unit, or is
+    not closed.
     """
     field = parent.field
     basis = [list(b) for b in basis]
-    if linalg.rank(field, basis) != len(basis):
+    d = len(basis)
+    products = [parent.mul(bi, bj) for bi in basis for bj in basis]
+    # B^T row by row, so an empty basis still gives parent.dim rows
+    bt = [[b[k] for b in basis] for k in range(parent.dim)]
+    coords, rank = linalg.solve_many(field, bt, [parent.unit] + products)
+    if rank != d:
         raise ValueError("subalgebra basis is not independent")
-    bt = linalg.transpose(basis)
-    unit = linalg.solve(field, bt, parent.unit)
+    unit = coords[0]
     if unit is None:
         raise ValueError("subalgebra does not contain the unit")
-    d = len(basis)
     table = []
     for i in range(d):
-        row = []
-        for j in range(d):
-            prod = parent.mul(basis[i], basis[j])
-            coeffs = linalg.solve(field, bt, prod)
-            if coeffs is None:
+        row = coords[1 + i * d : 1 + (i + 1) * d]
+        for j, c in enumerate(row):
+            if c is None:
                 raise ValueError(
                     f"subspace not closed under multiplication at ({i},{j})"
                 )
-            row.append(coeffs)
         table.append(row)
     algebra = FiniteAlgebra(field, table, unit, check=check)
     return Subalgebra(parent, basis, algebra)
 
 
+def _action_matrices(coords, count: int, dim: int):
+    """Cut coordinate columns, dim per algebra basis vector, into count matrices."""
+    return [
+        [[col[r] for col in coords[i * dim : (i + 1) * dim]] for r in range(dim)]
+        for i in range(count)
+    ]
+
+
 def quotient_module(sub: Subalgebra) -> FiniteModule:
     """parent/sub as a module over the subalgebra."""
     parent, field = sub.parent, sub.parent.field
-    # complement basis: parent coordinates of a basis of parent/sub
-    full = list(sub.basis)
-    complement_idx = []
-    for i in range(parent.dim):
-        cand = full + [parent.basis_vector(i)]
-        if linalg.rank(field, cand) > len(full):
-            full = cand
-            complement_idx.append(i)
-    qdim = len(complement_idx)
-    # projection: write parent vector in basis (sub.basis + complement),
-    # keep complement coordinates
-    basis_mat = linalg.transpose(full)
-
-    def project(vec):
-        coeffs = linalg.solve(field, basis_mat, vec)
-        return coeffs[len(sub.basis) :]
-
-    action = []
-    for i in range(sub.algebra.dim):
-        a_parent = sub.basis[i]
-        cols = [
-            project(parent.mul(a_parent, parent.basis_vector(ci)))
-            for ci in complement_idx
-        ]
-        action.append([[cols[j][r] for j in range(qdim)] for r in range(qdim)])
-    return FiniteModule(sub.algebra, qdim, action, check=True)
+    s = len(sub.basis)
+    # complement basis: the parent basis vectors that are pivots after
+    # the sub basis, i.e. the greedy choice of e_i outside the span so far
+    standard = [parent.basis_vector(i) for i in range(parent.dim)]
+    _, pivots = linalg.rref(field, linalg.transpose(sub.basis + standard))
+    complement = [standard[c - s] for c in pivots if c >= s]
+    # write each a * e_c in the basis (sub.basis + complement) and keep the
+    # complement coordinates
+    products = [parent.mul(a, e) for a in sub.basis for e in complement]
+    coords, _ = linalg.solve_many(
+        field, linalg.transpose(sub.basis + complement), products
+    )
+    action = _action_matrices(
+        [c[s:] for c in coords], sub.algebra.dim, len(complement)
+    )
+    return FiniteModule(sub.algebra, len(complement), action, check=True)
 
 
 def restriction_trace(sub: Subalgebra):
@@ -402,22 +403,21 @@ def restriction_trace(sub: Subalgebra):
     # restriction matrix: rows indexed by sub basis, cols by parent dual basis
     restr = [list(b) for b in sub.basis]
     kernel = linalg.nullspace(field, restr)  # functionals killing the subalgebra
-    kdim = len(kernel)
     # action of sub basis element a on a functional: l -> l o (mult by a),
     # i.e. coordinates transform by mult_matrix(a)^T
-    kt = linalg.transpose(kernel)
-    action = []
-    for i in range(sub.algebra.dim):
-        mt = linalg.transpose(parent.mult_matrix(sub.basis[i]))
-        cols = []
-        for kv in kernel:
-            img = linalg.mat_vec(field, mt, kv)
-            coeffs = linalg.solve(field, kt, img)
-            if coeffs is None:
-                raise AssertionError("kernel of restriction not stable under action")
-            cols.append(coeffs)
-        action.append([[cols[j][r] for j in range(kdim)] for r in range(kdim)])
-    module = FiniteModule(sub.algebra, kdim, action, check=True)
+    images = []
+    for a in sub.basis:
+        mt = linalg.transpose(parent.mult_matrix(a))
+        images.extend(linalg.mat_vec(field, mt, kv) for kv in kernel)
+    coords, _ = linalg.solve_many(field, linalg.transpose(kernel), images)
+    if any(c is None for c in coords):
+        raise AssertionError("kernel of restriction not stable under action")
+    module = FiniteModule(
+        sub.algebra,
+        len(kernel),
+        _action_matrices(coords, sub.algebra.dim, len(kernel)),
+        check=True,
+    )
     return restr, module
 
 
@@ -443,9 +443,9 @@ def is_free_rank_one(module: FiniteModule):
     mM_basis = linalg.row_space_basis(field, mM)
     if module.dim - len(mM_basis) != 1:
         return False, None
-    for i in range(module.dim):
-        v = module_basis_vector(module, i)
-        if not linalg.in_span(field, mM_basis, v):
+    probes = [module_basis_vector(module, i) for i in range(module.dim)]
+    for v, inside in zip(probes, linalg.in_span(field, mM_basis, probes)):
+        if not inside:
             return True, v
     raise AssertionError("unreachable: mM has codimension 1")
 

@@ -445,7 +445,7 @@ def _close_under_multiplication(A: FiniteAlgebra, gens):
         for u in basis:
             for v in basis:
                 w = A.mul(u, v)
-                if not linalg.in_span(field, new, w):
+                if not linalg.in_span(field, new, [w])[0]:
                     new.append(w)
         new = linalg.row_space_basis(field, new)
         if len(new) == len(basis):

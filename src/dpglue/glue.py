@@ -14,6 +14,7 @@ the wild-cusp local rings all live here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 from dpglue import linalg
 from dpglue.artinian import FiniteAlgebra, Subalgebra, make_subalgebra
@@ -43,18 +44,24 @@ class GenericGlueData:
 
     @property
     def field(self) -> FunctionField:
-        return FunctionField(base_field(self.characteristic))
+        return _function_field(self.characteristic)
 
     def c(self, i: int) -> RationalFunction:
         """The ratio a/b_i."""
         return self.a / self.b[i]
 
 
+@lru_cache
+def _function_field(characteristic: int) -> FunctionField:
+    """k(x) for one characteristic, shared so its constants are built once."""
+    return FunctionField(base_field(characteristic))
+
+
 def glue_data(characteristic: int, a, b) -> GenericGlueData:
     """Build GenericGlueData from strings/RationalFunctions."""
     from dpglue.rational import parse_rational
 
-    ff = FunctionField(base_field(characteristic))
+    ff = _function_field(characteristic)
 
     def conv(v):
         if isinstance(v, RationalFunction):
@@ -116,15 +123,19 @@ class KxiModel:
         return self.embed_function(self.F.x)
 
 
-def kxi_engine(data: GenericGlueData) -> KxiModel:
-    r = data.r
-    F = data.field
+@lru_cache
+def _conductor_algebra(characteristic: int, r: int) -> FiniteAlgebra:
+    """O_C = prod k(xi)[y_i]/(y_i^2), built and verified once per (p, r).
+
+    Basis order: e_1..e_r then y_1..y_r.
+    """
+    F = _function_field(characteristic)
     d = 2 * r
 
-    def vec(idx=None, val=None):
+    def vec(idx=None):
         v = [F.zero] * d
         if idx is not None:
-            v[idx] = F.one if val is None else val
+            v[idx] = F.one
         return v
 
     table = []
@@ -142,17 +153,23 @@ def kxi_engine(data: GenericGlueData) -> KxiModel:
                 row.append(vec())
         table.append(row)
     unit = [F.one] * r + [F.zero] * r
-    OC = FiniteAlgebra(F, table, unit,
-                       labels=[f"e{i+1}" for i in range(r)]
-                       + [f"y{i+1}" for i in range(r)])
+    return FiniteAlgebra(F, table, unit,
+                         labels=[f"e{i+1}" for i in range(r)]
+                         + [f"y{i+1}" for i in range(r)])
+
+
+def kxi_engine(data: GenericGlueData) -> KxiModel:
+    """O_C from the per-(p, r) cache, and O_D = span{1, eta_i} built per datum."""
+    r = data.r
+    OC = _conductor_algebra(data.characteristic, r)
+    F = OC.field
     eta = []
-    od_basis = [unit]
     for i in range(1, r):
-        v = vec(r + i)
+        v = [F.zero] * (2 * r)
+        v[r + i] = F.one
         v[r] = -(data.b[i] / data.b[0])
         eta.append(v)
-        od_basis.append(v)
-    sub = make_subalgebra(OC, od_basis)
+    sub = make_subalgebra(OC, [OC.unit] + eta)
     return KxiModel(data, OC, sub, eta)
 
 
@@ -474,7 +491,7 @@ def gamma_local_sections(h: RationalFunction, place: Place, bound: int):
 
     Returned as coefficient vectors in the local-parameter powers.
     """
-    ff = FunctionField(h.field)
+    ff = _function_field(h.field.characteristic)
     powers = [_local_parameter_power(ff, place, j) for j in range(bound + 1)]
     hs = [h * w.derivative() for w in powers]
     rows = regularity_constraint_rows(hs, place)
@@ -486,10 +503,6 @@ def gamma_local_sections(h: RationalFunction, place: Place, bound: int):
 def gamma_section_exponents(h: RationalFunction, place: Place, bound: int):
     """Exponents j with pi^j a section (for monomial-diagonal cases)."""
     basis = gamma_local_sections(h, place, bound)
-    out = []
-    for j in range(bound + 1):
-        probe = [h.field.zero] * (bound + 1)
-        probe[j] = h.field.one
-        if linalg.in_span(h.field, basis, probe):
-            out.append(j)
-    return out
+    probes = linalg.identity(h.field, bound + 1)
+    inside = linalg.in_span(h.field, basis, probes)
+    return [j for j in range(bound + 1) if inside[j]]

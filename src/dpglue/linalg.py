@@ -106,18 +106,38 @@ def nullspace(field, mat):
     return basis
 
 
-def solve(field, mat, rhs):
-    """One solution of mat @ x = rhs, or None if inconsistent."""
+def solve_many(field, mat, rhss):
+    """Solve mat @ x = b for every b in rhss by one elimination.
+
+    Row-reduces [mat | b_1 ... b_k].  Returns (solutions, rank of mat);
+    a solution is None when its system is inconsistent, i.e. when its
+    column is nonzero below the rows that hold the pivots of mat.  A
+    pivot in a right-hand-side column lies in one of those rows, which
+    are zero in every consistent column, so it leaves their solutions
+    as they are.
+    """
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
-    aug = [list(mat[i]) + [rhs[i]] for i in range(rows)]
+    aug = [list(mat[i]) + [b[i] for b in rhss] for i in range(rows)]
     red, pivots = rref(field, aug)
-    if cols in pivots:
-        return None
-    x = [field.zero] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
-    return x
+    pivots = [c for c in pivots if c < cols]
+    rank = len(pivots)
+    solutions = []
+    for j in range(cols, cols + len(rhss)):
+        if any(red[i][j] for i in range(rank, rows)):
+            solutions.append(None)
+            continue
+        x = [field.zero] * cols
+        for r, pc in enumerate(pivots):
+            x[pc] = red[r][j]
+        solutions.append(x)
+    return solutions, rank
+
+
+def solve(field, mat, rhs):
+    """One solution of mat @ x = rhs, or None if inconsistent."""
+    return solve_many(field, mat, [rhs])[0][0]
+
 
 def det(field, mat):
     n = len(mat)
@@ -144,10 +164,12 @@ def det(field, mat):
     return sign * result
 
 
-def in_span(field, basis, vec) -> bool:
+def in_span(field, basis, vectors) -> list:
+    """Whether each of the vectors lies in the span of basis (one elimination)."""
     if not basis:
-        return all(not x for x in vec)
-    return solve(field, transpose(basis), vec) is not None
+        return [not any(v) for v in vectors]
+    solutions, _ = solve_many(field, transpose(basis), vectors)
+    return [x is not None for x in solutions]
 
 
 def row_space_basis(field, vectors):

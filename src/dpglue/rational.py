@@ -13,6 +13,7 @@ extensions K[u]/(m(u)) with the trace form, and the string grammar
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from dpglue.fields import FpElement, PrimeField
 from dpglue.polynomials import Poly, _is_element
@@ -232,15 +233,16 @@ class FunctionField:
     def from_int(self, n: int) -> RationalFunction:
         return RationalFunction.const(self.base, self.base.from_int(n))
 
-    @property
+    # built on first use and shared: RationalFunction is never mutated
+    @cached_property
     def zero(self) -> RationalFunction:
         return RationalFunction.const(self.base, self.base.zero)
 
-    @property
+    @cached_property
     def one(self) -> RationalFunction:
         return RationalFunction.const(self.base, self.base.one)
 
-    @property
+    @cached_property
     def x(self) -> RationalFunction:
         return RationalFunction.x(self.base)
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import pytest
@@ -120,6 +121,21 @@ def test_non_prime_characteristic_exits_two(tmp_path, case):
     code, out, err = run_cli(args)
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "4 is not prime" in err
+
+
+@pytest.mark.parametrize("characteristic", [(10**9 + 7) * (10**9 + 9), 2**89 - 1],
+                         ids=["composite", "beyond-limit"])
+def test_huge_characteristic_exits_two_quickly(tmp_path, capsys, characteristic):
+    scenario = {"name": "x", "characteristic": characteristic, "glueCase": "A",
+                "blocks": [{"case": "a1"}]}
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps({"version": "1", "scenarios": [scenario]}))
+    start = time.perf_counter()
+    code = main(["run", str(p)])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and str(characteristic) in captured.err
 
 
 def test_deterministic_output():

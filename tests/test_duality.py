@@ -178,6 +178,53 @@ def test_quotient_by_t_not_faithful():
     assert not is_faithful(M)
 
 
+# -- subalgebras -------------------------------------------------------
+
+
+def test_make_subalgebra_over_q():
+    A = truncated_algebra(base_field(0), 3)
+    sub = make_subalgebra(A, [A.basis_vector(0), A.basis_vector(2)])
+    assert sub.algebra.unit == [1, 0]
+    assert sub.algebra.table[1][1] == [0, 0]  # (t^2)^2 = 0
+
+
+def test_make_subalgebra_rejections_over_q():
+    Q = base_field(0)
+    A = truncated_algebra(Q, 3)
+    one, t, t2 = (A.basis_vector(i) for i in range(3))
+    with pytest.raises(ValueError, match="not independent"):
+        make_subalgebra(A, [one, [Q.from_int(2), Q.zero, Q.zero]])
+    for basis in ([t, t2], []):
+        with pytest.raises(ValueError, match="does not contain the unit"):
+            make_subalgebra(A, basis)
+    with pytest.raises(ValueError, match=r"not closed under multiplication at \(1,1\)"):
+        make_subalgebra(A, [one, t])
+    # in k[t]/(t^4) the first product outside span{1, t, t^2} is t * t^2
+    B = truncated_algebra(Q, 4)
+    with pytest.raises(ValueError, match=r"not closed under multiplication at \(1,2\)"):
+        make_subalgebra(B, [B.basis_vector(i) for i in range(3)])
+
+
+def test_make_subalgebra_rejections_over_kx():
+    from dpglue.glue import glue_data, kxi_engine
+
+    # k(x)[y1]/(y1^2) x k(x)[y2]/(y2^2), basis e1, e2, y1, y2
+    OC = kxi_engine(glue_data(0, "x", ["1", "x"])).OC
+    F = OC.field
+    e1, y1 = OC.basis_vector(0), OC.basis_vector(2)
+    with pytest.raises(ValueError, match="not independent"):
+        make_subalgebra(OC, [OC.unit, [F.x * c for c in OC.unit]])
+    with pytest.raises(ValueError, match="does not contain the unit"):
+        make_subalgebra(OC, [e1, y1])
+    # (x e1 + y2)^2 = x^2 e1 is outside span{1, x e1 + y2}
+    mixed = [F.x, F.zero, F.zero, F.one]
+    with pytest.raises(ValueError, match=r"not closed under multiplication at \(1,1\)"):
+        make_subalgebra(OC, [OC.unit, mixed])
+    # {1, e1, y1} is closed: e1 y1 = y1 and y1^2 = 0
+    sub = make_subalgebra(OC, [OC.unit, e1, y1])
+    assert sub.algebra.dim == 3
+
+
 # -- restriction of trace ----------------------------------------------
 
 

@@ -1,11 +1,12 @@
 """Exact field and rational function arithmetic."""
 
 import fractions
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpglue.fields import base_field, is_prime
+from dpglue.fields import PRIME_LIMIT, base_field, is_prime
 from dpglue.multipoly import parse_mpoly
 from dpglue.polynomials import Poly
 from dpglue.rational import (FunctionField, Place, RationalFunction,
@@ -35,6 +36,26 @@ def test_base_field_rejects_composite():
     with pytest.raises(ValueError):
         base_field(6)
     assert not is_prime(1) and is_prime(2) and not is_prime(9)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(10**4) if is_prime(n)] == [
+        n for n in range(10**4) if trial(n)]
+
+
+def test_is_prime_large_inputs_are_fast_and_exact():
+    start = time.perf_counter()
+    assert is_prime(2**61 - 1)
+    assert not is_prime((10**9 + 7) * (10**9 + 9))
+    # strong pseudoprime to the first 12 prime bases, so a 13th is needed
+    assert not is_prime(318665857834031151167461)
+    assert time.perf_counter() - start < 0.5
+    for n in (PRIME_LIMIT, 2**89 - 1):
+        with pytest.raises(ValueError, match="too large"):
+            is_prime(n)
 
 
 # -- derivatives -------------------------------------------------------

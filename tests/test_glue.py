@@ -3,6 +3,8 @@ tameness, wild cusps."""
 
 import pytest
 
+from dpglue import glue, linalg
+from dpglue.artinian import FiniteAlgebra
 from dpglue.fields import base_field
 from dpglue.glue import (KernelElement, change_of_basis, delta,
                          functional_vector, gamma_section_exponents,
@@ -59,6 +61,58 @@ def test_xi_and_eta_killed_by_delta(rng, p):
             g[0] = -(data.b[i] / data.b[0])
             g[i] = F.one
             assert delta(data, F.zero, g).is_zero()
+
+
+@pytest.mark.parametrize("p", CHARACTERISTICS)
+def test_engine_output_by_formula(rng, p):
+    fixed = [glue_data(p, 0, ["1"]), glue_data(p, 0, ["1", "1"]),
+             glue_data(p, "x", ["1"])]
+    for data in fixed + [rand_data(rng, p) for _ in range(10)]:
+        model = kxi_engine(data)
+        F, r = data.field, data.r
+        assert model.OC.unit == [F.one] * r + [F.zero] * r
+        for i, v in enumerate(model.eta, start=1):
+            want = [F.zero] * (2 * r)
+            want[r] = -(data.b[i] / data.b[0])
+            want[r + i] = F.one
+            assert v == want
+        assert model.sub.basis == [model.OC.unit] + model.eta
+        # the O_D table agrees with one solve per product
+        bt = linalg.transpose(model.sub.basis)
+        for i, bi in enumerate(model.sub.basis):
+            for j, bj in enumerate(model.sub.basis):
+                prod = model.OC.mul(bi, bj)
+                assert model.sub.algebra.table[i][j] == linalg.solve(F, bt, prod)
+        assert model.sub.algebra.unit == linalg.solve(F, bt, model.OC.unit)
+
+
+def test_conductor_algebra_built_once_per_shape(monkeypatch):
+    glue._conductor_algebra.cache_clear()
+    verified = []
+    check = FiniteAlgebra._verify
+
+    def counting_verify(self):
+        verified.append(self)
+        check(self)
+
+    monkeypatch.setattr(FiniteAlgebra, "_verify", counting_verify)
+
+    def times_verified(algebra):
+        return sum(a is algebra for a in verified)
+
+    first = kxi_engine(glue_data(3, "x", ["1", "x"]))
+    second = kxi_engine(glue_data(3, "1/x", ["x^2", "1 + x"]))
+    assert first.OC is second.OC
+    assert times_verified(first.OC) == 1
+    # the O_D algebra depends on b and is verified for every datum
+    assert times_verified(first.sub.algebra) == 1
+    assert times_verified(second.sub.algebra) == 1
+    other_r = kxi_engine(glue_data(3, "x", ["1", "x", "x"]))
+    other_p = kxi_engine(glue_data(5, "x", ["1", "x"]))
+    for model in (other_r, other_p):
+        assert model.OC is not first.OC
+        assert times_verified(model.OC) == 1
+    assert len(verified) == 7
 
 
 # -- trace kernel membership -------------------------------------------
