@@ -332,7 +332,13 @@ def scenario_report(scenario: GlueScenario) -> dict:
     if data is not None and not problems:
         # D: the datum decides; A/B/C: a conductor-level datum must
         # confirm the tame closed-form answer
-        problems, wild, h1 = cohomology.closed_form(data)
+        try:
+            problems, wild, h1 = cohomology.closed_form(data)
+        except Exception as exc:  # one scenario's failure must not stop the run
+            report["errors"].append(f"{type(exc).__name__}: {exc}")
+            report.update(gorenstein=None, singularity=None, tame=None,
+                          wildPoints=None, chi=None, h1=None)
+            return report
         report["n_delta_generic"] = (2 * data.r, data.r)
         if case[0] == "D":
             tame = not wild

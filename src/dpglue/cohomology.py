@@ -125,15 +125,13 @@ def delta_P_wild(data: GenericGlueData) -> int:
     Each wild place counts once per geometric point, deg P times.
     """
     p = data.characteristic
-    _, wild = is_tame(data)
     return sum(place.degree * wild_cusp_ring(p, order // p).delta
-               for place, order in wild)
+               for place, order in data.wild_places)
 
 
 def total_pole_order(data: GenericGlueData) -> int:
     """Degree of the wild pole divisor: sum of deg P * pole order."""
-    _, wild = is_tame(data)
-    return sum(place.degree * order for place, order in wild)
+    return sum(place.degree * order for place, order in data.wild_places)
 
 
 # -- truncated Cech oracle --------------------------------------------

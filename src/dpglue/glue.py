@@ -14,7 +14,7 @@ the wild-cusp local rings all live here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from dpglue import linalg
 from dpglue.artinian import FiniteAlgebra, Subalgebra, make_subalgebra
@@ -49,6 +49,20 @@ class GenericGlueData:
     def c(self, i: int) -> RationalFunction:
         """The ratio a/b_i."""
         return self.a / self.b[i]
+
+    @cached_property
+    def wild_places(self) -> tuple:
+        """((Place, pole order), ...): the poles of all a/b_i, scanned once.
+
+        Each place appears once with its largest order, sorted by place.
+        """
+        wild: dict = {}
+        for i in range(self.r):
+            for place, order in pole_places(self.c(i)):
+                key = _place_key(place)
+                if key not in wild or wild[key][1] < order:
+                    wild[key] = (place, order)
+        return tuple(wild[k] for k in sorted(wild))
 
 
 @lru_cache
@@ -290,15 +304,13 @@ def regularity_constraint_rows(funcs, place: Place):
         return []
     piM = pi**M
     shifted = [h * RationalFunction.from_poly(piM) for h in funcs]
-    # all denominators are coprime to pi after reduction, so clearing
-    # them does not disturb the congruence condition mod pi^M
-    nums = []
+    # every denominator is prime to pi after reduction, so their lcm is
+    # a unit mod pi^M and clearing by it keeps the congruence condition
+    lcm = Poly.one(base)
     for t in shifted:
-        n = t.num
-        for other in shifted:
-            if other is not t:
-                n = n * other.den
-        nums.append(n % piM)
+        if t.den.degree >= 1:
+            lcm = lcm * (t.den // lcm.gcd(t.den))
+    nums = [(t.num * (lcm // t.den)) % piM for t in shifted]
     width = piM.degree
     rows = []
     for k in range(width):
@@ -307,11 +319,16 @@ def regularity_constraint_rows(funcs, place: Place):
     return [row for row in rows if any(bool(c) for c in row)]
 
 
-def _local_parameter_power(field: FunctionField, place: Place, j: int):
+def _local_parameter_powers(field: FunctionField, place: Place, bound: int):
+    """[pi^0, ..., pi^bound], each from the one before; pi = 1/x at infinity."""
     if place.is_infinity():
-        return RationalFunction(field.base, Poly.one(field.base),
-                                Poly.x(field.base)) ** j
-    return RationalFunction.from_poly(place.poly) ** j
+        pi = RationalFunction(field.base, Poly.one(field.base), Poly.x(field.base))
+    else:
+        pi = RationalFunction.from_poly(place.poly)
+    powers = [field.one]
+    for _ in range(bound):
+        powers.append(powers[-1] * pi)
+    return powers
 
 
 def gorenstein_at_point_oracle(data: GenericGlueData, place: Place,
@@ -339,8 +356,8 @@ def gorenstein_at_point_oracle(data: GenericGlueData, place: Place,
     if degree_bound is None:
         degree_bound = pole + max(p, 1) + 2
     base = ff.base
-    powers = [_local_parameter_power(ff, place, j) for j in range(degree_bound + 1)]
-    hs = [(data.a * w / data.b[0]).derivative() for w in powers]
+    powers = _local_parameter_powers(ff, place, degree_bound)
+    hs = [(c1 * w).derivative() for w in powers]
     rows = regularity_constraint_rows(hs, place)
     if rows:
         sols = linalg.nullspace(base, rows)
@@ -395,14 +412,7 @@ def is_tame(data: GenericGlueData):
 
     Tame iff every a/b_i is regular everywhere including infinity.
     """
-    wild: dict = {}
-    for i in range(data.r):
-        ci = data.c(i)
-        for place, order in pole_places(ci):
-            key = _place_key(place)
-            if key not in wild or wild[key][1] < order:
-                wild[key] = (place, order)
-    points = [wild[k] for k in sorted(wild)]
+    points = list(data.wild_places)
     return (not points, points)
 
 
@@ -492,7 +502,7 @@ def gamma_local_sections(h: RationalFunction, place: Place, bound: int):
     Returned as coefficient vectors in the local-parameter powers.
     """
     ff = _function_field(h.field.characteristic)
-    powers = [_local_parameter_power(ff, place, j) for j in range(bound + 1)]
+    powers = _local_parameter_powers(ff, place, bound)
     hs = [h * w.derivative() for w in powers]
     rows = regularity_constraint_rows(hs, place)
     if not rows:

@@ -3,7 +3,9 @@
 Matrices are plain lists of rows.  Everything is fraction-free-agnostic:
 we just divide, which is fine because all coefficient fields here are
 exact.  Dimensions stay small (<= ~100), so Gaussian elimination is the
-only algorithm needed.
+only algorithm needed.  Its row update skips the zero entries of the
+pivot row: the matrices here are sparse, and over k(x) every entry
+rewritten costs polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -54,6 +56,30 @@ def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
+def _pivot_step(field, m, r, c, rows):
+    """Scale row r so m[r][c] = 1, then clear column c in the given rows.
+
+    A row is updated only on the pivot row's nonzero entries.
+    """
+    inv = field.one / m[r][c]
+    pivot = m[r] = [inv * y if y else y for y in m[r]]
+    support = [j for j, y in enumerate(pivot) if y]
+    for i in rows:
+        row = m[i]
+        f = row[c]
+        if i != r and f:
+            for j in support:
+                row[j] = row[j] - f * pivot[j]
+
+
+def _pivot_row(m, r, c):
+    """First row at or after r with a nonzero entry in column c, or None."""
+    for i in range(r, len(m)):
+        if m[i][c]:
+            return i
+    return None
+
+
 def rref(field, mat):
     """Reduced row echelon form; returns (matrix, pivot column list)."""
     m = [list(row) for row in mat]
@@ -62,20 +88,11 @@ def rref(field, mat):
     pivots = []
     r = 0
     for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if m[i][c]:
-                pivot_row = i
-                break
+        pivot_row = _pivot_row(m, r, c)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = field.one / m[r][c]
-        m[r] = [inv * x for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        _pivot_step(field, m, r, c, range(rows))
         pivots.append(c)
         r += 1
         if r == rows:
@@ -140,28 +157,20 @@ def solve(field, mat, rhs):
 
 
 def det(field, mat):
+    """Product of the pivots times the sign of the row swaps."""
     n = len(mat)
     m = [list(row) for row in mat]
-    sign = field.one
     result = field.one
     for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if m[i][c]:
-                pivot_row = i
-                break
+        pivot_row = _pivot_row(m, c, c)
         if pivot_row is None:
             return field.zero
         if pivot_row != c:
             m[c], m[pivot_row] = m[pivot_row], m[c]
-            sign = -sign
+            result = -result
         result = result * m[c][c]
-        inv = field.one / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return sign * result
+        _pivot_step(field, m, c, c, range(c + 1, n))
+    return result
 
 
 def in_span(field, basis, vectors) -> list:

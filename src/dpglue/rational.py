@@ -20,7 +20,13 @@ from dpglue.polynomials import Poly, _is_element
 
 
 class RationalFunction:
-    """Element of k(x), reduced, with monic denominator."""
+    """Element of k(x), reduced, with monic denominator; zero is 0/1.
+
+    ``__init__`` normalises any num/den.  The operators keep the
+    canonical form by gcds of the operands' parts only (Henrici's
+    splitting, Knuth TAOCP 2, 4.5.1), and hand their already reduced
+    results to ``_reduced``.
+    """
 
     __slots__ = ("field", "num", "den")
 
@@ -32,29 +38,40 @@ class RationalFunction:
         if num.is_zero():
             den = Poly.one(field)
         else:
-            g = num.gcd(den)
-            if g.degree >= 1:
-                num, den = num // g, den // g
+            if den.degree >= 1:
+                g = num.gcd(den)
+                if g.degree >= 1:
+                    num, den = num // g, den // g
             lead = den.leading()
-            num = num.scale(field.one / lead)
-            den = den.scale(field.one / lead)
+            if lead != field.one:
+                inv = field.one / lead
+                num, den = num.scale(inv), den.scale(inv)
         self.field = field
         self.num = num
         self.den = den
+
+    @classmethod
+    def _reduced(cls, field, num: Poly, den: Poly) -> "RationalFunction":
+        """Trusted constructor: gcd(num, den) = 1, den monic, and den = 1 if num = 0."""
+        f = object.__new__(cls)
+        f.field = field
+        f.num = num
+        f.den = den
+        return f
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_poly(cls, p: Poly) -> "RationalFunction":
-        return cls(p.field, p)
+        return cls._reduced(p.field, p, Poly.one(p.field))
 
     @classmethod
     def const(cls, field, c) -> "RationalFunction":
-        return cls(field, Poly.const(field, c))
+        return cls._reduced(field, Poly.const(field, c), Poly.one(field))
 
     @classmethod
     def x(cls, field) -> "RationalFunction":
-        return cls(field, Poly.x(field))
+        return cls._reduced(field, Poly.x(field), Poly.one(field))
 
     # -- predicates ---------------------------------------------------
 
@@ -80,13 +97,43 @@ class RationalFunction:
             return RationalFunction.const(self.field, other)
         return None
 
+    def _add(self, num: Poly, den: Poly) -> "RationalFunction":
+        """self + num/den for a reduced num/den with monic den."""
+        a, b = self.num, self.den
+        if not a:
+            return RationalFunction._reduced(self.field, num, den)
+        if not num:
+            return self
+        if b == den:
+            # common denominator: only gcd(a + num, b) can cancel
+            t = a + num
+            if not t:
+                return RationalFunction._reduced(self.field, t, Poly.one(self.field))
+            if b.degree >= 1:
+                g = t.gcd(b)
+                if g.degree >= 1:
+                    t, b = t // g, b // g
+            return RationalFunction._reduced(self.field, t, b)
+        g = b.gcd(den) if b.degree >= 1 and den.degree >= 1 else None
+        if g is None or g.degree == 0:
+            # coprime denominators: the cross sum is already reduced
+            return RationalFunction._reduced(self.field, a * den + num * b, b * den)
+        # with b = g b', den = g d': t = a d' + num b' is prime to b' d',
+        # so only gcd(t, g) can cancel
+        b, den = b // g, den // g
+        t = a * den + num * b
+        if not t:
+            return RationalFunction._reduced(self.field, t, Poly.one(self.field))
+        g2 = t.gcd(g)
+        if g2.degree >= 1:
+            t, g = t // g2, g // g2
+        return RationalFunction._reduced(self.field, t, b * den * g)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(
-            self.field, self.num * o.den + o.num * self.den, self.den * o.den
-        )
+        return self._add(o.num, o.den)
 
     __radd__ = __add__
 
@@ -94,9 +141,7 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(
-            self.field, self.num * o.den - o.num * self.den, self.den * o.den
-        )
+        return self._add(-o.num, o.den)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -105,23 +150,48 @@ class RationalFunction:
         return o - self
 
     def __neg__(self):
-        return RationalFunction(self.field, -self.num, self.den)
+        return RationalFunction._reduced(self.field, -self.num, self.den)
+
+    def _mul(self, num: Poly, den: Poly) -> "RationalFunction":
+        """self * num/den for a reduced num/den with monic den."""
+        a, b = self.num, self.den
+        if not a or not num:
+            return RationalFunction._reduced(self.field, Poly.zero(self.field),
+                                             Poly.one(self.field))
+        # gcd(a, b) = gcd(num, den) = 1, so only the cross gcds can cancel
+        if a.degree >= 1 and den.degree >= 1:
+            g = a.gcd(den)
+            if g.degree >= 1:
+                a, den = a // g, den // g
+        if num.degree >= 1 and b.degree >= 1:
+            g = num.gcd(b)
+            if g.degree >= 1:
+                num, b = num // g, b // g
+        return RationalFunction._reduced(self.field, a * num, b * den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(self.field, self.num * o.num, self.den * o.den)
+        return self._mul(o.num, o.den)
 
     __rmul__ = __mul__
+
+    def _inverse_parts(self):
+        """(num, den) of 1/self, reduced with monic den; self is nonzero."""
+        if self.is_zero():
+            raise ZeroDivisionError("division by zero rational function")
+        lead = self.num.leading()
+        if lead == self.field.one:
+            return self.den, self.num
+        inv = self.field.one / lead
+        return self.den.scale(inv), self.num.scale(inv)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.field, self.num * o.den, self.den * o.num)
+        return self._mul(*o._inverse_parts())
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -131,10 +201,12 @@ class RationalFunction:
 
     def __pow__(self, n: int):
         if n < 0:
-            if self.is_zero():
-                raise ZeroDivisionError("negative power of zero")
-            return RationalFunction(self.field, self.den, self.num) ** (-n)
-        return RationalFunction(self.field, self.num**n, self.den**n)
+            num, den = self._inverse_parts()
+            n = -n
+        else:
+            num, den = self.num, self.den
+        # powers of coprime polynomials stay coprime, of monic ones monic
+        return RationalFunction._reduced(self.field, num**n, den**n)
 
     def __eq__(self, other):
         o = self._coerce(other)

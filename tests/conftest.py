@@ -2,12 +2,18 @@ import os
 import random
 
 import pytest
+from hypothesis import settings
 
 from dpglue.fields import base_field
 from dpglue.polynomials import Poly
 from dpglue.rational import FunctionField, RationalFunction
 
 CHARACTERISTICS = (0, 2, 3, 5)
+
+# property tests draw the same examples on every run, and a slow example
+# is not a failure
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def seed():

@@ -138,6 +138,29 @@ def test_huge_characteristic_exits_two_quickly(tmp_path, capsys, characteristic)
     assert captured.err.count("\n") == 1 and str(characteristic) in captured.err
 
 
+def test_failing_datum_is_recorded_and_run_continues(tmp_path):
+    # x^4 + 1 has no rational root and no certifying prime, so factoring
+    # it over Q raises NotImplementedError inside the closed form
+    doc = {"version": "1", "scenarios": [
+        {"name": "quartic", "characteristic": 0, "blocks": [{"case": "c2", "a": 2}],
+         "glueCase": "D", "derivation": {"a": "1/(x^4+1)", "b": ["1"]}},
+        {"name": "good", "characteristic": 3, "blocks": [{"case": "c2", "a": 2}],
+         "glueCase": "D", "derivation": {"a": "1/x^3", "b": ["1"]}}]}
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run_cli(["run", str(p), "--format", "json"])
+    assert code == 1
+    assert err == ""  # no traceback
+    reports = {s["name"]: s for s in json.loads(out)["scenarios"]}
+    assert set(reports) == {"quartic", "good"}
+    bad = reports["quartic"]
+    assert bad["gorenstein"] is None and not bad["pass"]
+    assert bad["errors"] == ["NotImplementedError: cannot certify "
+                             "irreducibility over QQ for this polynomial"]
+    good = reports["good"]
+    assert good["pass"] and good["gorenstein"] is True and good["h1"] == 2
+
+
 def test_deterministic_output():
     code1, out1, _ = run_cli(["run", TAME, WILD])
     code2, out2, _ = run_cli(["run", TAME, WILD])

@@ -14,9 +14,9 @@ from dpglue.glue import (KernelElement, change_of_basis, delta,
                          kernel_dimension, kxi_engine, tangent_dims,
                          wild_cusp_ring)
 from dpglue.polynomials import Poly
-from dpglue.rational import Place, parse_rational
+from dpglue.rational import Place, RationalFunction, parse_rational
 
-from conftest import CHARACTERISTICS, rand_ratfunc
+from conftest import CHARACTERISTICS, rand_poly, rand_ratfunc
 
 
 def rand_data(rng, p, r=None, max_deg=2):
@@ -380,3 +380,72 @@ def test_gamma_sections_char0_simple_pole():
     h = parse_rational_pow(0, -1)
     exps = gamma_section_exponents(h, origin(0), 6)
     assert exps == [0, 2, 3, 4, 5, 6]
+
+
+# -- regularity constraints ----------------------------------------------
+
+
+def product_cleared_rows(funcs, place):
+    """Reference: clear each numerator by every other function's denominator."""
+    base = funcs[0].field
+    if place.is_infinity():
+        funcs = [h.invert_variable() for h in funcs]
+        place = Place.finite(Poly.x(base))
+    pi = place.poly
+    M = max([-h.order_at(place) for h in funcs if h] + [0])
+    if M == 0:
+        return []
+    piM = pi**M
+    shifted = [h * RationalFunction.from_poly(piM) for h in funcs]
+    nums = []
+    for t in shifted:
+        n = t.num
+        for other in shifted:
+            if other is not t:
+                n = n * other.den
+        nums.append(n % piM)
+    rows = [[n[k] for n in nums] for k in range(piM.degree)]
+    return [row for row in rows if any(bool(c) for c in row)]
+
+
+def solution_space(field, rows, n):
+    basis = linalg.nullspace(field, rows) if rows else linalg.identity(field, n)
+    return linalg.row_space_basis(field, basis)
+
+
+# places of degree 1, 2 and 3, and infinity (None), as coefficient lists
+PLACES = {
+    0: [[-1, 1], [1, 0, 1], [-2, 0, 0, 1], None],
+    2: [[1, 1], [1, 1, 1], [1, 1, 0, 1], None],
+    3: [[0, 1], [1, 0, 1], [1, 2, 0, 1], None],
+    5: [[2, 1], [2, 0, 1], [1, 1, 0, 1], None],
+}
+
+
+@pytest.mark.parametrize("p", CHARACTERISTICS)
+@pytest.mark.parametrize("place_index", range(4), ids=["deg1", "deg2", "deg3", "oo"])
+def test_regularity_rows_keep_the_solution_space(rng, p, place_index):
+    field = base_field(p)
+    coeffs = PLACES[p][place_index]
+    place = (Place.infinity() if coeffs is None
+             else Place.finite(Poly.from_ints(field, coeffs)))
+    local = Poly.x(field) if coeffs is None else place.poly
+    max_order = 3 * max(p, 1)
+    for _ in range(6):
+        funcs = []
+        for _ in range(rng.randint(1, 5)):
+            h = rand_ratfunc(rng, p, 2)
+            e = rng.randint(0, max_order)
+            if coeffs is None:
+                h = h * RationalFunction.from_poly(local**e)
+            else:
+                h = h / RationalFunction.from_poly(local**e)
+            funcs.append(h)
+        # a combination that is regular at the place, so the space is not 0
+        regular = (rand_ratfunc(rng, p, 0) if coeffs is None
+                   else RationalFunction.from_poly(rand_poly(rng, field, 2)))
+        funcs.append(funcs[0] - funcs[-1] + regular)
+        got = glue.regularity_constraint_rows(funcs, place)
+        want = product_cleared_rows(funcs, place)
+        assert (solution_space(field, got, len(funcs))
+                == solution_space(field, want, len(funcs)))

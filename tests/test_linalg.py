@@ -1,9 +1,11 @@
-"""Dense linear algebra: one elimination for many right-hand sides."""
+"""Linear algebra: one elimination for many right-hand sides, sparse row updates."""
 
 from hypothesis import given, settings, strategies as st
 
 from dpglue import linalg
 from dpglue.fields import base_field
+from dpglue.polynomials import Poly
+from dpglue.rational import FunctionField, RationalFunction
 
 
 @st.composite
@@ -54,3 +56,87 @@ def test_in_span_matches_rank(system):
 def test_in_span_of_nothing_is_only_zero():
     Q = base_field(0)
     assert linalg.in_span(Q, [], [[Q.zero, Q.zero], [Q.zero, Q.one]]) == [True, False]
+
+
+# -- sparse row update against a dense reference -------------------------
+
+
+def dense_rref(field, mat):
+    """Reference: rewrite every entry of every row the pivot row clears."""
+    m = [list(row) for row in mat]
+    rows, cols = len(m), len(m[0]) if m else 0
+    pivots, r = [], 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = field.one / m[r][c]
+        m[r] = [inv * x for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def dense_det(field, mat):
+    """Reference: plain Gaussian elimination, pivot row left unscaled."""
+    n = len(mat)
+    m = [list(row) for row in mat]
+    sign = result = field.one
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if m[i][c]), None)
+        if pivot_row is None:
+            return field.zero
+        if pivot_row != c:
+            m[c], m[pivot_row] = m[pivot_row], m[c]
+            sign = -sign
+        result = result * m[c][c]
+        inv = field.one / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c]:
+                f = m[i][c] * inv
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return sign * result
+
+
+@st.composite
+def sparse_matrices(draw, square=False):
+    """Mostly-zero matrices over Q, GF(3) or (size <= 4) k(x) with k = GF(3)."""
+    kind = draw(st.sampled_from(["Q", "GF(3)", "k(x)"]))
+    limit = 4 if kind == "k(x)" else 7
+    rows = draw(st.integers(1, limit))
+    cols = rows if square else draw(st.integers(1, limit))
+    if kind == "k(x)":
+        base = base_field(3)
+        field = FunctionField(base)
+        small = st.lists(st.integers(-1, 1).map(base.from_int), max_size=3)
+        nonzero_den = small.map(lambda cs: Poly(base, cs)).filter(bool)
+        value = st.builds(lambda n, d: RationalFunction(base, Poly(base, n), d),
+                          small, nonzero_den)
+    else:
+        field = base_field(0 if kind == "Q" else 3)
+        value = st.integers(-3, 3).map(field.from_int)
+    entry = st.one_of(st.just(field.zero), st.just(field.zero), value)
+    mat = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                        min_size=rows, max_size=rows))
+    return field, mat
+
+
+@given(sparse_matrices())
+@settings(max_examples=150)
+def test_rref_matches_dense_reference(case):
+    field, mat = case
+    assert linalg.rref(field, mat) == dense_rref(field, mat)
+
+
+@given(sparse_matrices(square=True))
+@settings(max_examples=150)
+def test_det_matches_dense_reference(case):
+    field, mat = case
+    assert linalg.det(field, mat) == dense_det(field, mat)
