@@ -333,16 +333,19 @@ def scenario_report(scenario: GlueScenario) -> dict:
         # D: the datum decides; A/B/C: a conductor-level datum must
         # confirm the tame closed-form answer
         try:
-            problems, wild, h1 = cohomology.closed_form(data)
+            problems, h1 = cohomology.closed_form(data)
+            if case[0] == "D":
+                wild_points = [(glue._place_key(pl), order)
+                               for pl, order in data.wild_places]
         except Exception as exc:  # one scenario's failure must not stop the run
             report["errors"].append(f"{type(exc).__name__}: {exc}")
             report.update(gorenstein=None, singularity=None, tame=None,
                           wildPoints=None, chi=None, h1=None)
             return report
         report["n_delta_generic"] = (2 * data.r, data.r)
+        wild = bool(data.pole_divisor)
         if case[0] == "D":
             tame = not wild
-            wild_points = [(glue._place_key(pl), order) for pl, order in wild]
             singularity = (f"wild({r})" if wild else
                            {1: "cusp", 2: "tacnode"}.get(r, f"r-concurrent-lines({r})"))
         elif wild and not problems:

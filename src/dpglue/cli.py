@@ -1,14 +1,15 @@
 """dpglue command line: scenario runner, catalog printer, identity checker.
 
 Exit codes: 0 all checks pass, 1 at least one assertion/expectation
-fails, 2 malformed input.  Output is deterministic (scenarios in file
-order, JSON keys sorted).
+fails or the reader of stdout closed it early, 2 malformed input.
+Output is deterministic (scenarios in file order, JSON keys sorted).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from dpglue import catalog, scenarios
@@ -178,7 +179,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: no traceback, and point stdout
+        # at devnull so the interpreter's last flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -2,10 +2,13 @@
 
 Closed formulas: chi(O_X) = 1 - N(p-1) and h1(O_X) = N(p-1), where
 N = sum of deg P * n_P over the wild places P of the derivation datum,
-with pole order n_P p at P.  ``closed_form`` scans the pole divisor of
-the a/b_i once and returns the pointwise criterion's problems, the wild
-places and h1; ``global_gorenstein``, ``wild_multiplicity``, ``chi_OX``
-and ``h1_OX`` each read one call of it.
+with pole order n_P p at P.  ``closed_form`` reads the square-free pole
+divisor of the a/b_i (``GenericGlueData.pole_divisor``), which gives
+each pole's order and the degree of its places without factoring, and
+returns the pointwise criterion's problems and h1; it factors only to
+name a failing pole.  ``global_gorenstein``, ``wild_multiplicity``,
+``chi_OX`` and ``h1_OX`` each read one call of it, and
+``total_pole_order`` and ``delta_P_wild`` read the same divisor.
 
 These are cross-checked by a truncated two-chart section computation
 that treats O_D(n) as pairs (f, g_i) with a f' + sum b_i g_i = 0 inside
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from dpglue import linalg
-from dpglue.glue import GenericGlueData, gorenstein_at_point, is_tame, wild_cusp_ring
+from dpglue.glue import GenericGlueData, wild_cusp_ring
 from dpglue.rational import RationalFunction
 
 
@@ -53,19 +56,19 @@ def d_plus_structure(r: int):
 
 
 class ClosedForm(NamedTuple):
-    """Verdict of one scan of the pole divisor of the a/b_i."""
+    """Verdict read off the pole divisor of the a/b_i."""
 
     problems: list  # empty iff the pointwise criterion holds everywhere
-    wild: list      # [(Place, pole order)] from glue.is_tame
     h1: int | None  # N(p-1), or None when the criterion fails
 
 
 def closed_form(data: GenericGlueData) -> ClosedForm:
-    """The pointwise criterion and h1 from one scan of the pole divisor.
+    """The pointwise criterion and h1 from the square-free pole divisor.
 
     On the projective line: b_i/b_1 must be constant (unit everywhere)
     and every pole of a/b_1, including infinity, must be wild of order
-    divisible by p.
+    divisible by p.  With constant b_i/b_1 every a/b_i has the poles of
+    a/b_1, so the pole orders alone decide.
     """
     problems = []
     b1 = data.b[0]
@@ -73,21 +76,19 @@ def closed_form(data: GenericGlueData) -> ClosedForm:
         if not (bi / b1).is_constant():
             problems.append(f"b_{i}/b_1 is non-constant")
     p = data.characteristic
-    _, wild = is_tame(data)
-    for place, order in wild:
-        if p == 0 or order % p:
-            problems.append(f"pole of order {order} at {place} is not allowed")
-        elif not gorenstein_at_point(data, place):
-            problems.append(f"criterion fails at {place}")
+    poles = data.pole_divisor
+    if any(p == 0 or order % p for _, order in poles):
+        problems += [f"pole of order {order} at {place} is not allowed"
+                     for place, order in data.wild_places if p == 0 or order % p]
     h1 = None
     if not problems:
-        # p divides every wild order, and there is none when p = 0
-        h1 = (p - 1) * sum(place.degree * (order // p) for place, order in wild)
-    return ClosedForm(problems, wild, h1)
+        # p divides every pole order, and there is no pole when p = 0
+        h1 = (p - 1) * sum(piece.degree * (order // p) for piece, order in poles)
+    return ClosedForm(problems, h1)
 
 
 def _gorenstein_h1(data: GenericGlueData) -> int:
-    problems, _, h1 = closed_form(data)
+    problems, h1 = closed_form(data)
     if problems:
         raise ValueError("; ".join(problems))
     return h1
@@ -125,13 +126,13 @@ def delta_P_wild(data: GenericGlueData) -> int:
     Each wild place counts once per geometric point, deg P times.
     """
     p = data.characteristic
-    return sum(place.degree * wild_cusp_ring(p, order // p).delta
-               for place, order in data.wild_places)
+    return sum(piece.degree * wild_cusp_ring(p, order // p).delta
+               for piece, order in data.pole_divisor)
 
 
 def total_pole_order(data: GenericGlueData) -> int:
     """Degree of the wild pole divisor: sum of deg P * pole order."""
-    return sum(place.degree * order for place, order in data.wild_places)
+    return sum(piece.degree * order for piece, order in data.pole_divisor)
 
 
 # -- truncated Cech oracle --------------------------------------------

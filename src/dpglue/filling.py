@@ -373,7 +373,7 @@ def trace_shape_detect(result: FillingResult, ring: ConductorRing) -> bool:
             if not seg[0]:
                 return False
             continue
-        ext = SimpleExtension(field, br.minpoly, check=False)
+        ext = SimpleExtension(field, br.minpoly)
         traces = []
         for i in range(d):
             basis_vec = [field.zero] * d

@@ -9,6 +9,11 @@ Setting xi = x - (a/b_1) y_1 and eta_i = y_i - (b_i/b_1) y_1 makes O_C a
 2r-dimensional algebra over k(xi) with O_D spanned by {1, eta_i}; the
 trace pairing, the pointwise Gorenstein criterion, tameness scans, and
 the wild-cusp local rings all live here.
+
+A datum's poles are computed once, in ``pole_divisor``: the square-free
+pieces of the a/b_i denominators and infinity, with their pole orders,
+which is all a verdict needs.  ``wild_places`` factors those pieces to
+name the places, which only reports do.
 """
 
 from __future__ import annotations
@@ -51,18 +56,36 @@ class GenericGlueData:
         return self.a / self.b[i]
 
     @cached_property
-    def wild_places(self) -> tuple:
-        """((Place, pole order), ...): the poles of all a/b_i, scanned once.
+    def pole_divisor(self) -> tuple:
+        """((piece, order), ...): the poles of all a/b_i, without factoring.
 
-        Each place appears once with its largest order, sorted by place.
+        One entry per square-free piece of the lcm of the denominators,
+        whose places all have that pole order, and (Place.infinity(),
+        order) for a pole at infinity; ``piece.degree`` is the sum of
+        the degrees of its places.
         """
-        wild: dict = {}
+        den, at_infinity = Poly.one(self.field.base), 0
         for i in range(self.r):
-            for place, order in pole_places(self.c(i)):
-                key = _place_key(place)
-                if key not in wild or wild[key][1] < order:
-                    wild[key] = (place, order)
-        return tuple(wild[k] for k in sorted(wild))
+            c = self.c(i)
+            if c:
+                den = den * (c.den // den.gcd(c.den))
+                at_infinity = max(at_infinity, c.num.degree - c.den.degree)
+        poles = den.squarefree() + [(Place.infinity(), at_infinity)] * (at_infinity > 0)
+        return tuple(poles)
+
+    @cached_property
+    def wild_places(self) -> tuple:
+        """((Place, pole order), ...): ``pole_divisor`` named by factoring.
+
+        Each place appears once, sorted by place.
+        """
+        wild = []
+        for piece, order in self.pole_divisor:
+            if isinstance(piece, Place):
+                wild.append((piece, order))
+            else:
+                wild += [(Place.finite(g), order) for g, _ in piece.factor()[1]]
+        return tuple(sorted(wild, key=lambda place_order: _place_key(place_order[0])))
 
 
 @lru_cache
@@ -388,7 +411,11 @@ def gorenstein_at_point_oracle(data: GenericGlueData, place: Place,
 
 
 def pole_places(f: RationalFunction):
-    """All places where f has a pole, with pole orders."""
+    """All places where f has a pole, with pole orders.
+
+    Nothing in the package calls it; ``bench/tracing.py`` profiles it by
+    name, and one datum's poles are read from ``pole_divisor``.
+    """
     out = []
     if f.is_zero():
         return out
@@ -405,15 +432,6 @@ def _place_key(place: Place) -> str:
     from dpglue.rational import format_poly
 
     return "~oo" if place.is_infinity() else format_poly(place.poly)
-
-
-def is_tame(data: GenericGlueData):
-    """(tame?, wild points as [(Place, poleOrder)]).
-
-    Tame iff every a/b_i is regular everywhere including infinity.
-    """
-    points = list(data.wild_places)
-    return (not points, points)
 
 
 # -- wild cusps -------------------------------------------------------

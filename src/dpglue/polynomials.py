@@ -4,11 +4,17 @@ Coefficient lists are stored low degree first with no trailing zeros;
 the zero polynomial has an empty list.  All operations are exact and
 work over any field object from :mod:`dpglue.fields` (including function
 fields, which makes towers like K(x)[t] available for free).
+
+``squarefree`` splits a polynomial by multiplicity into pairwise coprime
+square-free pieces without factoring.  ``factor`` splits those pieces
+into irreducibles: over GF(p) by distinct-degree factorisation and
+Cantor-Zassenhaus, over Q by its rational roots, Newton-lifted from a
+small prime, and a certificate mod a prime for what is left.
 """
 
 from __future__ import annotations
 
-import itertools
+import random
 
 
 def _is_element(v) -> bool:
@@ -150,17 +156,15 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         q = [self.field.zero] * max(0, self.degree - o.degree + 1)
         r = list(self.coeffs)
-        lead = o.leading()
-        while len(r) >= len(o.coeffs) and any(bool(c) for c in r):
+        lead, low = o.leading(), o.coeffs[:-1]
+        while len(r) > len(low):
+            shift = len(r) - len(o.coeffs)
+            factor = r.pop() / lead
+            q[shift] = factor
+            for i, c in enumerate(low):
+                r[shift + i] = r[shift + i] - factor * c
             while r and not r[-1]:
                 r.pop()
-            if len(r) < len(o.coeffs):
-                break
-            shift = len(r) - len(o.coeffs)
-            factor = r[-1] / lead
-            q[shift] = factor
-            for i, c in enumerate(o.coeffs):
-                r[shift + i] = r[shift + i] - factor * c
         return Poly(self.field, q), Poly(self.field, r)
 
     def __floordiv__(self, other):
@@ -228,171 +232,232 @@ class Poly:
         d = self.degree if degree is None else degree
         return Poly(self.field, [self[d - i] for i in range(d + 1)])
 
-    # -- roots and irreducibility ------------------------------------
+    def pth_root(self) -> "Poly":
+        """g with g^p = self in characteristic p; ArithmeticError if none."""
+        p = self.field.characteristic
+        if p == 0:
+            raise ArithmeticError("characteristic zero field has no Frobenius")
+        coeffs = [self.field.zero] * (self.degree // p + 1)
+        for i, c in enumerate(self.coeffs):
+            if c:
+                if i % p:
+                    raise ArithmeticError("not a p-th power")
+                coeffs[i // p] = self.field.pth_root(c)
+        return Poly(self.field, coeffs)
 
-    def rational_roots(self):
-        """Roots in the base field, found exactly (QQ or GF(p) only)."""
-        from dpglue.fields import PrimeField, RationalField
-        from fractions import Fraction
+    # -- square-free decomposition and factoring ---------------------
 
+    def squarefree(self) -> list:
+        """[(piece, m), ...] with self = leading * prod piece^m.
+
+        The pieces are monic, square-free and pairwise coprime; piece m
+        is the product of the irreducible factors of multiplicity m.
+        Yun's loop takes out the multiplicities prime to p, and what it
+        leaves is a p-th power (von zur Gathen-Gerhard, Modern Computer
+        Algebra, 14.6).  No factoring.
+        """
         if self.is_zero():
-            raise ValueError("zero polynomial")
-        roots = []
-        if isinstance(self.field, PrimeField):
-            for v in range(self.field.p):
-                e = self.field.from_int(v)
-                if not self.evaluate(e):
-                    roots.append(e)
-            return roots
-        if isinstance(self.field, RationalField):
-            # clear denominators, then use the rational root theorem
-            from math import lcm
-
-            den = lcm(*[c.denominator for c in self.coeffs]) if self.coeffs else 1
-            ints = [int(c * den) for c in self.coeffs]
-            while ints and ints[0] == 0:
-                if not self.evaluate(Fraction(0)):
-                    if Fraction(0) not in roots:
-                        roots.append(Fraction(0))
-                ints = ints[1:]
-            if not ints:
-                return roots
-            a0, an = abs(ints[0]), abs(ints[-1])
-            for p in _divisors(a0):
-                for q in _divisors(an):
-                    for cand in (Fraction(p, q), Fraction(-p, q)):
-                        if cand not in roots and not self.evaluate(cand):
-                            roots.append(cand)
-            return roots
-        raise NotImplementedError("root finding only over QQ and GF(p)")
-
-    def is_irreducible(self) -> bool:
-        from dpglue.fields import PrimeField, RationalField
-
-        d = self.degree
-        if d <= 0:
-            return False
-        if d == 1:
-            return True
-        if isinstance(self.field, PrimeField):
-            if self.rational_roots():
-                return False
-            if d <= 3:
-                return True
-            # trial division by monic polynomials of degree 2..d//2
-            p = self.field.p
-            for deg in range(2, d // 2 + 1):
-                for tail in itertools.product(range(p), repeat=deg):
-                    cand = Poly.from_ints(self.field, list(tail) + [1])
-                    if (self % cand).is_zero():
-                        return False
-            return True
-        if isinstance(self.field, RationalField):
-            if self.rational_roots():
-                return False
-            if d <= 3:
-                return True
-            # a monic irreducible image mod p certifies irreducibility
-            from dpglue.fields import GF, is_prime
-
-            lead = self.leading()
-            for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
-                if any(c.denominator % p == 0 for c in self.coeffs):
-                    continue
-                if lead.numerator % p == 0:
-                    continue
-                img = Poly(GF(p), [GF(p).from_int(c.numerator) / GF(p).from_int(c.denominator) for c in self.coeffs])
-                if img.monic().is_irreducible():
-                    return True
-            raise NotImplementedError(
-                "cannot certify irreducibility over QQ for this polynomial"
-            )
-        raise NotImplementedError("irreducibility only over QQ and GF(p)")
+            raise ValueError("cannot factor zero")
+        f = self.monic()
+        p = self.field.characteristic
+        d = f.derivative()
+        if not d:
+            # a constant, or a p-th power in characteristic p
+            if f.degree == 0:
+                return []
+            return [(g, m * p) for g, m in f.pth_root().squarefree()]
+        c = f.gcd(d)
+        w = f // c
+        out = []
+        m = 1
+        while w.degree > 0:
+            y = w.gcd(c)
+            piece = w // y
+            if piece.degree > 0:
+                out.append((piece, m))
+            w, c, m = y, c // y, m + 1
+        if c.degree > 0:
+            out += [(g, k * p) for g, k in c.pth_root().squarefree()]
+        return out
 
     def factor(self):
         """Factor into monic irreducibles; returns (unit, [(factor, mult)]).
 
-        Complete over GF(p) (exhaustive trial division) and over QQ for
-        polynomials whose nonlinear part splits into pieces of degree <= 3
-        or is certifiably irreducible.
+        Splits each square-free piece.  Complete over GF(p).  Over QQ a
+        piece loses its rational roots, and what is left must have
+        degree <= 3 or an irreducible image mod a prime up to 23;
+        otherwise NotImplementedError.
         """
-        from dpglue.fields import PrimeField
-
         if self.is_zero():
             raise ValueError("cannot factor zero")
-        unit = self.leading()
-        rem = self.monic()
-        factors: list[tuple[Poly, int]] = []
-        # strip roots first
-        changed = True
-        while changed and rem.degree >= 1:
-            changed = False
-            for root in rem.rational_roots():
-                lin = Poly(self.field, [-root, self.field.one])
-                m = rem.valuation(lin)
-                if m:
-                    factors.append((lin, m))
-                    for _ in range(m):
-                        rem = rem // lin
-                    changed = True
-        if rem.degree >= 2:
-            if isinstance(self.field, PrimeField):
-                p = self.field.p
-                deg = 2
-                while rem.degree >= 2 * deg:
-                    found = False
-                    for tail in itertools.product(range(p), repeat=deg):
-                        cand = Poly.from_ints(self.field, list(tail) + [1])
-                        if not cand.is_irreducible():
-                            continue
-                        m = rem.valuation(cand)
-                        if m:
-                            factors.append((cand, m))
-                            for _ in range(m):
-                                rem = rem // cand
-                            found = True
-                            break
-                    if not found:
-                        deg += 1
-                if rem.degree >= 1:
-                    factors.append((rem, 1))
-                    rem = Poly.one(self.field)
-            else:
-                # rootless remainder over QQ: try squarefree split by multiplicity
-                for base, mult in _squarefree_decomposition(rem):
-                    if base.is_irreducible():
-                        factors.append((base, mult))
-                    else:
-                        raise NotImplementedError(
-                            "irreducible factorization over QQ incomplete for "
-                            f"degree {base.degree} factor"
-                        )
-                rem = Poly.one(self.field)
+        factors = [(g, m) for piece, m in self.squarefree() for g in _split(piece)]
         factors.sort(key=lambda fm: (fm[0].degree, [str(c) for c in fm[0].coeffs]))
-        return unit, factors
+        return self.leading(), factors
+
+    def is_irreducible(self) -> bool:
+        """True iff ``factor`` returns this polynomial, made monic, once.
+
+        A repeated factor, or over QQ a rational root, answers False
+        before a certificate is asked for.
+        """
+        from dpglue.fields import RationalField
+
+        f = self.monic()
+        if self.degree <= 0 or self.squarefree() != [(f, 1)]:
+            return False
+        if f.degree == 1 or not isinstance(f.field, RationalField):
+            return _split(f) == [f]
+        if _roots_in_q(f):
+            return False
+        _certify_rational(f)
+        return True
 
 
-def _divisors(n: int):
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = [d for d in range(1, n + 1) if n % d == 0]
+def _split(f: Poly) -> list:
+    """The monic irreducible factors of a monic square-free f."""
+    from dpglue.fields import PrimeField, RationalField
+
+    if f.degree == 1:
+        return [f]
+    if isinstance(f.field, PrimeField):
+        # the factors are unique, so the seed decides no output
+        rng = random.Random(0)
+        return [g for h, d in _distinct_degree(f) for g in _equal_degree(h, d, rng)]
+    if isinstance(f.field, RationalField):
+        return _split_rational(f)
+    raise NotImplementedError("factoring only over QQ and GF(p)")
+
+
+def _power_mod(a: Poly, n: int, f: Poly) -> Poly:
+    """a^n mod f by repeated squaring."""
+    result = Poly.one(f.field)
+    a = a % f
+    while n:
+        if n & 1:
+            result = result * a % f
+        a = a * a % f
+        n >>= 1
+    return result
+
+
+def _distinct_degree(f: Poly) -> list:
+    """[(h, d), ...]: h is the product of the degree-d factors of f.
+
+    f is monic and square-free over GF(p); the factors of degree d
+    divide x^(p^d) - x (Modern Computer Algebra, 14.2).
+    """
+    x = Poly.x(f.field)
+    h, d, out = x, 0, []
+    while f.degree >= 2 * (d + 1):
+        d += 1
+        h = _power_mod(h, f.field.p, f)
+        g = f.gcd(h - x)
+        if g.degree > 0:
+            out.append((g, d))
+            f = f // g
+            h = h % f
+    if f.degree > 0:
+        # no factor of degree <= deg f / 2 is left, so f is irreducible
+        out.append((f, f.degree))
     return out
 
 
-def _squarefree_decomposition(f: Poly):
-    """Yield (squarefree factor, multiplicity) pairs; char 0 only."""
-    if f.field.characteristic != 0:
-        raise NotImplementedError("squarefree decomposition implemented for char 0")
+def _equal_degree(f: Poly, d: int, rng) -> list:
+    """The factors of f, a monic square-free product of degree-d irreducibles.
+
+    Cantor-Zassenhaus (Modern Computer Algebra, 14.3): for random a,
+    gcd(f, a^((p^d-1)/2) - 1) splits f with probability about 1/2; at
+    p = 2 the trace a + a^2 + ... + a^(2^(d-1)) does the same.
+    """
+    if f.degree == d:
+        return [f]
+    field = f.field
+    p = field.p
+    while True:
+        a = Poly(field, [field.from_int(rng.randrange(p)) for _ in range(f.degree)])
+        if p == 2:
+            b, t = a, a
+            for _ in range(d - 1):
+                t = t * t % f
+                b = b + t
+        else:
+            b = _power_mod(a, (p**d - 1) // 2, f) - 1
+        g = f.gcd(b)
+        if 0 < g.degree < f.degree:
+            return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
+
+
+def _split_rational(f: Poly) -> list:
+    """Irreducible factors over QQ of a monic square-free f of degree >= 2."""
     out = []
-    g = f.gcd(f.derivative())
-    w = f // g
-    mult = 1
-    while w.degree >= 1:
-        y = w.gcd(g)
-        piece = w // y
-        if piece.degree >= 1:
-            out.append((piece.monic(), mult))
-        w, g = y, g // y
-        mult += 1
+    for root in _roots_in_q(f):
+        lin = Poly(f.field, [-root, f.field.one])
+        out.append(lin)
+        f = f // lin
+    if f.degree >= 1:
+        _certify_rational(f)
+        out.append(f)
     return out
+
+
+def _certify_rational(f: Poly) -> None:
+    """NotImplementedError unless f, rootless over QQ, is provably irreducible.
+
+    Degree <= 3 needs nothing more; a larger f needs an irreducible
+    image mod a prime up to 23.
+    """
+    from dpglue.fields import GF
+
+    if f.degree <= 3:
+        return
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        if all(c.denominator % q for c in f.coeffs) and Poly(
+            GF(q), [GF(q).from_int(c.numerator) / GF(q).from_int(c.denominator)
+                    for c in f.coeffs]).is_irreducible():
+            return
+    raise NotImplementedError(
+        "cannot certify irreducibility over QQ for this polynomial"
+    )
+
+
+def _roots_in_q(f: Poly) -> list:
+    """The roots in QQ of a monic square-free f, without a search.
+
+    F = L f has integer coefficients, so each root is s/L for an integer
+    s with |s| <= L (1 + max |F_i|) (Cauchy's bound).  Modulo the least
+    prime q that keeps F square-free every root is simple, so Newton's
+    step lifts it to the unique root mod q^k; once q^k passes twice the
+    bound, the symmetric residue of L r is s, and F(s/L) = 0 decides.
+    """
+    from fractions import Fraction
+    from math import lcm
+
+    from dpglue.fields import GF, is_prime
+
+    L = lcm(*(c.denominator for c in f.coeffs))
+    F = [int(c * L) for c in f.coeffs]
+    dF = [i * c for i, c in enumerate(F)][1:]
+    bound = 2 * L * (1 + max(abs(c) for c in F))
+    q = 1
+    while True:
+        q += 1
+        if is_prime(q) and L % q:
+            image = Poly(GF(q), [GF(q).from_int(c) for c in F])
+            if image.gcd(image.derivative()).degree == 0:
+                break
+
+    def value(cs, v):
+        return sum(c * v**i for i, c in enumerate(cs))
+
+    roots = []
+    for g in _split(image.monic()):
+        if g.degree == 1:
+            r, m = (-g[0]).value, q
+            while m <= bound:
+                m *= m
+                r = (r - value(F, r) * pow(value(dF, r), -1, m)) % m
+            s = L * r % m
+            root = Fraction(s - m if s > m // 2 else s, L)
+            if not f.evaluate(root):
+                roots.append(root)
+    return roots

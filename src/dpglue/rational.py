@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from dpglue.fields import FpElement, PrimeField
 from dpglue.polynomials import Poly, _is_element
 
 
@@ -327,21 +326,7 @@ class FunctionField:
 
     def pth_root(self, e: RationalFunction) -> RationalFunction:
         """p-th root if it exists, else raise; base must be GF(p)."""
-        p = self.characteristic
-        if p == 0:
-            raise ArithmeticError("characteristic zero field has no Frobenius")
-
-        def poly_root(poly: Poly) -> Poly:
-            coeffs = [self.base.zero] * (poly.degree // p + 1)
-            for i, c in enumerate(poly.coeffs):
-                if not c:
-                    continue
-                if i % p:
-                    raise ArithmeticError("not a p-th power")
-                coeffs[i // p] = self.base.pth_root(c)
-            return Poly(self.base, coeffs)
-
-        return RationalFunction(self.base, poly_root(e.num), poly_root(e.den))
+        return RationalFunction(self.base, e.num.pth_root(), e.den.pth_root())
 
     def __eq__(self, other):
         return (
@@ -363,11 +348,9 @@ class SimpleExtension:
     Elements are coefficient vectors in the basis 1, u, ..., u^(d-1).
     """
 
-    def __init__(self, base, minpoly: Poly, check: bool = True):
+    def __init__(self, base, minpoly: Poly):
         if not minpoly.is_monic():
             raise ValueError("minimal polynomial must be monic")
-        if check and minpoly.degree >= 2 and not _irreducible_over(base, minpoly):
-            raise ValueError("minimal polynomial must be irreducible")
         self.base = base
         self.minpoly = minpoly
         self.degree = minpoly.degree
@@ -412,92 +395,6 @@ class SimpleExtension:
         for i in range(self.degree):
             t = t + m[i][i]
         return t
-
-
-def _irreducible_over(base, poly: Poly) -> bool:
-    from dpglue.fields import PrimeField, RationalField
-
-    if isinstance(base, (PrimeField, RationalField)):
-        return poly.is_irreducible()
-    if isinstance(base, FunctionField):
-        d = poly.degree
-        if d == 1:
-            return True
-        if d == 2:
-            b, c = poly[1], poly[0]
-            p = base.characteristic
-            if p != 2:
-                disc = b * b - 4 * c
-                return _ff_square_root(base, disc) is None
-            if not b:
-                try:
-                    base.pth_root(c)
-                    return False
-                except ArithmeticError:
-                    return True
-            raise NotImplementedError(
-                "Artin-Schreier quadratics over k(x) not supported"
-            )
-        raise NotImplementedError("extensions of k(x) of degree > 2 not supported")
-    raise NotImplementedError(f"irreducibility over {base!r} not supported")
-
-
-def _ff_square_root(field: FunctionField, e: RationalFunction):
-    """Square root of e in k(x) if one exists, else None."""
-    if e.is_zero():
-        return field.zero
-
-    def poly_sqrt(p: Poly):
-        if p.degree % 2:
-            return None
-        half = p.degree // 2
-        # coefficient matching from the top; leading coeff must be square
-        lead = p.leading()
-        root_lead = _base_square_root(p.field, lead)
-        if root_lead is None:
-            return None
-        coeffs = [p.field.zero] * (half + 1)
-        coeffs[half] = root_lead
-        for i in range(half - 1, -1, -1):
-            # coefficient of x^(half+i) in the square: 2*c[half]*c[i] + known
-            known = p.field.zero
-            for j in range(i + 1, half):
-                k = half + i - j
-                if i + 1 <= k <= half - 1:
-                    known = known + coeffs[j] * coeffs[k]
-            target = p[half + i] - known
-            denom = 2 * coeffs[half]
-            if not denom:
-                return None
-            coeffs[i] = target / denom
-        cand = Poly(p.field, coeffs)
-        return cand if cand * cand == p else None
-
-    rn = poly_sqrt(e.num)
-    rd = poly_sqrt(e.den)
-    if rn is None or rd is None:
-        return None
-    return RationalFunction(e.field, rn, rd)
-
-
-def _base_square_root(base, c):
-    from fractions import Fraction
-    from math import isqrt
-
-    if isinstance(c, Fraction):
-        a, b = c.numerator, c.denominator
-        if a < 0:
-            return None
-        ra, rb = isqrt(a), isqrt(b)
-        if ra * ra == a and rb * rb == b:
-            return Fraction(ra, rb)
-        return None
-    if isinstance(c, FpElement):
-        for v in range(c.p):
-            if (v * v - c.value) % c.p == 0:
-                return FpElement(v, c.p)
-        return None
-    return None
 
 
 # -- string grammar ---------------------------------------------------

@@ -10,6 +10,15 @@ from dpglue.rational import FunctionField, RationalFunction
 
 CHARACTERISTICS = (0, 2, 3, 5)
 
+# Monic irreducibles over Q and GF(p), by degree 1, 2 and 3.
+IRREDUCIBLES = {
+    0: (("x", "x-2"), ("x^2+1", "x^2-2"), ("x^3-2",)),
+    2: (("x", "x+1"), ("x^2+x+1",), ("x^3+x+1", "x^3+x^2+1")),
+    3: (("x", "x+2"), ("x^2+1", "x^2+x+2"), ("x^3+2*x+1",)),
+    5: (("x", "x+3"), ("x^2+2", "x^2+3"), ("x^3+x+1",)),
+    7: (("x", "x+4"), ("x^2+1", "x^2+2"), ("x^3+2",)),
+}
+
 # property tests draw the same examples on every run, and a slow example
 # is not a failure
 settings.register_profile("deterministic", derandomize=True, deadline=None)

@@ -1,6 +1,7 @@
 """CLI and scenario-file behavior."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -159,6 +160,53 @@ def test_failing_datum_is_recorded_and_run_continues(tmp_path):
                              "irreducibility over QQ for this polynomial"]
     good = reports["good"]
     assert good["pass"] and good["gorenstein"] is True and good["h1"] == 2
+
+
+# Each of these once took seconds or hung: a root search linear in the
+# constant term or in p, or trial division by every candidate factor.
+@pytest.mark.parametrize("characteristic, a, gorenstein, wild, h1", [
+    (0, "1/(x-300)^3", False, [["x - 300", 3]], None),
+    (0, "1/(x-3000)^3", False, [["x - 3000", 3]], None),
+    (1000003, "1/(x^2+1)", False, [["x^2 + 1", 1]], None),
+    (7, "1/(x^8+x+3)^7", True, [["x^8 + x + 3", 7]], 48),
+    (2, "1/x^8000", True, [["x", 8000]], 4000),
+    (0, "-1/((x-2)*(x^2+1))", False, [["x - 2", 1], ["x^2 + 1", 1]], None),
+], ids=["Q-x300", "Q-x3000", "GF1000003-quadratic", "GF7-octic", "GF2-x8000",
+        "Q-two-places"])
+def test_pole_divisor_inputs_run_quickly(tmp_path, capsys, characteristic, a,
+                                         gorenstein, wild, h1):
+    scenario = {"name": "x", "characteristic": characteristic, "glueCase": "D",
+                "blocks": [{"case": "c2", "a": 2}],
+                "derivation": {"a": a, "b": ["1"]}}
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps({"version": "1", "scenarios": [scenario]}))
+    start = time.perf_counter()
+    code = main(["run", str(p), "--format", "json"])
+    assert time.perf_counter() - start < 1.0
+    report = json.loads(capsys.readouterr().out)["scenarios"][0]
+    assert code == (0 if gorenstein else 1)
+    assert report["gorenstein"] is gorenstein
+    assert report["wildPoints"] == wild and report["h1"] == h1
+
+
+# With a buffered stdout the tame report outgrows the buffer and fails
+# inside print; the wild one fits and fails when main flushes it.
+@pytest.mark.parametrize("corpus", [TAME, WILD], ids=["tame", "wild"])
+def test_closed_stdout_exits_one_without_traceback(corpus):
+    # the read end is closed before the run starts, so the first write
+    # fails whatever the pipe buffer holds
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dpglue.cli", "run", corpus, "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 def test_deterministic_output():

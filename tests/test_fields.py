@@ -12,7 +12,7 @@ from dpglue.polynomials import Poly
 from dpglue.rational import (FunctionField, Place, RationalFunction,
                              SimpleExtension, parse_rational)
 
-from conftest import CHARACTERISTICS, ff, rand_poly, rand_ratfunc
+from conftest import CHARACTERISTICS, IRREDUCIBLES, ff, rand_poly, rand_ratfunc
 
 
 def test_prime_field_arithmetic():
@@ -184,7 +184,7 @@ def test_poly_identity_char3_coefficient():
 # -- polynomial factorization (used by the tameness scan) --------------
 
 
-@pytest.mark.parametrize("p", CHARACTERISTICS)
+@pytest.mark.parametrize("p", CHARACTERISTICS + (7,))
 def test_factorization_reassembles(rng, p):
     field = base_field(p)
     for _ in range(20):
@@ -195,3 +195,38 @@ def test_factorization_reassembles(rng, p):
             assert poly.is_monic()
             g = g * poly ** mult
         assert g == f
+    # c * prod g_i^m_i from the table, with some m_i divisible by p
+    F = ff(p)
+    table = [parse_rational(F, t).num for by_degree in IRREDUCIBLES[p] for t in by_degree]
+    for g in table:
+        assert g.is_irreducible()
+    mults = range(1, 4) if p == 0 else (1, 2, p, p + 1, 2 * p, 2 * p + 1)
+    for _ in range(12):
+        chosen = rng.sample(table, rng.randint(1, 3))
+        if p == 0:
+            # over Q, two factors of degree >= 2 and equal multiplicity
+            # need Zassenhaus recombination, which factor() does not do
+            ms = rng.sample(mults, len(chosen))
+        else:
+            ms = [rng.choice(mults) for _ in chosen]
+        if len(chosen) == 1 and ms[0] == 1:
+            ms[0] = 2
+        c = field.from_int(rng.randrange(1, p or 7))
+        f = Poly.const(field, c)
+        for g, m in zip(chosen, ms):
+            f = f * g ** m
+        unit, factors = f.factor()
+        assert unit == c and len(factors) == len(chosen)
+        assert dict(factors) == dict(zip(chosen, ms))
+        pieces = f.squarefree()
+        rebuilt = Poly.const(field, c)
+        for i, (piece, m) in enumerate(pieces):
+            rebuilt = rebuilt * piece ** m
+            for other, _ in pieces[i + 1:]:
+                assert piece.gcd(other) == 1
+        assert rebuilt == f
+        assert not f.is_irreducible()
+    if p == 0:
+        # a rational root shows reducibility though x^4 + 3x^2 + 2 has
+        # no certificate
+        assert not parse_rational(F, "(x-1)*(x^2+1)*(x^2+2)").num.is_irreducible()

@@ -9,7 +9,7 @@ from dpglue.fields import base_field
 from dpglue.glue import (KernelElement, change_of_basis, delta,
                          functional_vector, gamma_section_exponents,
                          glue_data, gorenstein_at_point,
-                         gorenstein_at_point_oracle, is_tame,
+                         gorenstein_at_point_oracle,
                          ker_trace_closed_form, ker_trace_oracle,
                          kernel_dimension, kxi_engine, tangent_dims,
                          wild_cusp_ring)
@@ -296,13 +296,13 @@ def parse_rational_pow(p, k):
 
 
 def test_constant_data_tame():
-    tame, wild = is_tame(glue_data(0, "3", ["1", "2"]))
-    assert tame and wild == []
+    wild = list(glue_data(0, "3", ["1", "2"]).wild_places)
+    assert wild == []
 
 
 def test_wild_point_char3():
-    tame, wild = is_tame(glue_data(3, "1/x^3", ["1"]))
-    assert not tame
+    wild = list(glue_data(3, "1/x^3", ["1"]).wild_places)
+    assert wild
     assert len(wild) == 1
     place, order = wild[0]
     assert order == 3 and not place.is_infinity()
@@ -310,15 +310,30 @@ def test_wild_point_char3():
 
 def test_two_wild_points_char2():
     data = glue_data(2, "1/x^2 + 1/(x+1)^2", ["1"])
-    tame, wild = is_tame(data)
-    assert not tame
+    wild = list(data.wild_places)
+    assert wild
     assert sorted(order for _, order in wild) == [2, 2]
 
 
 def test_pole_at_infinity_detected():
-    tame, wild = is_tame(glue_data(0, "x^2", ["1"]))
-    assert not tame
+    wild = list(glue_data(0, "x^2", ["1"]).wild_places)
+    assert wild
     assert wild[0][0].is_infinity() and wild[0][1] == 2
+
+
+# poles shared by all a/b_i or not, at infinity, of degree 2, and of
+# different orders in different a/b_i (the largest counts)
+@pytest.mark.parametrize("p, a, b, places", [
+    (2, "1/x^2 + 1/(x+1)^2", ["1"], [("x", 2), ("x + 1", 2)]),
+    (0, "1", ["x", "x+1"], [("x", 1), ("x + 1", 1)]),
+    (3, "x^2/(x^2+1)^3", ["1", "x"], [("x^2 + 1", 3)]),
+    (0, "x^3/(x-1)", ["1", "1/x"], [("x - 1", 1), ("~oo", 3)]),
+    (5, "1/(x^2*(x^2+2)^5)", ["1", "x"], [("x", 3), ("x^2 + 2", 5)]),
+])
+def test_wild_places_name_the_pole_divisor(p, a, b, places):
+    data = glue_data(p, a, b)
+    assert [(glue._place_key(place), order)
+            for place, order in data.wild_places] == places
 
 
 # -- wild cusp rings ---------------------------------------------------
