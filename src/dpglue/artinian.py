@@ -23,15 +23,13 @@ class FiniteAlgebra:
     are verified exhaustively on the basis at construction time.
     """
 
-    def __init__(self, field, table, unit, check: bool = True, labels=None):
+    def __init__(self, field, table, unit):
         self.field = field
         self.table = table
         self.unit = list(unit)
         self.dim = len(table)
-        self.labels = labels or [f"e{i}" for i in range(self.dim)]
         self._local_data = None
-        if check:
-            self._verify()
+        self._verify()
 
     def _verify(self):
         d = self.dim
@@ -80,36 +78,53 @@ class FiniteAlgebra:
         cols = [self.mul(u, self.basis_vector(j)) for j in range(self.dim)]
         return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
+    def minimal_polynomial(self, u) -> Poly:
+        """The monic polynomial of least degree that kills u.
+
+        One elimination of the columns 1, u, ..., u^dim.  Once u^k lies
+        in the span of the powers before it, so does every later power;
+        so the pivots are the columns 0..k-1, and column k holds the
+        coordinates of u^k on 1, ..., u^(k-1).
+        """
+        powers = [self.unit]
+        for _ in range(self.dim):
+            powers.append(self.mul(u, powers[-1]))
+        red, pivots = linalg.rref(self.field, linalg.transpose(powers))
+        k = len(pivots)
+        return Poly(self.field, [-red[r][k] for r in range(k)] + [self.field.one])
+
     # -- locality -----------------------------------------------------
 
     def local_structure(self):
         """(is_local, maximal ideal basis or None).
 
-        Local with residue field F iff every basis vector has a
-        characteristic polynomial (t - c)^dim with c in F; the maximal
-        ideal is then spanned by the e_i - c_i.
+        Local with residue field F iff every basis vector e_i has a
+        minimal polynomial (t - c_i)^k with c_i in F, i.e. one linear
+        square-free piece; the maximal ideal is then spanned by the
+        e_i - c_i.  Over an imperfect F a missing p-th root (an
+        ArithmeticError) means a piece of higher degree.
         """
         if self._local_data is not None:
             return self._local_data
         d = self.dim
         shifts = []
         for i in range(d):
-            cp = linalg.charpoly(self.field, self.mult_matrix(self.basis_vector(i)))
-            lam = _pure_power_root(self.field, cp)
-            if lam is None:
+            mu = self.minimal_polynomial(self.basis_vector(i))
+            try:
+                pieces = mu.squarefree()
+            except ArithmeticError:
+                pieces = []
+            if len(pieces) != 1 or pieces[0][0].degree != 1:
                 self._local_data = (False, None)
                 return self._local_data
-            shifts.append(lam)
+            shifts.append(-pieces[0][0][0])
         m_gens = []
         for i in range(d):
             v = self.basis_vector(i)
             m_gens.append([v[k] - shifts[i] * self.unit[k] for k in range(d)])
         basis = linalg.row_space_basis(self.field, m_gens)
-        if len(basis) != d - 1:
-            # can only happen for the zero algebra; treat as non-local
-            self._local_data = (False, None)
-            return self._local_data
-        self._local_data = (True, basis)
+        # only the zero algebra, which has no maximal ideal, misses d - 1
+        self._local_data = (True, basis) if len(basis) == d - 1 else (False, None)
         return self._local_data
 
     def is_local(self) -> bool:
@@ -124,35 +139,6 @@ class FiniteAlgebra:
     def regular_module(self) -> "FiniteModule":
         action = [self.mult_matrix(self.basis_vector(i)) for i in range(self.dim)]
         return FiniteModule(self, self.dim, action, check=False)
-
-
-def _pure_power_root(field, cp: Poly):
-    """c such that cp == (t - c)^deg, or None."""
-    d = cp.degree
-    if d == 0:
-        return None
-    p = field.characteristic
-    if p == 0 or d % p:
-        lam = -cp[d - 1] / field.from_int(d)
-    else:
-        pk = 1
-        m = d
-        while m % p == 0:
-            m //= p
-            pk *= p
-        # cp = (t^pk - c^pk)^m, so the t^(pk*(m-1)) coefficient is -m*c^pk
-        power = -cp[pk * (m - 1)] / field.from_int(m)
-        lam = power
-        try:
-            while pk > 1:
-                lam = field.pth_root(lam)
-                pk //= p
-        except ArithmeticError:
-            return None
-    t = Poly.x(field)
-    if (t - Poly.const(field, lam)) ** d == cp:
-        return lam
-    return None
 
 
 class FiniteModule:
@@ -240,72 +226,6 @@ def is_faithful(module: FiniteModule) -> bool:
     return not annihilator(module)
 
 
-def hom_space(M: FiniteModule, N: FiniteModule):
-    """Basis of Hom_A(M, N) as flattened n x m matrices."""
-    field = M.field
-    n, m = N.dim, M.dim
-    rows = []
-    for i in range(M.algebra.dim):
-        rho_m = M.action[i]
-        rho_n = N.action[i]
-        # constraint rho_n @ T - T @ rho_m = 0, entry (r, s)
-        for r in range(n):
-            for s in range(m):
-                row = [field.zero] * (n * m)
-                for k in range(n):
-                    if rho_n[r][k]:
-                        row[k * m + s] = row[k * m + s] + rho_n[r][k]
-                for k in range(m):
-                    if rho_m[k][s]:
-                        row[r * m + k] = row[r * m + k] - rho_m[k][s]
-                rows.append(row)
-    return linalg.nullspace(field, rows)
-
-
-def find_isomorphism(M: FiniteModule, N: FiniteModule, seed: int = 0):
-    """An invertible A-linear map M -> N as a matrix, or None."""
-    import random
-
-    if M.dim != N.dim:
-        return None
-    field = M.field
-    n = M.dim
-    homs = hom_space(M, N)
-    if not homs:
-        return None if n else linalg.identity(field, 0)
-
-    def unflatten(vec):
-        return [vec[r * n : (r + 1) * n] for r in range(n)]
-
-    def try_vec(coeffs):
-        vec = [field.zero] * (n * n)
-        for c, h in zip(coeffs, homs):
-            if not c:
-                continue
-            vec = [x + c * y for x, y in zip(vec, h)]
-        T = unflatten(vec)
-        if linalg.det(field, T):
-            return T
-        return None
-
-    for i in range(len(homs)):
-        got = try_vec([field.one if j == i else field.zero for j in range(len(homs))])
-        if got:
-            return got
-    rng = random.Random(seed)
-    p = field.characteristic
-    hi = (p - 1) if p else 9
-    for _ in range(300):
-        got = try_vec([field.from_int(rng.randint(0, hi)) for _ in homs])
-        if got:
-            return got
-    return None
-
-
-def modules_isomorphic(M: FiniteModule, N: FiniteModule, seed: int = 0) -> bool:
-    return find_isomorphism(M, N, seed=seed) is not None
-
-
 # -- subalgebras and the restriction trace ----------------------------
 
 
@@ -330,7 +250,7 @@ class Subalgebra:
         return out
 
 
-def make_subalgebra(parent: FiniteAlgebra, basis, check: bool = True) -> Subalgebra:
+def make_subalgebra(parent: FiniteAlgebra, basis) -> Subalgebra:
     """Build the abstract algebra on a multiplicatively closed subspace.
 
     One elimination of [B^T | unit | every product b_i b_j] gives the
@@ -359,7 +279,7 @@ def make_subalgebra(parent: FiniteAlgebra, basis, check: bool = True) -> Subalge
                     f"subspace not closed under multiplication at ({i},{j})"
                 )
         table.append(row)
-    algebra = FiniteAlgebra(field, table, unit, check=check)
+    algebra = FiniteAlgebra(field, table, unit)
     return Subalgebra(parent, basis, algebra)
 
 
@@ -392,17 +312,15 @@ def quotient_module(sub: Subalgebra) -> FiniteModule:
     return FiniteModule(sub.algebra, len(complement), action, check=True)
 
 
-def restriction_trace(sub: Subalgebra):
-    """Restriction of functionals Hom_F(parent,F) -> Hom_F(sub,F).
+def restriction_trace(sub: Subalgebra) -> FiniteModule:
+    """Kernel of the restriction Hom_F(parent,F) -> Hom_F(sub,F).
 
-    Returns (matrix of the restriction map in dual bases, kernel module
-    over the subalgebra).  The kernel consists of functionals vanishing
-    on the subalgebra, with (a.l)(v) = l(a*v).
+    The kernel consists of functionals vanishing on the subalgebra, as
+    a module over it with (a.l)(v) = l(a*v).
     """
     parent, field = sub.parent, sub.parent.field
-    # restriction matrix: rows indexed by sub basis, cols by parent dual basis
-    restr = [list(b) for b in sub.basis]
-    kernel = linalg.nullspace(field, restr)  # functionals killing the subalgebra
+    # the sub basis rows are the restriction map in dual bases
+    kernel = linalg.nullspace(field, sub.basis)
     # action of sub basis element a on a functional: l -> l o (mult by a),
     # i.e. coordinates transform by mult_matrix(a)^T
     images = []
@@ -412,13 +330,12 @@ def restriction_trace(sub: Subalgebra):
     coords, _ = linalg.solve_many(field, linalg.transpose(kernel), images)
     if any(c is None for c in coords):
         raise AssertionError("kernel of restriction not stable under action")
-    module = FiniteModule(
+    return FiniteModule(
         sub.algebra,
         len(kernel),
         _action_matrices(coords, sub.algebra.dim, len(kernel)),
         check=True,
     )
-    return restr, module
 
 
 def is_free_rank_one(module: FiniteModule):
@@ -460,10 +377,6 @@ def matrix_counterexample(field, n: int):
         raise ValueError("n must be >= 1")
     d = n * n + 1  # basis: unit, then E_(i,j) for the top-right block
     zero, one = field.zero, field.one
-
-    def basis_label(k):
-        return "1" if k == 0 else f"b{(k - 1) // n}{(k - 1) % n}"
-
     table = []
     for i in range(d):
         row = []
@@ -477,9 +390,7 @@ def matrix_counterexample(field, n: int):
             row.append(v)
         table.append(row)
     unit = [one] + [zero] * (d - 1)
-    algebra = FiniteAlgebra(
-        field, table, unit, labels=[basis_label(k) for k in range(d)]
-    )
+    algebra = FiniteAlgebra(field, table, unit)
     # module k^(2n): unit acts as identity, E_(i,j) maps v_(n+j) to v_i
     mdim = 2 * n
     action = []

@@ -51,9 +51,14 @@ class GenericGlueData:
     def field(self) -> FunctionField:
         return _function_field(self.characteristic)
 
+    @cached_property
+    def _ratios(self) -> tuple:
+        """(a/b_1, ..., a/b_r), each divided once."""
+        return tuple(self.a / bi for bi in self.b)
+
     def c(self, i: int) -> RationalFunction:
         """The ratio a/b_i."""
-        return self.a / self.b[i]
+        return self._ratios[i]
 
     @cached_property
     def pole_divisor(self) -> tuple:
@@ -65,8 +70,7 @@ class GenericGlueData:
         the degrees of its places.
         """
         den, at_infinity = Poly.one(self.field.base), 0
-        for i in range(self.r):
-            c = self.c(i)
+        for c in self._ratios:
             if c:
                 den = den * (c.den // den.gcd(c.den))
                 at_infinity = max(at_infinity, c.num.degree - c.den.degree)
@@ -77,14 +81,29 @@ class GenericGlueData:
     def wild_places(self) -> tuple:
         """((Place, pole order), ...): ``pole_divisor`` named by factoring.
 
-        Each place appears once, sorted by place.
+        A piece can gather places from different a/b_i, so when their
+        denominators differ it is first split by gcds against each one:
+        two places then reach ``factor`` together only if they are poles
+        of the same a/b_i.  Each place appears once, sorted by place.
         """
+        dens = []
+        for c in self._ratios:
+            if c.den.degree > 0 and c.den not in dens:
+                dens.append(c.den)
         wild = []
         for piece, order in self.pole_divisor:
             if isinstance(piece, Place):
                 wild.append((piece, order))
-            else:
-                wild += [(Place.finite(g), order) for g, _ in piece.factor()[1]]
+                continue
+            parts = [piece]
+            for den in dens if len(dens) > 1 else ():
+                split = []
+                for part in parts:
+                    g = part.gcd(den)
+                    split += [q for q in (g, part // g) if q.degree > 0]
+                parts = split
+            wild += [(Place.finite(g), order)
+                     for part in parts for g, _ in part.factor()[1]]
         return tuple(sorted(wild, key=lambda place_order: _place_key(place_order[0])))
 
 
@@ -190,9 +209,7 @@ def _conductor_algebra(characteristic: int, r: int) -> FiniteAlgebra:
                 row.append(vec())
         table.append(row)
     unit = [F.one] * r + [F.zero] * r
-    return FiniteAlgebra(F, table, unit,
-                         labels=[f"e{i+1}" for i in range(r)]
-                         + [f"y{i+1}" for i in range(r)])
+    return FiniteAlgebra(F, table, unit)
 
 
 def kxi_engine(data: GenericGlueData) -> KxiModel:

@@ -56,43 +56,32 @@ def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def _pivot_step(field, m, r, c, rows):
-    """Scale row r so m[r][c] = 1, then clear column c in the given rows.
+def rref(field, mat):
+    """Reduced row echelon form; returns (matrix, pivot column list).
 
     A row is updated only on the pivot row's nonzero entries.
     """
-    inv = field.one / m[r][c]
-    pivot = m[r] = [inv * y if y else y for y in m[r]]
-    support = [j for j, y in enumerate(pivot) if y]
-    for i in rows:
-        row = m[i]
-        f = row[c]
-        if i != r and f:
-            for j in support:
-                row[j] = row[j] - f * pivot[j]
-
-
-def _pivot_row(m, r, c):
-    """First row at or after r with a nonzero entry in column c, or None."""
-    for i in range(r, len(m)):
-        if m[i][c]:
-            return i
-    return None
-
-
-def rref(field, mat):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
     m = [list(row) for row in mat]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(cols):
-        pivot_row = _pivot_row(m, r, c)
-        if pivot_row is None:
+        for pivot_row in range(r, rows):
+            if m[pivot_row][c]:
+                break
+        else:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        _pivot_step(field, m, r, c, range(rows))
+        inv = field.one / m[r][c]
+        pivot = m[r] = [inv * y if y else y for y in m[r]]
+        support = [j for j, y in enumerate(pivot) if y]
+        for i in range(rows):
+            row = m[i]
+            f = row[c]
+            if i != r and f:
+                for j in support:
+                    row[j] = row[j] - f * pivot[j]
         pivots.append(c)
         r += 1
         if r == rows:
@@ -156,23 +145,6 @@ def solve(field, mat, rhs):
     return solve_many(field, mat, [rhs])[0][0]
 
 
-def det(field, mat):
-    """Product of the pivots times the sign of the row swaps."""
-    n = len(mat)
-    m = [list(row) for row in mat]
-    result = field.one
-    for c in range(n):
-        pivot_row = _pivot_row(m, c, c)
-        if pivot_row is None:
-            return field.zero
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            result = -result
-        result = result * m[c][c]
-        _pivot_step(field, m, c, c, range(c + 1, n))
-    return result
-
-
 def in_span(field, basis, vectors) -> list:
     """Whether each of the vectors lies in the span of basis (one elimination)."""
     if not basis:
@@ -188,27 +160,3 @@ def row_space_basis(field, vectors):
     red, pivots = rref(field, vectors)
     return [red[i] for i in range(len(pivots))]
 
-
-def charpoly(field, mat):
-    """Characteristic polynomial det(t*I - M) as a Poly over the field.
-
-    Works in any characteristic by eliminating over the rational
-    function field field(t).
-    """
-    from dpglue.polynomials import Poly
-    from dpglue.rational import FunctionField, RationalFunction
-
-    n = len(mat)
-    ft = FunctionField(field, "t")
-    t = ft.x
-    m = [
-        [
-            (t if i == j else ft.zero) - RationalFunction.const(field, mat[i][j])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    d = det(ft, m)
-    if d.den.degree != 0:
-        raise AssertionError("characteristic polynomial must be polynomial")
-    return Poly(field, d.num.coeffs).monic() if d.num.coeffs else Poly.zero(field)

@@ -4,6 +4,7 @@ Each test here corresponds to one numbered acceptance criterion; all
 comparisons are symbolic with zero tolerance.
 """
 
+import ast
 import time
 from importlib import resources
 
@@ -11,7 +12,7 @@ import pytest
 
 from dpglue import linalg, scenarios
 from dpglue.artinian import (annihilator, dual_module, is_faithful, length,
-                             matrix_counterexample, modules_isomorphic)
+                             matrix_counterexample)
 from dpglue.catalog import (GlueScenario, block_table, building_block,
                             scenario_report, verify_block,
                             verify_char2_normalization,
@@ -251,7 +252,7 @@ def test_criterion_10_duality_suite(rng):
         rank_m = len(linalg.row_space_basis(field, ann_m))
         assert linalg.rank(field, ann_m + ann_d) == rank_m
         assert rank_m == len(linalg.row_space_basis(field, ann_d))
-        assert modules_isomorphic(M, dual_module(D))
+        assert dual_module(D).action == M.action
         count += 1
     for n, alen, mlen in ((2, 5, 4), (3, 10, 6)):
         A, M = matrix_counterexample(base_field(0), n)
@@ -278,3 +279,20 @@ def test_criterion_11_perturbation_flips_verdict():
     broken = GlueScenario(3, block, "D", derivation=glue_data(3, "1/x^2", ["1"]))
     assert scenario_report(ok)["gorenstein"]
     assert not scenario_report(broken)["gorenstein"]
+
+
+def test_no_verdict_depends_on_a_random_draw():
+    # polynomials.py may import random: Cantor-Zassenhaus draws from a
+    # fixed seed, and the factorisation it finds is unique
+    importers = []
+    for path in resources.files("dpglue").iterdir():
+        if path.name.endswith(".py") and path.name != "polynomials.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = []
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                if any(name.split(".")[0] == "random" for name in names):
+                    importers.append(path.name)
+    assert importers == []

@@ -3,14 +3,17 @@
 import pytest
 
 from dpglue.artinian import (FiniteAlgebra, FiniteModule, annihilator,
-                             dual_module, find_isomorphism, is_faithful,
-                             is_free_rank_one, length, make_subalgebra,
-                             matrix_counterexample, modules_isomorphic,
+                             dual_module, is_faithful, is_free_rank_one,
+                             length, make_subalgebra, matrix_counterexample,
                              quotient_module, restriction_trace, socle)
 from dpglue import linalg
 from dpglue.fields import base_field
+from dpglue.filling import (BranchSpec, _close_under_multiplication,
+                            _diagonal_image_ok, build_conductor_ring)
+from dpglue.polynomials import Poly
+from dpglue.rational import parse_rational
 
-from conftest import CHARACTERISTICS
+from conftest import CHARACTERISTICS, IRREDUCIBLES, ff
 
 
 def truncated_algebra(field, n):
@@ -26,8 +29,7 @@ def truncated_algebra(field, n):
             row.append(v)
         table.append(row)
     unit = [one] + [zero] * (n - 1)
-    return FiniteAlgebra(field, table, unit,
-                         labels=[f"t^{i}" if i else "1" for i in range(n)])
+    return FiniteAlgebra(field, table, unit)
 
 
 def product_field_algebra(field, r):
@@ -98,15 +100,12 @@ def test_length_rejects_nonlocal():
 
 def test_residue_field_self_dual():
     A = truncated_algebra(base_field(0), 1)
-    M = A.regular_module()
-    assert modules_isomorphic(M, dual_module(M))
+    assert is_free_rank_one(dual_module(A.regular_module()))[0]
 
 
 def test_truncated_algebra_self_dual():
     A = truncated_algebra(base_field(0), 2)
-    M = A.regular_module()
-    iso = find_isomorphism(M, dual_module(M))
-    assert iso is not None
+    assert is_free_rank_one(dual_module(A.regular_module()))[0]
 
 
 @pytest.mark.parametrize("p", CHARACTERISTICS)
@@ -129,8 +128,70 @@ def test_double_duality_and_invariants(rng, p):
         assert linalg.rank(field, ann_m + ann_d) == len(
             linalg.row_space_basis(field, ann_m)
         ) == len(linalg.row_space_basis(field, ann_d))
-        assert modules_isomorphic(M, dual_module(D))
+        assert dual_module(D).action == M.action
         count += 1
+
+
+# -- locality ----------------------------------------------------------
+
+
+def assert_minimal_polynomial(A, u):
+    """mu(u) = 0, and 1, u, ..., u^(deg mu - 1) are independent."""
+    mu = A.minimal_polynomial(u)
+    assert mu.is_monic()
+    powers = [A.unit]
+    for _ in range(mu.degree):
+        powers.append(A.mul(u, powers[-1]))
+    value = [sum((c * w[k] for c, w in zip(mu.coeffs, powers)), A.field.zero)
+             for k in range(A.dim)]
+    assert not any(value)
+    assert linalg.rank(A.field, powers[:-1]) == mu.degree
+
+
+def test_locality_from_minimal_polynomials(rng):
+    # conductor rings with residue extensions, and subrings generated by
+    # elements with residue parts, so that both verdicts occur
+    verdicts = []
+    for p in CHARACTERISTICS:
+        field = base_field(p)
+        quadratics = [parse_rational(ff(p), t).num for t in IRREDUCIBLES[p][1]]
+        for _ in range(12):
+            branches = [BranchSpec(rng.randint(1, 2),
+                                   rng.choice([None] + quadratics))
+                        for _ in range(rng.randint(1, 2))]
+            ring = build_conductor_ring(field, branches)
+            A = ring.algebra
+            candidates = [[A.basis_vector(i) for i in range(A.dim)]]
+            for _ in range(3):
+                gens = [A.unit] + [[field.random(rng) if rng.random() < 0.4
+                                    else field.zero for _ in range(A.dim)]
+                                   for _ in range(rng.randint(1, 2))]
+                candidates.append(_close_under_multiplication(A, gens))
+            for basis in candidates:
+                B = make_subalgebra(A, basis).algebra
+                for i in range(B.dim):
+                    assert_minimal_polynomial(B, B.basis_vector(i))
+                verdicts.append(B.is_local())
+                assert verdicts[-1] == _diagonal_image_ok(basis, ring)
+    assert 0 < sum(verdicts) < len(verdicts)
+    # Q[u]/(u^2 - 2): the minimal polynomial of u is irreducible
+    Q = base_field(0)
+    mu = Poly.from_ints(Q, [-2, 0, 1])
+    ring = build_conductor_ring(Q, [BranchSpec(1, mu)])
+    assert ring.algebra.minimal_polynomial(ring.monomial(0, 1, 0)) == mu
+    assert not ring.algebra.is_local()
+    # GF(2)(x)[u]/(u^2 - x): u^2 - x is inseparable, x has no square root
+    F = ff(2)
+    mu = Poly(F, [-F.x, F.zero, F.one])
+    ring = build_conductor_ring(F, [BranchSpec(1, mu)])
+    assert ring.algebra.minimal_polynomial(ring.monomial(0, 1, 0)) == mu
+    assert not ring.algebra.is_local()
+    for p in CHARACTERISTICS:
+        field = base_field(p)
+        assert not product_field_algebra(field, 2).is_local()
+        A = truncated_algebra(field, 3)
+        assert A.is_local()
+        assert A.maximal_ideal_basis() == [A.basis_vector(1), A.basis_vector(2)]
 
 
 # -- socle -------------------------------------------------------------
@@ -157,7 +218,7 @@ def test_socle_two_variable_square_zero():
     for i in range(3):
         table[0][i][i] = one
         table[i][0][i] = one
-    A = FiniteAlgebra(Q, table, [one, zero, zero], labels=["1", "y1", "y2"])
+    A = FiniteAlgebra(Q, table, [one, zero, zero])
     assert len(socle(A.regular_module())) == 2
 
 
@@ -231,7 +292,7 @@ def test_make_subalgebra_rejections_over_kx():
 def test_restriction_full_ring_kernel_zero():
     A = truncated_algebra(base_field(0), 2)
     sub = make_subalgebra(A, [A.basis_vector(0), A.basis_vector(1)])
-    _, ker = restriction_trace(sub)
+    ker = restriction_trace(sub)
     assert ker.dim == 0
 
 
@@ -239,7 +300,7 @@ def test_restriction_node_model():
     Q = base_field(0)
     A = product_field_algebra(Q, 2)
     sub = make_subalgebra(A, [[Q.one, Q.one]])
-    _, ker = restriction_trace(sub)
+    ker = restriction_trace(sub)
     assert ker.dim == 1
 
 
@@ -247,7 +308,7 @@ def test_restriction_cusp_model():
     Q = base_field(0)
     A = truncated_algebra(Q, 2)
     sub = make_subalgebra(A, [A.basis_vector(0)])
-    _, ker = restriction_trace(sub)
+    ker = restriction_trace(sub)
     assert ker.dim == 1
     # t annihilates the kernel: the sub is just K, so the action of its
     # unit is the identity and the kernel is K-trivial
@@ -292,4 +353,4 @@ def test_matrix_counterexample_lengths(n, alen, mlen):
 def test_matrix_counterexample_not_self_dual():
     A, M = matrix_counterexample(base_field(0), 2)
     reg = A.regular_module()
-    assert not modules_isomorphic(reg, dual_module(reg))
+    assert not is_free_rank_one(dual_module(reg))[0]

@@ -321,14 +321,17 @@ def test_pole_at_infinity_detected():
     assert wild[0][0].is_infinity() and wild[0][1] == 2
 
 
-# poles shared by all a/b_i or not, at infinity, of degree 2, and of
-# different orders in different a/b_i (the largest counts)
+# poles shared by all a/b_i or not, at infinity, of degree 2, of
+# different orders in different a/b_i (the largest counts), and two
+# quadratics over Q from different a/b_i, which only a split by the
+# a/b_i denominators keeps apart
 @pytest.mark.parametrize("p, a, b, places", [
     (2, "1/x^2 + 1/(x+1)^2", ["1"], [("x", 2), ("x + 1", 2)]),
     (0, "1", ["x", "x+1"], [("x", 1), ("x + 1", 1)]),
     (3, "x^2/(x^2+1)^3", ["1", "x"], [("x^2 + 1", 3)]),
     (0, "x^3/(x-1)", ["1", "1/x"], [("x - 1", 1), ("~oo", 3)]),
     (5, "1/(x^2*(x^2+2)^5)", ["1", "x"], [("x", 3), ("x^2 + 2", 5)]),
+    (0, "1/(x^2+1)", ["1", "(x^2+2)/(x^2+1)"], [("x^2 + 1", 1), ("x^2 + 2", 1)]),
 ])
 def test_wild_places_name_the_pole_divisor(p, a, b, places):
     data = glue_data(p, a, b)
