@@ -219,10 +219,14 @@ def classify_gluing(scenario: GlueScenario) -> str:
 
 
 def _proj_point(field, v):
-    """(p : q) from an int, a string number, or 'inf'."""
+    """(p : q) from an int, an integer string, or 'inf'."""
     if v == "inf":
         return (field.one, field.zero)
-    return (field.from_int(int(v)), field.one)
+    try:
+        return (field.from_int(int(v)), field.one)
+    except ValueError:
+        raise ScenarioError(
+            f"identification point {v!r} is not an integer or 'inf'") from None
 
 
 def _mobius_matrix(field, p1, p2, p3):
@@ -263,6 +267,18 @@ def mobius_from_pairs(field, pairs):
     ]
 
 
+def identification_points(field, ident):
+    """(Moebius matrix, node, node target) of one identification.
+
+    Raises ScenarioError on a point that is not an integer, an integer
+    string or 'inf', and on source or target points that coincide in
+    the field.
+    """
+    return (mobius_from_pairs(field, ident["map"]),
+            _proj_point(field, ident["node"]),
+            _proj_point(field, ident["nodeTarget"]))
+
+
 def node_matching_check(scenario: GlueScenario):
     """(ok, diagnostics): every identification must carry node to node.
 
@@ -273,13 +289,11 @@ def node_matching_check(scenario: GlueScenario):
     field = base_field(scenario.characteristic)
     problems = []
     for k, ident in enumerate(scenario.identifications):
-        mat = mobius_from_pairs(field, ident["map"])
-        node = _proj_point(field, ident["node"])
+        mat, node, target = identification_points(field, ident)
         image = (
             mat[0][0] * node[0] + mat[0][1] * node[1],
             mat[1][0] * node[0] + mat[1][1] * node[1],
         )
-        target = _proj_point(field, ident["nodeTarget"])
         cross = image[0] * target[1] - image[1] * target[0]
         if cross:
             problems.append(

@@ -139,8 +139,7 @@ def total_pole_order(data: GenericGlueData) -> int:
 
 
 def truncated_section_oracle(data: GenericGlueData, twist: int = 0,
-                             bound: int | None = None,
-                             unconstrained: bool = False):
+                             bound: int | None = None):
     """(h0, h1) of O_D(twist) by two-chart sections with Laurent cutoff.
 
     A section is a tuple (f, g_1..g_r) of Laurent polynomials in x, cut
@@ -157,8 +156,6 @@ def truncated_section_oracle(data: GenericGlueData, twist: int = 0,
         h1 = dim W - dim(V_0 + V_1)
            = nullity(W) - nullity(chart 0) - nullity(chart 1) + h0.
 
-    ``unconstrained=True`` computes the ambient O + r O(-1) instead of
-    the derivation kernel: every nullity is then a column count.
     ``bound`` is B: at least the degree of the wild pole divisor plus
     |twist| + 2, by default that degree plus |twist| + 4.
     """
@@ -187,14 +184,11 @@ def truncated_section_oracle(data: GenericGlueData, twist: int = 0,
     slices = [[k for k, (comp, e) in enumerate(cols)
                if window[comp][0] <= e <= window[comp][1]]
               for window in (overlap, chart0, chart1, both)]
-    if unconstrained:
-        dim_w, dim_0, dim_1, h0 = (len(s) for s in slices)
-    else:
-        field = data.field.base
-        rows = _constraint_rows(data, cols, B)
-        dim_w, dim_0, dim_1, h0 = (
-            len(s) - linalg.rank(field, [[row[k] for k in s] for row in rows])
-            for s in slices)
+    field = data.field.base
+    rows = _constraint_rows(data, cols, B)
+    dim_w, dim_0, dim_1, h0 = (
+        len(s) - linalg.rank(field, [[row[k] for k in s] for row in rows])
+        for s in slices)
     return (h0, dim_w - dim_0 - dim_1 + h0)
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from dpglue import linalg
 from dpglue.artinian import (
     FiniteAlgebra,
+    FiniteModule,
     Subalgebra,
     annihilator,
     dual_module,
@@ -152,6 +153,7 @@ class FillingResult:
     ok: bool
     reasons: list = dc_field(default_factory=list)
     sub: Subalgebra | None = None
+    quotient: FiniteModule | None = None  # O_C/O_D over O_D
 
 
 def is_part_filling(basis_vectors, ring: ConductorRing) -> FillingResult:
@@ -187,7 +189,7 @@ def is_part_filling(basis_vectors, ring: ConductorRing) -> FillingResult:
     ann = annihilator(quot)
     if ann:
         reasons.append("quotient O_C/O_D is not faithful over O_D")
-    return FillingResult(not reasons, reasons, sub)
+    return FillingResult(not reasons, reasons, sub, quot)
 
 
 def _diagonal_image_ok(basis_vectors, ring: ConductorRing) -> bool:
@@ -229,7 +231,7 @@ def is_half_filling(result: FillingResult, ring: ConductorRing) -> bool:
     n, delta, l_d = serre_invariants(result, ring)
     by_length = l_d == delta
     by_kernel = is_free_rank_one(restriction_trace(sub))[0]
-    by_dual = is_free_rank_one(dual_module(quotient_module(sub)))[0]
+    by_dual = is_free_rank_one(dual_module(result.quotient))[0]
     if not (by_length == by_kernel == by_dual):
         raise AssertionError(
             f"half-filling tests disagree: length={by_length} "
@@ -242,16 +244,17 @@ def is_half_filling(result: FillingResult, ring: ConductorRing) -> bool:
 
 
 def derivation_kernel(characteristic: int, a, b):
-    """O_D = ker Delta(a,b) in the generic-stalk model, as a subring.
+    """O_D = ker Delta(a,b) in the generic-stalk model, as a part-filling.
 
-    Returns (KxiModel, basis vectors of O_D over k(xi)); all n_E = 2
-    with trivial residue extensions, every b_i nonzero.
+    Returns (ring, FillingResult): O_C over k(xi) with all n_E = 2 and
+    trivial residue extensions, and O_D checked by ``is_part_filling``.
+    Every b_i must be nonzero.
     """
-    from dpglue.glue import glue_data, kxi_engine
+    from dpglue.glue import conductor_ring, glue_data, kxi_engine
 
     data = glue_data(characteristic, a, b)
-    model = kxi_engine(data)
-    return model, [list(v) for v in model.sub.basis]
+    ring = conductor_ring(characteristic, data.r)
+    return ring, is_part_filling(kxi_engine(data).basis, ring)
 
 
 # -- classification ---------------------------------------------------
@@ -292,7 +295,7 @@ def classify_codim1(result: FillingResult, ring: ConductorRing) -> SingularityTy
             return SingularityType("node")
         return SingularityType("wild", r)
     if all(br.n == 2 and br.residue_degree == 1 for br in branches):
-        if _concurrent_lines_shape(result, ring):
+        if trace_shape_detect(result, ring):
             if r == 1:
                 return SingularityType("cusp")
             if r == 2:
@@ -302,35 +305,9 @@ def classify_codim1(result: FillingResult, ring: ConductorRing) -> SingularityTy
     return SingularityType("wild", r)
 
 
-def _concurrent_lines_shape(result: FillingResult, ring: ConductorRing) -> bool:
-    """m_D is codimension 1 in sum T*_E and involves every summand."""
-    field = ring.field
-    sub = result.sub
-    r = len(ring.branches)
-    m_basis_local = sub.algebra.maximal_ideal_basis()
-    m_parent = [sub.to_parent(v) for v in m_basis_local]
-    # coordinates of the t_E directions in the parent ring
-    t_cols = [ring.offsets[e] + 1 for e in range(r)]
-    nil_cols = set(t_cols)
-    for v in m_parent:
-        for k, c in enumerate(v):
-            if c and k not in nil_cols:
-                return False
-    m_mat = [[v[c] for c in t_cols] for v in m_parent]
-    if linalg.rank(field, m_mat) != r - 1:
-        return False
-    # involves every summand: projection to each t_E coordinate nonzero
-    if r >= 2:
-        for e in range(r):
-            if all(not row[e] for row in m_mat):
-                return False
-    return True
-
-
 def trace_shape_detect(result: FillingResult, ring: ConductorRing) -> bool:
-    """Experimental: all n_E = 2 with residue extensions, m_D = ker of a
-    nonzero functional on sum T*_E that restricts on each summand to a
-    multiple of the trace form.
+    """All n_E = 2, and m_D = ker of a functional psi on sum T*_E that
+    restricts on each summand to a nonzero multiple of the trace form.
     """
     field = ring.field
     sub = result.sub
@@ -353,8 +330,9 @@ def trace_shape_detect(result: FillingResult, ring: ConductorRing) -> bool:
     total = len(cols)
     if linalg.rank(field, m_mat) != total - 1:
         return False
-    # the annihilated functional
-    psi = linalg.nullspace(field, m_mat)
+    # the annihilated functional; m_D = 0 (one branch of degree 1)
+    # leaves the whole line
+    psi = linalg.nullspace(field, m_mat) if m_mat else linalg.identity(field, total)
     if len(psi) != 1:
         return False
     psi = psi[0]

@@ -18,12 +18,13 @@ name the places, which only reports do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from dpglue import linalg
-from dpglue.artinian import FiniteAlgebra, Subalgebra, make_subalgebra
+from dpglue.artinian import Subalgebra, make_subalgebra
 from dpglue.fields import base_field
+from dpglue.filling import BranchSpec, ConductorRing, build_conductor_ring
 from dpglue.polynomials import Poly
 from dpglue.rational import FunctionField, Place, RationalFunction
 
@@ -102,7 +103,7 @@ class GenericGlueData:
                     g = part.gcd(den)
                     split += [q for q in (g, part // g) if q.degree > 0]
                 parts = split
-            wild += [(Place.finite(g), order)
+            wild += [(Place(g), order)
                      for part in parts for g, _ in part.factor()[1]]
         return tuple(sorted(wild, key=lambda place_order: _place_key(place_order[0])))
 
@@ -148,83 +149,26 @@ def delta(data: GenericGlueData, f: RationalFunction, g) -> RationalFunction:
 # -- the k(xi) engine -------------------------------------------------
 
 
-@dataclass
-class KxiModel:
-    """O_C as a 2r-dimensional algebra over k(xi), with O_D inside.
-
-    Basis order: e_1..e_r then y_1..y_r.  The scalar field reuses the
-    variable name x for xi (same coefficient representation).
-    """
-
-    data: GenericGlueData
-    OC: FiniteAlgebra
-    sub: Subalgebra
-    eta: list = dc_field(default_factory=list)
-
-    @property
-    def F(self) -> FunctionField:
-        return self.data.field
-
-    def embed_function(self, f: RationalFunction):
-        """Image of f(x) in O_C: f(xi)·1 + (a/b_1) f'(xi) y_1."""
-        F = self.F
-        r = self.data.r
-        v = [F.zero] * (2 * r)
-        for i in range(r):
-            v[i] = f
-        v[r] = self.data.c(0) * f.derivative()
-        return v
-
-    def x_element(self):
-        return self.embed_function(self.F.x)
-
-
 @lru_cache
-def _conductor_algebra(characteristic: int, r: int) -> FiniteAlgebra:
+def conductor_ring(characteristic: int, r: int) -> ConductorRing:
     """O_C = prod k(xi)[y_i]/(y_i^2), built and verified once per (p, r).
 
-    Basis order: e_1..e_r then y_1..y_r.
+    The filling layer's ring with r branches of multiplicity 2, so y_i
+    is its nilpotent t_i and the basis order is e_1, y_1, e_2, y_2, ...
+    The scalar field reuses the variable name x for xi.
     """
-    F = _function_field(characteristic)
-    d = 2 * r
-
-    def vec(idx=None):
-        v = [F.zero] * d
-        if idx is not None:
-            v[idx] = F.one
-        return v
-
-    table = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            # e_i e_j = delta_ij e_i; e_i y_j = delta_ij y_j; y y = 0
-            if i < r and j < r:
-                row.append(vec(i) if i == j else vec())
-            elif i < r <= j:
-                row.append(vec(j) if i == j - r else vec())
-            elif j < r <= i:
-                row.append(vec(i) if j == i - r else vec())
-            else:
-                row.append(vec())
-        table.append(row)
-    unit = [F.one] * r + [F.zero] * r
-    return FiniteAlgebra(F, table, unit)
+    return build_conductor_ring(_function_field(characteristic), [BranchSpec(2)] * r)
 
 
-def kxi_engine(data: GenericGlueData) -> KxiModel:
-    """O_C from the per-(p, r) cache, and O_D = span{1, eta_i} built per datum."""
-    r = data.r
-    OC = _conductor_algebra(data.characteristic, r)
-    F = OC.field
-    eta = []
-    for i in range(1, r):
-        v = [F.zero] * (2 * r)
-        v[r + i] = F.one
-        v[r] = -(data.b[i] / data.b[0])
-        eta.append(v)
-    sub = make_subalgebra(OC, [OC.unit] + eta)
-    return KxiModel(data, OC, sub, eta)
+def kxi_engine(data: GenericGlueData) -> Subalgebra:
+    """O_D = span{1, eta_2, ..., eta_r} in the cached O_C, built per datum."""
+    ring = conductor_ring(data.characteristic, data.r)
+    basis = [ring.algebra.unit]
+    for i in range(1, data.r):
+        eta = ring.nilpotent(i)
+        eta[1] = -(data.b[i] / data.b[0])
+        basis.append(eta)
+    return make_subalgebra(ring.algebra, basis)
 
 
 # -- trace kernel -----------------------------------------------------
@@ -271,21 +215,14 @@ def functional_vector(data: GenericGlueData, s: KernelElement):
     Pairing of (u + v y_i) s_i' with U e_i + V y_i is u·V + v·U, so the
     coefficient on e_i* is v and on y_i* is u.
     """
-    pairs = change_of_basis(data, s)
-    r = data.r
-    vec = [None] * (2 * r)
-    for i, (u, v) in enumerate(pairs):
-        vec[i] = v
-        vec[r + i] = u
-    return vec
+    return [c for u, v in change_of_basis(data, s) for c in (v, u)]
 
 
 def ker_trace_oracle(data: GenericGlueData, s: KernelElement) -> bool:
     """Evaluate the functional of s on the O_D basis and test vanishing."""
-    model = kxi_engine(data)
     vec = functional_vector(data, s)
     F = data.field
-    for basis_vec in model.sub.basis:
+    for basis_vec in kxi_engine(data).basis:
         acc = F.zero
         for c, x in zip(vec, basis_vec):
             if c and x:
@@ -297,8 +234,7 @@ def ker_trace_oracle(data: GenericGlueData, s: KernelElement) -> bool:
 
 def kernel_dimension(data: GenericGlueData) -> int:
     """dim over k(xi) of {functionals on O_C vanishing on O_D}."""
-    model = kxi_engine(data)
-    return len(linalg.nullspace(data.field, model.sub.basis))
+    return len(linalg.nullspace(data.field, kxi_engine(data).basis))
 
 
 # -- pointwise Gorenstein criterion -----------------------------------
@@ -439,7 +375,7 @@ def pole_places(f: RationalFunction):
     if f.den.degree >= 1:
         _, factors = f.den.factor()
         for poly, mult in factors:
-            out.append((Place.finite(poly), mult))
+            out.append((Place(poly), mult))
     if f.num.degree > f.den.degree:
         out.append((Place.infinity(), f.num.degree - f.den.degree))
     return out

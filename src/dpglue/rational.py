@@ -261,16 +261,13 @@ class RationalFunction:
 
 @dataclass(frozen=True)
 class Place:
-    """Closed point of the projective line: monic irreducible poly or infinity."""
+    """Closed point of the projective line: monic irreducible poly or infinity.
+
+    ``Place(g)`` trusts g, as for a factor ``Poly.factor`` returned;
+    ``Place.finite`` checks any other polynomial.
+    """
 
     poly: Poly | None  # None encodes the point at infinity
-
-    def __post_init__(self):
-        if self.poly is not None:
-            if not self.poly.is_monic():
-                raise ValueError("finite place must be a monic polynomial")
-            if not self.poly.is_irreducible():
-                raise ValueError("finite place must be irreducible")
 
     @classmethod
     def infinity(cls) -> "Place":
@@ -278,6 +275,8 @@ class Place:
 
     @classmethod
     def finite(cls, poly: Poly) -> "Place":
+        if not poly.is_irreducible():
+            raise ValueError("finite place must be irreducible")
         return cls(poly.monic())
 
     def is_infinity(self) -> bool:

@@ -13,7 +13,7 @@ import json
 
 import jsonschema
 
-from dpglue.catalog import GlueScenario, building_block
+from dpglue.catalog import GlueScenario, building_block, identification_points
 from dpglue.fields import base_field
 from dpglue.glue import glue_data
 
@@ -160,9 +160,13 @@ def validate_document(doc, schema=SCENARIO_FILE_SCHEMA):
 def scenario_from_dict(entry: dict):
     """(GlueScenario, expect dict or None).
 
-    The characteristic must be 0 or prime and derivation b_i nonzero.
+    The characteristic must be 0 or prime, identification points
+    integers or 'inf' and distinct in the field, and derivation b_i
+    nonzero.
     """
-    base_field(entry["characteristic"])
+    field = base_field(entry["characteristic"])
+    for ident in entry.get("identifications", []):
+        identification_points(field, ident)
     blocks = [building_block(b["case"], b.get("a")) for b in entry["blocks"]]
     derivation = None
     if "derivation" in entry:
@@ -189,6 +193,9 @@ def _read_document(path: str, schema):
         raise ScenarioFileError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:
+        # bytes that are not UTF-8, or an integer beyond int()'s digit limit
+        raise ScenarioFileError(f"{path}: {exc}") from exc
     except OSError as exc:
         raise ScenarioFileError(f"{path}: {exc}") from exc
     validate_document(doc, schema)

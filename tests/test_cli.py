@@ -1,13 +1,17 @@
 """CLI and scenario-file behavior."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpglue import scenarios
 from dpglue.cli import main
@@ -108,6 +112,19 @@ def test_malformed_file_exits_two(tmp_path):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    (b'{"version": "1", "scenarios": ["\xff"]}', "can't decode byte 0xff"),
+    (b'{"version": "1", "scenarios": [' + b"9" * 5000 + b"]}", "digits"),
+], ids=["not-utf8", "integer-beyond-digit-limit"])
+def test_unreadable_file_exits_two(tmp_path, capsys, text, message):
+    p = tmp_path / "s.json"
+    p.write_bytes(text)
+    code = main(["run", str(p)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
 @pytest.mark.parametrize("case", ["A", "C", "catalog"])
 def test_non_prime_characteristic_exits_two(tmp_path, case):
     scenario = {"name": "x", "characteristic": 4, "glueCase": case,
@@ -137,6 +154,55 @@ def test_huge_characteristic_exits_two_quickly(tmp_path, capsys, characteristic)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.count("\n") == 1 and str(characteristic) in captured.err
+
+
+def lines_scenario(characteristic, points, node, target):
+    """One C_1 scenario: a line pair glued to itself along one identification."""
+    return {"name": "lines", "characteristic": characteristic, "glueCase": "C",
+            "blocks": [{"case": "a2"}],
+            "identifications": [{"map": points, "node": node, "nodeTarget": target}]}
+
+
+@pytest.mark.parametrize("characteristic, points, node, target, message", [
+    (0, [["x", 0], [1, 1], ["inf", "inf"]], 0, 0,
+     "identification point 'x' is not an integer or 'inf'"),
+    (0, [[0, 0], [1, 1], ["inf", "inf"]], 0, "1/2",
+     "identification point '1/2' is not an integer or 'inf'"),
+    (3, [[0, 0], [3, 1], ["inf", "inf"]], 0, 0,
+     "identification points are not distinct"),
+], ids=["map-point-x", "node-target-half", "char3-0-equals-3"])
+def test_bad_identification_points_exit_two(tmp_path, capsys, characteristic,
+                                            points, node, target, message):
+    p = tmp_path / "s.json"
+    scenario = lines_scenario(characteristic, points, node, target)
+    p.write_text(json.dumps({"version": "1", "scenarios": [scenario]}))
+    code = main(["run", str(p)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {p}: scenario 'lines': {message}\n"
+
+
+POINTS = st.one_of(st.integers(), st.integers(-10**40, 10**40).map(str),
+                   st.text(max_size=6), st.just("inf"))
+THREE_POINTS = st.lists(POINTS, min_size=3, max_size=3, unique_by=str)
+
+
+@settings(max_examples=80)
+@given(st.sampled_from([0, 2, 3, 5, 7]), THREE_POINTS, THREE_POINTS, POINTS, POINTS)
+def test_identification_points_end_in_report_or_diagnostic(characteristic, sources,
+                                                           targets, node, target):
+    points = [list(pair) for pair in zip(sources, targets)]
+    scenario = lines_scenario(characteristic, points, node, target)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.json")
+        with open(path, "w") as fh:
+            json.dump({"version": "1", "scenarios": [scenario]}, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", path])
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") <= 1
+    assert "Traceback" not in err.getvalue()
 
 
 def test_failing_datum_is_recorded_and_run_continues(tmp_path):

@@ -140,11 +140,6 @@ def test_oracle_tame_r2():
     assert truncated_section_oracle(data) == (1, 0)
 
 
-def test_oracle_unconstrained_ambient():
-    data = glue_data(0, "1", ["1", "1", "1"])
-    assert truncated_section_oracle(data, unconstrained=True) == (1, 0)
-
-
 def test_oracle_wild_p3():
     data = glue_data(3, "1/x^3", ["1"])
     assert truncated_section_oracle(data) == (1, 2)

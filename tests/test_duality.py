@@ -269,10 +269,10 @@ def test_make_subalgebra_rejections_over_q():
 def test_make_subalgebra_rejections_over_kx():
     from dpglue.glue import glue_data, kxi_engine
 
-    # k(x)[y1]/(y1^2) x k(x)[y2]/(y2^2), basis e1, e2, y1, y2
-    OC = kxi_engine(glue_data(0, "x", ["1", "x"])).OC
+    # k(x)[y1]/(y1^2) x k(x)[y2]/(y2^2), basis e1, y1, e2, y2
+    OC = kxi_engine(glue_data(0, "x", ["1", "x"])).parent
     F = OC.field
-    e1, y1 = OC.basis_vector(0), OC.basis_vector(2)
+    e1, y1 = OC.basis_vector(0), OC.basis_vector(1)
     with pytest.raises(ValueError, match="not independent"):
         make_subalgebra(OC, [OC.unit, [F.x * c for c in OC.unit]])
     with pytest.raises(ValueError, match="does not contain the unit"):

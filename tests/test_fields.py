@@ -119,6 +119,14 @@ def test_valuation_additive(rng, p):
             assert (f * g).order_at(place) == f.order_at(place) + g.order_at(place)
 
 
+@pytest.mark.parametrize("p", [0, 3])
+def test_place_finite_rejects_reducible_and_zero(p):
+    field = base_field(p)
+    for coeffs in ([-1, 0, 1], []):  # x^2 - 1 = (x - 1)(x + 1), and 0
+        with pytest.raises(ValueError, match="irreducible"):
+            Place.finite(Poly.from_ints(field, coeffs))
+
+
 def test_canonical_forms(rng):
     for _ in range(60):
         a = rand_ratfunc(rng, 0, nonzero=True)

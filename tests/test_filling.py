@@ -3,11 +3,13 @@
 import pytest
 
 from dpglue import linalg
+from dpglue.catalog import GlueScenario, building_block, scenario_report
 from dpglue.fields import base_field
 from dpglue.filling import (BranchSpec, build_conductor_ring, classify_codim1,
                             derivation_kernel, is_half_filling,
                             is_part_filling, random_part_filling,
                             serre_invariants, trace_shape_detect)
+from dpglue.glue import glue_data
 from dpglue.polynomials import Poly
 from dpglue.rational import FunctionField
 
@@ -197,22 +199,47 @@ def test_trace_shape_detection_on_tacnode():
     assert trace_shape_detect(res, ring)
 
 
+def test_trace_shape_detection_on_cusp():
+    # m_D = 0, so the functional is all of the one-dimensional T*
+    ring = ring_cusp()
+    res = is_part_filling(diagonal(ring), ring)
+    assert trace_shape_detect(res, ring)
+
+
 # -- derivation kernels ------------------------------------------------
 
 
 def test_kernel_cusp():
-    model, basis = derivation_kernel(0, 0, ["1"])
-    assert len(basis) == 1
-    assert basis[0] == model.OC.unit
+    ring, res = derivation_kernel(0, 0, ["1"])
+    assert len(res.sub.basis) == 1
+    assert res.sub.basis[0] == ring.algebra.unit
 
 
 def test_kernel_tacnode_family():
-    model, basis = derivation_kernel(0, 0, ["1", "1"])
-    assert len(basis) == 2
-    # eta = y1 - y2 lives in the kernel basis
-    F = model.F
-    eta = basis[1]
-    assert eta[2] == -F.one and eta[3] == F.one
+    ring, res = derivation_kernel(0, 0, ["1", "1"])
+    assert len(res.sub.basis) == 2
+    # eta = y2 - y1 lives in the kernel basis (order e1, y1, e2, y2)
+    F = ring.field
+    eta = res.sub.basis[1]
+    assert eta[1] == -F.one and eta[3] == F.one
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+@pytest.mark.parametrize("p", [0, 2, 3, 5, 7])
+def test_derivation_kernel_is_a_half_filling(p, r):
+    # a tame datum with b_i/b_1 constant, cycling through the units of GF(p)
+    units = [1 + (i % (p - 1) if p else i) for i in range(r)]
+    b = [f"{c}*(x + 1)" for c in units]
+    ring, res = derivation_kernel(p, "x + 1", b)
+    assert res.ok and serre_invariants(res, ring) == (2 * r, r, r)
+    assert is_half_filling(res, ring)
+    name = repr(classify_codim1(res, ring))
+    assert name == {1: "cusp", 2: "tacnode"}.get(r, f"r-concurrent-lines({r})")
+    scenario = GlueScenario(p, [building_block("c2", 2)] * r, "D",
+                            derivation=glue_data(p, "x + 1", b))
+    report = scenario_report(scenario)
+    assert report["gorenstein"] and report["tame"]
+    assert report["singularity"] == name
 
 
 def test_kernel_with_nonzero_a():

@@ -30,21 +30,15 @@ def rand_data(rng, p, r=None, max_deg=2):
 
 
 def test_engine_cusp_dimensions():
-    model = kxi_engine(glue_data(0, 0, ["1"]))
-    assert model.OC.dim == 2
-    assert len(model.sub.basis) == 1
+    sub = kxi_engine(glue_data(0, 0, ["1"]))
+    assert sub.parent.dim == 2
+    assert len(sub.basis) == 1
 
 
 def test_engine_tacnode_dimensions():
-    model = kxi_engine(glue_data(0, 0, ["1", "1"]))
-    assert model.OC.dim == 4
-    assert len(model.sub.basis) == 2
-
-
-def test_engine_taylor_rule():
-    model = kxi_engine(glue_data(0, "x", ["1"]))
-    F = model.F
-    assert model.x_element() == [F.x, F.x]  # x = xi*1 + (a/b1)*1*y1
+    sub = kxi_engine(glue_data(0, 0, ["1", "1"]))
+    assert sub.parent.dim == 4
+    assert len(sub.basis) == 2
 
 
 @pytest.mark.parametrize("p", CHARACTERISTICS)
@@ -68,26 +62,29 @@ def test_engine_output_by_formula(rng, p):
     fixed = [glue_data(p, 0, ["1"]), glue_data(p, 0, ["1", "1"]),
              glue_data(p, "x", ["1"])]
     for data in fixed + [rand_data(rng, p) for _ in range(10)]:
-        model = kxi_engine(data)
+        sub = kxi_engine(data)
+        OC = sub.parent
         F, r = data.field, data.r
-        assert model.OC.unit == [F.one] * r + [F.zero] * r
-        for i, v in enumerate(model.eta, start=1):
+        # basis order e_1, y_1, e_2, y_2, ...
+        assert OC.unit == [F.one, F.zero] * r
+        eta = []
+        for i in range(1, r):
             want = [F.zero] * (2 * r)
-            want[r] = -(data.b[i] / data.b[0])
-            want[r + i] = F.one
-            assert v == want
-        assert model.sub.basis == [model.OC.unit] + model.eta
+            want[1] = -(data.b[i] / data.b[0])
+            want[2 * i + 1] = F.one
+            eta.append(want)
+        assert sub.basis == [OC.unit] + eta
         # the O_D table agrees with one solve per product
-        bt = linalg.transpose(model.sub.basis)
-        for i, bi in enumerate(model.sub.basis):
-            for j, bj in enumerate(model.sub.basis):
-                prod = model.OC.mul(bi, bj)
-                assert model.sub.algebra.table[i][j] == linalg.solve(F, bt, prod)
-        assert model.sub.algebra.unit == linalg.solve(F, bt, model.OC.unit)
+        bt = linalg.transpose(sub.basis)
+        for i, bi in enumerate(sub.basis):
+            for j, bj in enumerate(sub.basis):
+                prod = OC.mul(bi, bj)
+                assert sub.algebra.table[i][j] == linalg.solve(F, bt, prod)
+        assert sub.algebra.unit == linalg.solve(F, bt, OC.unit)
 
 
 def test_conductor_algebra_built_once_per_shape(monkeypatch):
-    glue._conductor_algebra.cache_clear()
+    glue.conductor_ring.cache_clear()
     verified = []
     check = FiniteAlgebra._verify
 
@@ -102,16 +99,16 @@ def test_conductor_algebra_built_once_per_shape(monkeypatch):
 
     first = kxi_engine(glue_data(3, "x", ["1", "x"]))
     second = kxi_engine(glue_data(3, "1/x", ["x^2", "1 + x"]))
-    assert first.OC is second.OC
-    assert times_verified(first.OC) == 1
+    assert first.parent is second.parent
+    assert times_verified(first.parent) == 1
     # the O_D algebra depends on b and is verified for every datum
-    assert times_verified(first.sub.algebra) == 1
-    assert times_verified(second.sub.algebra) == 1
+    assert times_verified(first.algebra) == 1
+    assert times_verified(second.algebra) == 1
     other_r = kxi_engine(glue_data(3, "x", ["1", "x", "x"]))
     other_p = kxi_engine(glue_data(5, "x", ["1", "x"]))
-    for model in (other_r, other_p):
-        assert model.OC is not first.OC
-        assert times_verified(model.OC) == 1
+    for sub in (other_r, other_p):
+        assert sub.parent is not first.parent
+        assert times_verified(sub.parent) == 1
     assert len(verified) == 7
 
 
@@ -189,7 +186,7 @@ def test_pairing_with_unit(rng, p):
             [rand_ratfunc(rng, p) for _ in range(data.r)],
         )
         vec = functional_vector(data, s)
-        unit = kxi_engine(data).OC.unit
+        unit = kxi_engine(data).parent.unit
         total = F.zero
         for c, x in zip(vec, unit):
             total = total + c * x
