@@ -19,8 +19,11 @@ from dpglue.polynomials import Poly
 class FiniteAlgebra:
     """Commutative associative unital algebra via structure constants.
 
-    ``table[i][j]`` is the coordinate vector of e_i * e_j.  The axioms
-    are verified exhaustively on the basis at construction time.
+    ``table[i][j]`` is the coordinate vector of e_i * e_j.  ``_products``
+    indexes each entry once by its nonzero coordinates: ``_products[i]``
+    maps j to the (k, c) pairs of e_i * e_j, and holds no j whose
+    product is zero.  The axioms are verified exhaustively on the basis
+    at construction time.
     """
 
     def __init__(self, field, table, unit):
@@ -28,6 +31,11 @@ class FiniteAlgebra:
         self.table = table
         self.unit = list(unit)
         self.dim = len(table)
+        self._products = [
+            {j: terms for j, v in enumerate(row)
+             if (terms := tuple((k, c) for k, c in enumerate(v) if c))}
+            for row in table
+        ]
         self._local_data = None
         self._verify()
 
@@ -44,12 +52,14 @@ class FiniteAlgebra:
             ei = self.basis_vector(i)
             if self.mul(self.unit, ei) != ei:
                 raise ValueError(f"unit fails on basis vector {i}")
+        # the table is commutative, so e_i (e_j e_k) = (e_j e_k) e_i
+        products = self._products
         for i in range(d):
             for j in range(d):
-                ij = self.table[i][j]
                 for k in range(d):
-                    left = self.mul(ij, self.basis_vector(k))
-                    right = self.mul(self.basis_vector(i), self.table[j][k])
+                    left, right = [self.field.zero] * d, [self.field.zero] * d
+                    self._add_times(left, products[i].get(j, ()), k)
+                    self._add_times(right, products[j].get(k, ()), i)
                     if left != right:
                         raise ValueError(f"not associative at ({i},{j},{k})")
 
@@ -59,19 +69,20 @@ class FiniteAlgebra:
         return v
 
     def mul(self, u, v):
+        """u * v, multiplying two coefficients only where e_i * e_j != 0."""
         out = [self.field.zero] * self.dim
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                ab = a * b
-                tij = self.table[i][j]
-                for k in range(self.dim):
-                    if tij[k]:
-                        out[k] = out[k] + ab * tij[k]
+        u_terms = [(i, a) for i, a in enumerate(u) if a]
+        for j, b in enumerate(v):
+            if b:
+                terms = [(i, a * b) for i, a in u_terms if j in self._products[i]]
+                self._add_times(out, terms, j)
         return out
+
+    def _add_times(self, out, terms, k):
+        """out += (sum of c e_l over the (l, c) terms) * e_k, from the index."""
+        for l, c in terms:
+            for m, t in self._products[l].get(k, ()):
+                out[m] = out[m] + c * t
 
     def mult_matrix(self, u):
         """Matrix of multiplication by u (columns are u * e_j)."""
@@ -261,7 +272,9 @@ def make_subalgebra(parent: FiniteAlgebra, basis) -> Subalgebra:
     field = parent.field
     basis = [list(b) for b in basis]
     d = len(basis)
-    products = [parent.mul(bi, bj) for bi in basis for bj in basis]
+    # the parent is commutative, so b_j b_i = b_i b_j is solved once
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    products = [parent.mul(basis[i], basis[j]) for i, j in pairs]
     # B^T row by row, so an empty basis still gives parent.dim rows
     bt = [[b[k] for b in basis] for k in range(parent.dim)]
     coords, rank = linalg.solve_many(field, bt, [parent.unit] + products)
@@ -270,15 +283,11 @@ def make_subalgebra(parent: FiniteAlgebra, basis) -> Subalgebra:
     unit = coords[0]
     if unit is None:
         raise ValueError("subalgebra does not contain the unit")
-    table = []
-    for i in range(d):
-        row = coords[1 + i * d : 1 + (i + 1) * d]
-        for j, c in enumerate(row):
-            if c is None:
-                raise ValueError(
-                    f"subspace not closed under multiplication at ({i},{j})"
-                )
-        table.append(row)
+    table = [[None] * d for _ in range(d)]
+    for (i, j), c in zip(pairs, coords[1:]):
+        if c is None:
+            raise ValueError(f"subspace not closed under multiplication at ({i},{j})")
+        table[i][j], table[j][i] = c, list(c)
     algebra = FiniteAlgebra(field, table, unit)
     return Subalgebra(parent, basis, algebra)
 

@@ -250,11 +250,11 @@ def derivation_kernel(characteristic: int, a, b):
     trivial residue extensions, and O_D checked by ``is_part_filling``.
     Every b_i must be nonzero.
     """
-    from dpglue.glue import conductor_ring, glue_data, kxi_engine
+    from dpglue.glue import conductor_ring, glue_data, kernel_basis
 
     data = glue_data(characteristic, a, b)
     ring = conductor_ring(characteristic, data.r)
-    return ring, is_part_filling(kxi_engine(data).basis, ring)
+    return ring, is_part_filling(kernel_basis(data), ring)
 
 
 # -- classification ---------------------------------------------------

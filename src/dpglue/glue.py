@@ -160,15 +160,21 @@ def conductor_ring(characteristic: int, r: int) -> ConductorRing:
     return build_conductor_ring(_function_field(characteristic), [BranchSpec(2)] * r)
 
 
-def kxi_engine(data: GenericGlueData) -> Subalgebra:
-    """O_D = span{1, eta_2, ..., eta_r} in the cached O_C, built per datum."""
+def kernel_basis(data: GenericGlueData) -> list:
+    """[1, eta_2, ..., eta_r] in the coordinates of the cached O_C."""
     ring = conductor_ring(data.characteristic, data.r)
     basis = [ring.algebra.unit]
     for i in range(1, data.r):
         eta = ring.nilpotent(i)
         eta[1] = -(data.b[i] / data.b[0])
         basis.append(eta)
-    return make_subalgebra(ring.algebra, basis)
+    return basis
+
+
+def kxi_engine(data: GenericGlueData) -> Subalgebra:
+    """O_D = span{1, eta_2, ..., eta_r} in the cached O_C, built per datum."""
+    ring = conductor_ring(data.characteristic, data.r)
+    return make_subalgebra(ring.algebra, kernel_basis(data))
 
 
 # -- trace kernel -----------------------------------------------------
@@ -257,63 +263,41 @@ def gorenstein_at_point(data: GenericGlueData, place: Place) -> bool:
     return True
 
 
-def regularity_constraint_rows(funcs, place: Place):
-    """Linear constraints on c_j making sum c_j h_j regular at the place.
+def regularity_constraint_rows(nums, den: Poly, place: Place):
+    """Linear constraints on c_j making sum c_j nums_j / den regular at the place.
 
-    Returns a list of coefficient rows over the base field (empty list
-    means no constraint).
+    At a finite place P = (pi) a row holds one coefficient of every
+    num mod pi^v_P(den); at infinity, one coefficient above deg den.
+    Returns the nonzero rows over the base field (an empty list means
+    no constraint).
     """
-    funcs = list(funcs)
-    nonzero = [h for h in funcs if not h.is_zero()]
-    if not nonzero:
-        return []
-    base = nonzero[0].field
     if place.is_infinity():
-        funcs = [h.invert_variable() for h in funcs]
-        place = Place.finite(Poly.x(base))
-    pi = place.poly
-    M = 0
-    for h in funcs:
-        if not h.is_zero():
-            M = max(M, -h.order_at(place))
-    if M == 0:
-        return []
-    piM = pi**M
-    shifted = [h * RationalFunction.from_poly(piM) for h in funcs]
-    # every denominator is prime to pi after reduction, so their lcm is
-    # a unit mod pi^M and clearing by it keeps the congruence condition
-    lcm = Poly.one(base)
-    for t in shifted:
-        if t.den.degree >= 1:
-            lcm = lcm * (t.den // lcm.gcd(t.den))
-    nums = [(t.num * (lcm // t.den)) % piM for t in shifted]
-    width = piM.degree
-    rows = []
-    for k in range(width):
-        rows.append([n[k] for n in nums])
-    # drop all-zero rows
-    return [row for row in rows if any(bool(c) for c in row)]
-
-
-def _local_parameter_powers(field: FunctionField, place: Place, bound: int):
-    """[pi^0, ..., pi^bound], each from the one before; pi = 1/x at infinity."""
-    if place.is_infinity():
-        pi = RationalFunction(field.base, Poly.one(field.base), Poly.x(field.base))
+        top = max(n.degree for n in nums)
+        rows = [[n[k] for n in nums] for k in range(den.degree + 1, top + 1)]
     else:
-        pi = RationalFunction.from_poly(place.poly)
-    powers = [field.one]
-    for _ in range(bound):
-        powers.append(powers[-1] * pi)
-    return powers
+        modulus = place.poly ** den.valuation(place.poly)
+        nums = [n if n.degree < modulus.degree else n % modulus for n in nums]
+        rows = [[n[k] for n in nums] for k in range(modulus.degree)]
+    return [row for row in rows if any(row)]
 
 
 def gorenstein_at_point_oracle(data: GenericGlueData, place: Place,
                                degree_bound: int | None = None) -> bool:
-    """Brute-force search for a local generator of ker Tr at the place.
+    """Search for a local generator of ker Tr at the place.
 
-    Looks for f_1, a polynomial in the local parameter that is a unit at
-    the place, with (a f_1/b_1)' regular there and every (b_i/b_1) f_1 a
-    unit; solved by linear algebra over the coefficient space.
+    Looks for f_1 = sum c_kj x^k pi^j (k < deg P, j <= B) that is a unit
+    at P, with (a f_1/b_1)' regular there, and then asks every
+    (b_i/b_1) f_1 to be a unit; solved by linear algebra over the base
+    field.  B defaults to m + max(p, 1) + 2, where m is the pole order
+    of a/b_1 at P.  Any B >= m gives the same answer: the condition
+    reads f_1 only modulo pi^(m+1), and the x^k pi^j span every class
+    of O_P/pi^(B+1).
+
+    With a/b_1 = N/D and D = pi^m E, E a unit at P, each
+    (N w/D)' = (w A + w' N D)/D^2 with A = N'D - ND', so the rows are
+    read off polynomial numerators over the one denominator D^2.  For
+    j >= m, N w/D is regular at P and so is its derivative: those
+    numerators are 0 modulo pi^(2m) and are not computed.
     """
     if place.is_infinity():
         # move to the standard coordinate at infinity, where the
@@ -326,29 +310,34 @@ def gorenstein_at_point_oracle(data: GenericGlueData, place: Place,
         origin = Place.finite(Poly.x(data.field.base))
         return gorenstein_at_point_oracle(inv, origin, degree_bound)
     p = data.characteristic
-    ff = data.field
-    c1 = data.c(0)
-    pole = 0 if c1.is_zero() or c1.is_regular_at(place) else -c1.order_at(place)
+    base = data.field.base
+    pi, d = place.poly, place.poly.degree
+    N, D = data.c(0).num, data.c(0).den
+    m = D.valuation(pi)
     if degree_bound is None:
-        degree_bound = pole + max(p, 1) + 2
-    base = ff.base
-    powers = _local_parameter_powers(ff, place, degree_bound)
-    hs = [(c1 * w).derivative() for w in powers]
-    rows = regularity_constraint_rows(hs, place)
-    if rows:
-        sols = linalg.nullspace(base, rows)
-    else:
-        sols = linalg.identity(base, len(powers))
-    witness = None
-    for sol in sols:
-        if sol[0]:
-            witness = sol
-            break
+        degree_bound = m + max(p, 1) + 2
+    width = d * (degree_bound + 1)
+    A, ND, dpi = N.derivative() * D - N * D.derivative(), N * D, pi.derivative()
+    nums = []
+    power, dpower = Poly.one(base), Poly.zero(base)  # pi^j and (pi^j)'
+    for _ in range(min(m, degree_bound + 1)):
+        for k in range(d):
+            dw = dpower.shift(k)
+            if k:
+                dw = dw + power.shift(k - 1).scale(base.from_int(k))
+            nums.append(power.shift(k) * A + dw * ND)
+        power, dpower = power * pi, dpower * pi + power * dpi
+    nums += [Poly.zero(base)] * (width - len(nums))
+    rows = regularity_constraint_rows(nums, D * D, place)
+    sols = linalg.nullspace(base, rows) if rows else linalg.identity(base, width)
+    # a unit at P: some x^k pi^0 coefficient is nonzero
+    witness = next((sol for sol in sols if any(sol[:d])), None)
     if witness is None:
         return False
-    f1 = ff.zero
-    for cj, w in zip(witness, powers):
-        f1 = f1 + cj * w
+    f1 = Poly.zero(base)
+    for j in reversed(range(degree_bound + 1)):
+        f1 = f1 * pi + Poly(base, witness[j * d:(j + 1) * d])
+    f1 = RationalFunction.from_poly(f1)
     # sanity: the found f_1 really solves (2)
     deriv = (data.a * f1 / data.b[0]).derivative()
     if deriv and not deriv.is_regular_at(place):
@@ -470,15 +459,27 @@ def tangent_dims(p: int, n: int, y_smooth: bool = True):
 def gamma_local_sections(h: RationalFunction, place: Place, bound: int):
     """Basis of {f in span(pi^0..pi^bound) : h f' regular at the place}.
 
-    Returned as coefficient vectors in the local-parameter powers.
+    Returned as coefficient vectors in the local-parameter powers; pi is
+    1/x at infinity, and f' is d/dx throughout.
     """
-    ff = _function_field(h.field.characteristic)
-    powers = _local_parameter_powers(ff, place, bound)
-    hs = [h * w.derivative() for w in powers]
-    rows = regularity_constraint_rows(hs, place)
+    base = h.field
+    N, D = h.num, h.den
+    if place.is_infinity():
+        # h (x^-j)' = -j N x^(bound-j) / (D x^(bound+1))
+        nums = [N.shift(bound - j).scale(base.from_int(-j)) for j in range(bound + 1)]
+        den = D.shift(bound + 1)
+    else:
+        # h (pi^j)' = j N pi' pi^(j-1) / D
+        pi = place.poly
+        nums, power = [Poly.zero(base)], N * pi.derivative()
+        for j in range(1, bound + 1):
+            nums.append(power.scale(base.from_int(j)))
+            power = power * pi
+        den = D
+    rows = regularity_constraint_rows(nums, den, place)
     if not rows:
-        return linalg.identity(h.field, bound + 1)
-    return linalg.nullspace(h.field, rows)
+        return linalg.identity(base, bound + 1)
+    return linalg.nullspace(base, rows)
 
 
 def gamma_section_exponents(h: RationalFunction, place: Place, bound: int):

@@ -9,7 +9,8 @@ from dpglue.artinian import (FiniteAlgebra, FiniteModule, annihilator,
 from dpglue import linalg
 from dpglue.fields import base_field
 from dpglue.filling import (BranchSpec, _close_under_multiplication,
-                            _diagonal_image_ok, build_conductor_ring)
+                            _diagonal_image_ok, build_conductor_ring,
+                            random_part_filling)
 from dpglue.polynomials import Poly
 from dpglue.rational import parse_rational
 
@@ -237,6 +238,54 @@ def test_quotient_by_t_not_faithful():
     ann = annihilator(M)
     assert len(ann) == 1 and ann[0][1]
     assert not is_faithful(M)
+
+
+# -- sparse structure constants -----------------------------------------
+
+
+def dense_mul(A, u, v):
+    """u * v by a triple loop over the whole table, zeros included."""
+    out = [A.field.zero] * A.dim
+    for i in range(A.dim):
+        for j in range(A.dim):
+            for k in range(A.dim):
+                out[k] = out[k] + u[i] * v[j] * A.table[i][j][k]
+    return out
+
+
+@pytest.mark.parametrize("p", CHARACTERISTICS)
+def test_mul_matches_dense_reference(rng, p):
+    from dpglue.glue import conductor_ring
+
+    field = base_field(p)
+    algebras = [conductor_ring(p, r).algebra for r in (1, 2, 3)]
+    while len(algebras) < 3 + 2 * 6:
+        sample = random_part_filling(rng, field, max_n=3)
+        if sample is not None:
+            ring, res = sample
+            algebras += [ring.algebra, res.sub.algebra]
+    for A in algebras:
+        # random vectors with some zero coordinates, and every e_i, e_j
+        pairs = [(A.basis_vector(i), A.basis_vector(j))
+                 for i in range(A.dim) for j in range(A.dim)]
+        for _ in range(4):
+            u, v = ([c if rng.random() < 0.6 else A.field.zero
+                     for c in (A.field.random(rng) for _ in range(A.dim))]
+                    for _ in range(2))
+            pairs.append((u, v))
+        for u, v in pairs:
+            assert A.mul(u, v) == dense_mul(A, u, v)
+
+
+def test_non_associative_table_rejected():
+    # commutative with unit, but (e1 e1) e2 = e2^2 = 0 and e1 (e1 e2) = e1^2 = e2
+    Q = base_field(0)
+    zero, one = Q.zero, Q.one
+    e = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
+    nil = [zero, zero, zero]
+    table = [[e[0], e[1], e[2]], [e[1], e[2], e[1]], [e[2], e[1], nil]]
+    with pytest.raises(ValueError, match=r"not associative at \(1,1,2\)"):
+        FiniteAlgebra(Q, table, e[0])
 
 
 # -- subalgebras -------------------------------------------------------

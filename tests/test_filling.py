@@ -242,6 +242,24 @@ def test_derivation_kernel_is_a_half_filling(p, r):
     assert report["singularity"] == name
 
 
+def test_derivation_kernel_builds_o_d_once(monkeypatch):
+    from dpglue.artinian import FiniteAlgebra
+
+    derivation_kernel(3, "x", ["1", "x"])  # O_C for (3, 2) is now cached
+    verified = []
+    check = FiniteAlgebra._verify
+
+    def counting_verify(self):
+        verified.append(self.dim)
+        check(self)
+
+    monkeypatch.setattr(FiniteAlgebra, "_verify", counting_verify)
+    ring, res = derivation_kernel(3, "1/x", ["x^2", "1 + x"])
+    assert res.ok
+    # one O_D of dimension r = 2, built and verified once
+    assert verified == [2]
+
+
 def test_kernel_with_nonzero_a():
     # a=x, b=1: f + g y is killed exactly when g = -x f'
     from dpglue.glue import delta, glue_data

@@ -16,7 +16,7 @@ from dpglue.glue import (KernelElement, change_of_basis, delta,
 from dpglue.polynomials import Poly
 from dpglue.rational import Place, RationalFunction, parse_rational
 
-from conftest import CHARACTERISTICS, rand_poly, rand_ratfunc
+from conftest import CHARACTERISTICS, IRREDUCIBLES, ff, rand_poly, rand_ratfunc
 
 
 def rand_data(rng, p, r=None, max_deg=2):
@@ -258,25 +258,78 @@ def test_oracle_regular_case():
     assert gorenstein_at_point_oracle(data, origin(0))
 
 
+def place_of(p, coeffs):
+    """The place of a coefficient list of ``PLACES``; None is infinity."""
+    if coeffs is None:
+        return Place.infinity()
+    return Place.finite(Poly.from_ints(base_field(p), coeffs))
+
+
+def pole_at(num, place, k):
+    """num times a function with a pole of order k at the place, and no other."""
+    if place.is_infinity():
+        return num * RationalFunction.from_poly(Poly.x(num.field) ** k)
+    return num / RationalFunction.from_poly(place.poly ** k)
+
+
 @pytest.mark.parametrize("p", CHARACTERISTICS)
 def test_criterion_equals_oracle(rng, p):
-    field = base_field(p)
-    places = [origin(p), Place.finite(Poly(field, [field.one, field.one])),
-              Place.infinity()]
+    # origin, x + 1, the places of degree 2 and 3 and infinity
+    places = [[0, 1], [1, 1]] + PLACES[p][1:]
     checked = 0
-    while checked < 15:
-        # engineered pole orders up to 10
+    while checked < 25:
+        # engineered pole orders up to 10 at the place
+        place = place_of(p, places[rng.randrange(len(places))])
         k = rng.randrange(0, 11)
-        num = rand_ratfunc(rng, p, 2, nonzero=True)
-        a = num * parse_rational_pow(p, -k)
+        a = pole_at(rand_ratfunc(rng, p, 2, nonzero=True), place, k)
         b = [rand_ratfunc(rng, p, 1, nonzero=True)
              for _ in range(rng.randint(1, 3))]
         data = glue_data(p, a, b)
-        place = places[rng.randrange(len(places))]
         assert gorenstein_at_point(data, place) == gorenstein_at_point_oracle(
             data, place
         )
         checked += 1
+
+
+# wild poles at places of degree 2 and 3: f_1 needs coefficients in the
+# residue field, which base-field combinations of pi^j do not reach
+@pytest.mark.parametrize("p, a, b, place", [
+    (5, "(x+1)/(x^2+2)^5", ["1"], [2, 0, 1]),
+    (2, "x/(x^2+x+1)^2", ["1"], [1, 1, 1]),
+    (3, "(x+1)/(x^3+2*x+1)^3", ["1", "x+1"], [1, 2, 0, 1]),
+])
+def test_oracle_witness_over_the_residue_field(p, a, b, place):
+    data = glue_data(p, a, b)
+    place = place_of(p, place)
+    assert gorenstein_at_point(data, place)
+    assert gorenstein_at_point_oracle(data, place)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_oracle_answer_is_stable_past_the_bound(rng, p):
+    """The oracle's degree bound B is a truncation: it looks for f_1 only
+    among x^k pi^j with j <= B.  Its docstring argues that any B at or
+    above the pole order m of a/b_1 gives the same answer; this test
+    checks it at the default B = m + p + 2 against B + p, at places of
+    degree 1, 2 and 3 and at infinity.
+    """
+    field = base_field(p)
+    places = [Place.finite(parse_rational(ff(p), names[0]).num)
+              for names in IRREDUCIBLES[p]] + [Place.infinity()]
+    answers = set()
+    for place in places:
+        for k in (0, 1, p, p + 1, 2 * p):
+            num = rand_ratfunc(rng, p, 1, nonzero=True)
+            b1 = rand_ratfunc(rng, p, 1, nonzero=True)
+            b = [b1] + [b1 * field.from_int(rng.randrange(1, max(p, 2)))
+                        for _ in range(rng.randint(0, 2))]
+            data = glue_data(p, pole_at(num, place, k), b)
+            c1 = data.c(0)
+            m = 0 if c1.is_regular_at(place) else -c1.order_at(place)
+            answer = gorenstein_at_point_oracle(data, place)
+            assert gorenstein_at_point_oracle(data, place, m + p + 2 + p) == answer
+            answers.add(answer)
+    assert answers == {True, False}
 
 
 def parse_rational_pow(p, k):
@@ -460,7 +513,11 @@ def test_regularity_rows_keep_the_solution_space(rng, p, place_index):
         regular = (rand_ratfunc(rng, p, 0) if coeffs is None
                    else RationalFunction.from_poly(rand_poly(rng, field, 2)))
         funcs.append(funcs[0] - funcs[-1] + regular)
-        got = glue.regularity_constraint_rows(funcs, place)
+        den = Poly.one(field)
+        for h in funcs:
+            den = den * (h.den // den.gcd(h.den))
+        nums = [h.num * (den // h.den) for h in funcs]
+        got = glue.regularity_constraint_rows(nums, den, place)
         want = product_cleared_rows(funcs, place)
         assert (solution_space(field, got, len(funcs))
                 == solution_space(field, want, len(funcs)))
