@@ -18,9 +18,12 @@ and their intersection are kernels of column slices of one matrix of L
 on the overlap window W, and
 
     h0 = nullity(chart 0 cap chart 1),
-    h1 = nullity(W) - nullity(chart 0) - nullity(chart 1) + h0,
+    h1 = nullity(W) - nullity(chart 0) - nullity(chart 1) + h0.
 
-four ranks and no change of basis.
+Forward elimination over W's columns ordered [chart 0 cap chart 1 |
+rest of chart 0 | rest of W] gives three of those ranks as counts of
+pivots in a prefix; one more pass over chart 1's columns gives the
+fourth.  No change of basis and no back-substitution.
 """
 
 from __future__ import annotations
@@ -156,6 +159,14 @@ def truncated_section_oracle(data: GenericGlueData, twist: int = 0,
         h1 = dim W - dim(V_0 + V_1)
            = nullity(W) - nullity(chart 0) - nullity(chart 1) + h0.
 
+    Forward elimination from the left puts a pivot in column c exactly
+    when column c is not in the span of the columns before it, so the
+    pivots among the first k columns count the rank of those k columns.
+    With W's columns ordered [both | chart 0 minus both | W minus
+    chart 0], one pass gives rank(both), rank(chart 0) and rank(W) as
+    prefix counts, and one more pass on chart 1's columns gives
+    rank(chart 1).
+
     ``bound`` is B: at least the degree of the wild pole divisor plus
     |twist| + 2, by default that degree plus |twist| + 4.
     """
@@ -179,16 +190,25 @@ def truncated_section_oracle(data: GenericGlueData, twist: int = 0,
         if not (lo <= lo0 and hi0 <= hi and lo <= lo1 and hi1 <= hi):
             raise AssertionError("chart window escapes the overlap window")
 
-    cols = [(comp, e) for comp, (lo, hi) in enumerate(overlap)
-            for e in range(lo, hi + 1)]
-    slices = [[k for k, (comp, e) in enumerate(cols)
-               if window[comp][0] <= e <= window[comp][1]]
-              for window in (overlap, chart0, chart1, both)]
+    def inside(window, col):
+        lo, hi = window[col[0]]
+        return lo <= col[1] <= hi
+
+    # W's columns ordered [both | chart 0 minus both | W minus chart 0]
+    cols = sorted(((comp, e) for comp, (lo, hi) in enumerate(overlap)
+                   for e in range(lo, hi + 1)),
+                  key=lambda col: (not inside(both, col), not inside(chart0, col)))
+    size_both = sum(inside(both, col) for col in cols)
+    size_0 = sum(inside(chart0, col) for col in cols)
+    chart1_cols = [k for k, col in enumerate(cols) if inside(chart1, col)]
     field = data.field.base
     rows = _constraint_rows(data, cols, B)
-    dim_w, dim_0, dim_1, h0 = (
-        len(s) - linalg.rank(field, [[row[k] for k in s] for row in rows])
-        for s in slices)
+    pivots = linalg.pivot_columns(field, rows)
+    rank_1 = linalg.rank(field, [[row[k] for k in chart1_cols] for row in rows])
+    h0 = size_both - sum(c < size_both for c in pivots)
+    dim_0 = size_0 - sum(c < size_0 for c in pivots)
+    dim_1 = len(chart1_cols) - rank_1
+    dim_w = len(cols) - len(pivots)
     return (h0, dim_w - dim_0 - dim_1 + h0)
 
 
@@ -198,7 +218,8 @@ def _constraint_rows(data: GenericGlueData, cols, B: int):
     Column (comp, e) holds the image of x^e in component comp, times
     Q x^shift with Q the common denominator: the coefficients of Q a,
     scaled by e and shifted by e - 1 + shift, for f; those of Q b_i,
-    shifted by e + shift, for g_i.
+    shifted by e + shift, for g_i.  Only the rows that some column
+    touches are built.
     """
     field = data.field.base
     shift = 2 * B + 4
@@ -222,10 +243,11 @@ def _constraint_rows(data: GenericGlueData, cols, B: int):
         if comp == 0:
             scale = field.from_int(e)
             coeffs = [scale * c for c in coeffs] if scale else []
-        entries.append((expo + shift, coeffs))
-    top = max((off + len(cs) for off, cs in entries), default=0)
-    rows = [[field.zero] * len(cols) for _ in range(top)]
-    for j, (off, coeffs) in enumerate(entries):
-        for k, c in enumerate(coeffs, start=off):
-            rows[k][j] = c
-    return [row for row in rows if any(bool(c) for c in row)]
+        entries.append([(k, c) for k, c in enumerate(coeffs, start=expo + shift) if c])
+    touched = sorted({k for column in entries for k, _ in column})
+    position = {k: i for i, k in enumerate(touched)}
+    rows = [[field.zero] * len(cols) for _ in touched]
+    for j, column in enumerate(entries):
+        for k, c in column:
+            rows[position[k]][j] = c
+    return rows

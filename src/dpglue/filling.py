@@ -308,19 +308,22 @@ def classify_codim1(result: FillingResult, ring: ConductorRing) -> SingularityTy
 def trace_shape_detect(result: FillingResult, ring: ConductorRing) -> bool:
     """All n_E = 2, and m_D = ker of a functional psi on sum T*_E that
     restricts on each summand to a nonzero multiple of the trace form.
+
+    Every residue field must be K itself, where the trace form is the
+    identity, so psi must be nonzero on each summand; a branch of residue
+    degree > 1 raises ``ValueError``.
     """
     field = ring.field
     sub = result.sub
     branches = ring.branches
+    if any(br.residue_degree > 1 for br in branches):
+        raise ValueError("trace shape needs residue degree 1 on every branch")
     if not all(br.n == 2 for br in branches):
         return False
     m_basis_local = sub.algebra.maximal_ideal_basis()
     m_parent = [sub.to_parent(v) for v in m_basis_local]
-    # nilpotent slice coordinates per branch
-    cols = []
-    for e, br in enumerate(branches):
-        d = br.residue_degree
-        cols.extend(range(ring.offsets[e] + d, ring.offsets[e] + 2 * d))
+    # the nilpotent coordinate t_E of each branch
+    cols = [offset + 1 for offset in ring.offsets]
     colset = set(cols)
     for v in m_parent:
         for k, c in enumerate(v):
@@ -330,45 +333,11 @@ def trace_shape_detect(result: FillingResult, ring: ConductorRing) -> bool:
     total = len(cols)
     if linalg.rank(field, m_mat) != total - 1:
         return False
-    # the annihilated functional; m_D = 0 (one branch of degree 1)
-    # leaves the whole line
+    # the annihilated functional; m_D = 0 (one branch) leaves the whole line
     psi = linalg.nullspace(field, m_mat) if m_mat else linalg.identity(field, total)
     if len(psi) != 1:
         return False
-    psi = psi[0]
-    # per summand, psi restricted to L_E must be c_E * trace form, c_E != 0
-    from dpglue.rational import SimpleExtension
-
-    pos = 0
-    for br in branches:
-        d = br.residue_degree
-        seg = psi[pos : pos + d]
-        pos += d
-        if d == 1:
-            if not seg[0]:
-                return False
-            continue
-        ext = SimpleExtension(field, br.minpoly)
-        traces = []
-        for i in range(d):
-            basis_vec = [field.zero] * d
-            basis_vec[i] = field.one
-            traces.append(ext.trace(basis_vec))
-        # seg = c * traces for some c != 0
-        scale = None
-        for s, t in zip(seg, traces):
-            if not t:
-                if s:
-                    return False
-                continue
-            c = s / t
-            if scale is None:
-                scale = c
-            elif c != scale:
-                return False
-        if scale is None or not scale:
-            return False
-    return True
+    return all(psi[0])
 
 
 # -- random generation for property tests -----------------------------

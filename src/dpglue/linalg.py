@@ -3,9 +3,13 @@
 Matrices are plain lists of rows.  Everything is fraction-free-agnostic:
 we just divide, which is fine because all coefficient fields here are
 exact.  Dimensions stay small (<= ~100), so Gaussian elimination is the
-only algorithm needed.  Its row update skips the zero entries of the
-pivot row: the matrices here are sparse, and over k(x) every entry
-rewritten costs polynomial arithmetic.
+only algorithm needed, in two forms.  ``rref`` (Gauss-Jordan) gives the
+reduced matrix that ``nullspace`` and ``solve_many`` read;
+``pivot_columns`` eliminates forward only, which is all that ``rank``
+needs, and its pivots also give the rank of every prefix of the
+columns.  Both row updates skip the zero entries of the pivot row: the
+matrices here are sparse, and over k(x) every entry rewritten costs
+polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -89,10 +93,46 @@ def rref(field, mat):
     return m, pivots
 
 
+def pivot_columns(field, mat) -> list:
+    """Pivot columns of mat by forward elimination alone.
+
+    Columns are taken left to right, and a pivot clears only the rows
+    below it; the pivot row is not scaled and no entry above a pivot is
+    touched.  Column c gets a pivot exactly when it is not in the span
+    of the columns before it, so the pivots among the first k columns
+    count the rank of those k columns.
+    """
+    m = [list(row) for row in mat]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        for pivot_row in range(r, rows):
+            if m[pivot_row][c]:
+                break
+        else:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pivot = m[r]
+        inv = field.one / pivot[c]
+        support = [j for j in range(c + 1, cols) if pivot[j]]
+        # column c is never read again, so its entries below r stay as they are
+        for i in range(r + 1, rows):
+            row = m[i]
+            if row[c]:
+                f = row[c] * inv
+                for j in support:
+                    row[j] = row[j] - f * pivot[j]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return pivots
+
+
 def rank(field, mat) -> int:
-    if not mat:
-        return 0
-    return len(rref(field, mat)[1])
+    return len(pivot_columns(field, mat))
 
 
 def nullspace(field, mat):

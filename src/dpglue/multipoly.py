@@ -161,4 +161,7 @@ def parse_mpoly(field, variables, text: str) -> MPoly:
             raise ValueError(f"unknown variable {name!r}")
         return MPoly.var(field, variables, name)
 
-    return _ExprParser(text, constant, variable, allow_division=False).parse()
+    def degree(f):
+        return max((sum(exps) for exps in f.terms), default=0)
+
+    return _ExprParser(text, constant, variable, degree, allow_division=False).parse()

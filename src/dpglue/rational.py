@@ -157,6 +157,12 @@ class RationalFunction:
         if not a or not num:
             return RationalFunction._reduced(self.field, Poly.zero(self.field),
                                              Poly.one(self.field))
+        # a side equal to 1/1 leaves the other as it is (dens are monic)
+        one = self.field.one
+        if den.degree == 0 and num.degree == 0 and num.coeffs[0] == one:
+            return self
+        if b.degree == 0 and a.degree == 0 and a.coeffs[0] == one:
+            return RationalFunction._reduced(self.field, num, den)
         # gcd(a, b) = gcd(num, den) = 1, so only the cross gcds can cancel
         if a.degree >= 1 and den.degree >= 1:
             g = a.gcd(den)
@@ -430,18 +436,27 @@ def _tokenize(text: str):
     return tokens
 
 
+# Largest degree that a power in the expression grammar may expand to.
+# An exponent of a few digits would otherwise build a dense polynomial
+# with that many coefficients; GF(2) 1/x^8000 (h1 = 4000) stays inside.
+MAX_DEGREE = 8192
+
+
 class _ExprParser:
     """Recursive-descent parser over an algebra adapter.
 
-    The adapter provides constant(int), variable(name) and must return
-    values supporting +, -, *, / and integer **.
+    The adapter provides constant(int), variable(name) and degree(value),
+    and its values support +, -, *, / and integer **.  A power whose
+    degree would exceed ``MAX_DEGREE`` raises ``ValueError`` before it
+    is expanded.
     """
 
-    def __init__(self, text: str, constant, variable, allow_division=True):
+    def __init__(self, text: str, constant, variable, degree, allow_division=True):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.constant = constant
         self.variable = variable
+        self.degree = degree
         self.allow_division = allow_division
 
     def peek(self):
@@ -496,6 +511,9 @@ class _ExprParser:
             kind, val = self.next()
             if kind != "int":
                 raise ValueError("exponent must be an integer")
+            if self.degree(v) * val > MAX_DEGREE:
+                raise ValueError(f"a power of degree {self.degree(v) * val} exceeds "
+                                 f"the limit {MAX_DEGREE}")
             v = v ** (-val if neg else val)
         return v
 
@@ -524,7 +542,10 @@ def parse_rational(field: FunctionField, text: str) -> RationalFunction:
             raise ValueError(f"unknown variable {name!r}; expected {field.var!r}")
         return field.x
 
-    return _ExprParser(text, field.from_int, variable).parse()
+    def degree(f):
+        return max(f.num.degree, f.den.degree)
+
+    return _ExprParser(text, field.from_int, variable, degree).parse()
 
 
 def format_poly(p: Poly, var: str = "x") -> str:

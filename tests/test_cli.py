@@ -255,6 +255,21 @@ def test_pole_divisor_inputs_run_quickly(tmp_path, capsys, characteristic, a,
     assert report["wildPoints"] == wild and report["h1"] == h1
 
 
+def test_power_past_the_degree_limit_exits_two_quickly(tmp_path, capsys):
+    # expanding this power would build a polynomial of degree 2000006
+    scenario = {"name": "x", "characteristic": 1000003, "glueCase": "D",
+                "blocks": [{"case": "c2", "a": 2}],
+                "derivation": {"a": "1/(x^2+1)^1000003", "b": ["1"]}}
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps({"version": "1", "scenarios": [scenario]}))
+    start = time.perf_counter()
+    code = main(["run", str(p)])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "exceeds the limit" in captured.err
+
+
 # With a buffered stdout the tame report outgrows the buffer and fails
 # inside print; the wild one fits and fails when main flushes it.
 @pytest.mark.parametrize("corpus", [TAME, WILD], ids=["tame", "wild"])

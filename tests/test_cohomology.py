@@ -2,11 +2,13 @@
 
 import pytest
 
+from dpglue import linalg
 from dpglue.cohomology import (LineSheafSum, chi_OX, d_plus_structure,
                                delta_P_wild, global_gorenstein, h1_OX,
                                line_sheaf_chi, total_pole_order,
                                truncated_section_oracle, wild_multiplicity)
 from dpglue.glue import glue_data
+from dpglue.rational import RationalFunction
 
 from conftest import IRREDUCIBLES
 
@@ -191,3 +193,50 @@ def test_oracle_negative_twists_match_sheaf_values():
         for n in range(-3, 0):
             h1 = (-n - 1) + (r - 1) * (-n)
             assert truncated_section_oracle(data, twist=n) == (0, h1)
+
+
+def four_rank_oracle(data, twist):
+    """Reference: the dense constraint matrix on W, one rref per column slice."""
+    field, r, n = data.field.base, data.r, twist
+    B = total_pole_order(data) + abs(twist) + 4
+    chart0 = [(0, B)] * (r + 1)
+    chart1 = [(n - B, n)] + [(n - 1 - B, n - 1)] * r
+    overlap = [(n - B, B)] + [(n - 1 - B, B)] * r
+    both = [(max(lo0, lo1), min(hi0, hi1))
+            for (lo0, hi0), (lo1, hi1) in zip(chart0, chart1)]
+    cols = [(comp, e) for comp, (lo, hi) in enumerate(overlap)
+            for e in range(lo, hi + 1)]
+    Q = data.a.den
+    for bi in data.b:
+        Q = Q * bi.den
+    q = RationalFunction.from_poly(Q)
+    cleared = [(h * q).num.coeffs for h in (data.a,) + data.b]
+    shift = 2 * B + 4
+    height = 3 * B + 5 + max(len(cs) for cs in cleared)
+    rows = [[field.zero] * len(cols) for _ in range(height)]
+    for j, (comp, e) in enumerate(cols):
+        scale = field.from_int(e) if comp == 0 else field.one
+        start = (e - 1 if comp == 0 else e) + shift
+        for k, c in enumerate(cleared[comp], start=start):
+            rows[k][j] = scale * c
+    nullity = []
+    for window in (overlap, chart0, chart1, both):
+        s = [k for k, (comp, e) in enumerate(cols)
+             if window[comp][0] <= e <= window[comp][1]]
+        nullity.append(len(s) - len(linalg.rref(field, [[row[k] for k in s]
+                                                         for row in rows])[1]))
+    dim_w, dim_0, dim_1, h0 = nullity
+    return (h0, dim_w - dim_0 - dim_1 + h0)
+
+
+@pytest.mark.parametrize("p, a, b, twists", [
+    (0, "2", ["1"], range(-3, 4)),
+    (3, "1", ["2", "1"], range(-3, 4)),
+    (5, "3", ["1", "4", "2"], range(-3, 4)),
+    (0, "-1", ["3", "1", "2"], range(-3, 4)),
+] + [(p, a, ["1"], [0]) for p, a, _ in HIGHER_DEGREE_WILD]
+  + [(3, "1/(x^3*(x+1)^3)", ["1", "2"], [0, -1])])
+def test_prefix_ranks_match_four_eliminations(p, a, b, twists):
+    data = glue_data(p, a, b)
+    for n in twists:
+        assert truncated_section_oracle(data, twist=n) == four_rank_oracle(data, n)

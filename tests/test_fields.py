@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from dpglue.fields import PRIME_LIMIT, base_field, is_prime
 from dpglue.multipoly import parse_mpoly
 from dpglue.polynomials import Poly
-from dpglue.rational import (FunctionField, Place, RationalFunction,
+from dpglue.rational import (MAX_DEGREE, FunctionField, Place, RationalFunction,
                              SimpleExtension, parse_rational)
 
 from conftest import CHARACTERISTICS, IRREDUCIBLES, ff, rand_poly, rand_ratfunc
@@ -187,6 +187,19 @@ def test_poly_identity_trivial():
 def test_poly_identity_char3_coefficient():
     F3 = base_field(3)
     assert parse_mpoly(F3, ("x",), "3*x").is_zero()
+
+
+def test_powers_past_the_degree_limit_are_refused_before_expanding():
+    F = ff(2)
+    assert parse_rational(F, f"1/x^{MAX_DEGREE}").den.degree == MAX_DEGREE
+    for text in (f"x^{MAX_DEGREE + 1}", f"1/(x^2+1)^{MAX_DEGREE // 2 + 1}",
+                 "(x^3)^5000", f"(x+1)^-{MAX_DEGREE + 1}"):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            parse_rational(F, text)
+    names = ("u", "v")
+    parse_mpoly(F.base, names, f"u^{MAX_DEGREE}")
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        parse_mpoly(F.base, names, f"(u*v)^{MAX_DEGREE // 2 + 1}")
 
 
 # -- polynomial factorization (used by the tameness scan) --------------

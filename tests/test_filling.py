@@ -206,6 +206,22 @@ def test_trace_shape_detection_on_cusp():
     assert trace_shape_detect(res, ring)
 
 
+def test_trace_shape_needs_psi_nonzero_on_every_summand():
+    # m_D = (t_1) is the kernel of psi = (0, 1), which vanishes on T*_1
+    ring = ring_lines(2)
+    res = is_part_filling([ring.algebra.unit, ring.nilpotent(0)], ring)
+    assert not trace_shape_detect(res, ring)
+
+
+def test_trace_shape_detection_rejects_a_residue_extension():
+    # classify_codim1 sends such a ring to wild(r) without asking
+    minpoly = Poly(Q, [Q.from_int(-2), Q.zero, Q.one])
+    ring = build_conductor_ring(Q, [BranchSpec(2, minpoly=minpoly), BranchSpec(2)])
+    res = is_part_filling(diagonal(ring), ring)
+    with pytest.raises(ValueError, match="residue degree"):
+        trace_shape_detect(res, ring)
+
+
 # -- derivation kernels ------------------------------------------------
 
 

@@ -113,3 +113,11 @@ def test_rref_matches_dense_reference(case):
     field, mat = case
     assert linalg.rref(field, mat) == dense_rref(field, mat)
 
+
+@given(sparse_matrices())
+@settings(max_examples=150)
+def test_forward_elimination_finds_the_rref_pivots(case):
+    field, mat = case
+    pivots = linalg.pivot_columns(field, mat)
+    assert pivots == dense_rref(field, mat)[1]
+    assert linalg.rank(field, mat) == len(pivots)

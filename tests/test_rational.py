@@ -78,6 +78,38 @@ def test_operators_match_normalised_cross_products(pair):
     assert_same(-f, RationalFunction(field, -a, b))
 
 
+@given(operand_pairs())
+@settings(max_examples=150)
+def test_product_with_one_is_the_other_operand(pair):
+    field, f, _ = pair
+    one = RationalFunction.const(field, field.one)
+    a, b = f.num, f.den
+    for got in (one * f, f * one, f / one):
+        assert_same(got, RationalFunction(field, a, b))
+    if f:
+        assert_same(one / f, RationalFunction(field, b, a))
+
+
+@pytest.mark.parametrize("p", [0, 3])
+def test_product_with_one_makes_no_polynomial_product(p, monkeypatch):
+    field = base_field(p)
+    x = Poly.x(field)
+    f = RationalFunction(field, x * x + field.one, x + field.from_int(2))
+    one = RationalFunction.const(field, field.one)
+    calls = []
+    general = Poly.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return general(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    assert (one * f, f * one) == (f, f)
+    assert calls == []
+    f * f
+    assert calls
+
+
 @given(operand_pairs(), st.integers(-3, 3))
 @settings(max_examples=150)
 def test_derivative_and_powers_match_normalised_form(pair, n):
