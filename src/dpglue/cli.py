@@ -8,6 +8,7 @@ Output is deterministic (scenarios in file order, JSON keys sorted).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -148,7 +149,9 @@ def cmd_verify_param(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The dpglue parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="dpglue",
         description="Gorenstein gluing checks for normal surfaces "

@@ -5,9 +5,8 @@ so equality is plain comparison of coefficient lists.  Places of the
 projective line are monic irreducible polynomials plus a distinguished
 point at infinity; ``order_at`` is the corresponding valuation.
 
-The module also provides :class:`SimpleExtension` for finite field
-extensions K[u]/(m(u)) with the trace form, and the string grammar
-``x^3/(x-1)`` used by scenario files and the CLI.
+The module also provides the string grammar ``x^3/(x-1)`` used by
+scenario files and the CLI.
 """
 
 from __future__ import annotations
@@ -345,61 +344,6 @@ class FunctionField:
 
     def __repr__(self):
         return f"{self.base!r}({self.var})"
-
-
-class SimpleExtension:
-    """K[u]/(m(u)) for a monic irreducible m over a field K.
-
-    Elements are coefficient vectors in the basis 1, u, ..., u^(d-1).
-    """
-
-    def __init__(self, base, minpoly: Poly):
-        if not minpoly.is_monic():
-            raise ValueError("minimal polynomial must be monic")
-        self.base = base
-        self.minpoly = minpoly
-        self.degree = minpoly.degree
-
-    @property
-    def one(self):
-        return [self.base.one] + [self.base.zero] * (self.degree - 1)
-
-    @property
-    def gen(self):
-        if self.degree == 1:
-            return [-self.minpoly[0]]
-        return [self.base.zero, self.base.one] + [self.base.zero] * (self.degree - 2)
-
-    def element(self, coeffs):
-        cs = list(coeffs)
-        if len(cs) > self.degree:
-            raise ValueError("coefficient vector too long")
-        return cs + [self.base.zero] * (self.degree - len(cs))
-
-    def add(self, u, v):
-        return [a + b for a, b in zip(u, v)]
-
-    def mul(self, u, v):
-        prod = Poly(self.base, u) * Poly(self.base, v)
-        red = prod % self.minpoly
-        return self.element(red.coeffs)
-
-    def mul_matrix(self, u):
-        """Matrix of multiplication by u, columns in the power basis."""
-        cols = []
-        for i in range(self.degree):
-            basis_vec = [self.base.zero] * self.degree
-            basis_vec[i] = self.base.one
-            cols.append(self.mul(u, basis_vec))
-        return [[cols[j][i] for j in range(self.degree)] for i in range(self.degree)]
-
-    def trace(self, u):
-        """Trace of the K-linear multiplication-by-u map."""
-        m = self.mul_matrix(u)
-        t = self.base.zero
-        for i in range(self.degree):
-            t = t + m[i][i]
-        return t
 
 
 # -- string grammar ---------------------------------------------------

@@ -5,13 +5,15 @@ scenario names its building blocks, the glue case, and per-case data
 (line identifications with node markers, or a derivation datum {a, b}).
 Unknown fields are rejected.  An optional ``expect`` block records the
 intended report values; the CLI exits nonzero when they do not match.
+
+The schemas are JSON Schema (Draft 2020-12) dicts.  The module validates
+by its own walker, which implements the ten keywords they use and
+refuses, at import, a schema that uses any other.
 """
 
 from __future__ import annotations
 
 import json
-
-import jsonschema
 
 from dpglue.catalog import GlueScenario, building_block, identification_points
 from dpglue.fields import base_field
@@ -146,15 +148,106 @@ class ScenarioFileError(ValueError):
     pass
 
 
+_KEYWORDS = {"type", "const", "enum", "required", "properties",
+             "additionalProperties", "items", "minItems", "maxItems", "minimum"}
+
+_IS_TYPE = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    # Draft 2020-12: 1.0 is an integer, true is not
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+
+
+def _check_schema(schema):
+    """Raise unless ``schema`` uses only what ``_walk`` implements."""
+    types = schema.get("type", [])
+    unknown = (set(schema) - _KEYWORDS
+               | set([types] if isinstance(types, str) else types) - set(_IS_TYPE))
+    if unknown or not isinstance(schema.get("items", {}), dict):
+        raise TypeError(f"schema walker cannot check {sorted(unknown) or 'items'}")
+    for sub in [*schema.get("properties", {}).values(),
+                schema.get("items"), schema.get("additionalProperties")]:
+        if isinstance(sub, dict):
+            _check_schema(sub)
+
+
+def _equal(a, b) -> bool:
+    """JSON equality: true and 1 differ, 1 and 1.0 do not."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
+    return a == b
+
+
+def _walk(doc, schema, path, errors):
+    """Append (path, message) for each keyword of ``schema`` that ``doc``
+    breaks, in schema order and with jsonschema's wording."""
+    for key, want in schema.items():
+        message = None
+        if key == "type":
+            names = [want] if isinstance(want, str) else want
+            if not any(_IS_TYPE[name](doc) for name in names):
+                message = f"{doc!r} is not of type {', '.join(map(repr, names))}"
+        elif key == "const":
+            if not _equal(doc, want):
+                message = f"{want!r} was expected"
+        elif key == "enum":
+            if not any(_equal(doc, w) for w in want):
+                message = f"{doc!r} is not one of {want!r}"
+        elif key == "minimum":
+            if isinstance(doc, (int, float)) and not isinstance(doc, bool) and doc < want:
+                message = f"{doc!r} is less than the minimum of {want!r}"
+        elif isinstance(doc, list):
+            if key == "items":
+                for i, item in enumerate(doc):
+                    _walk(item, want, path + [i], errors)
+            elif key == "minItems" and len(doc) < want:
+                message = f"{doc!r} " + ("should be non-empty" if want == 1 else "is too short")
+            elif key == "maxItems" and len(doc) > want:
+                message = f"{doc!r} " + ("is expected to be empty" if want == 0 else "is too long")
+        elif isinstance(doc, dict):
+            if key == "required":
+                errors.extend((path, f"{name!r} is a required property")
+                              for name in want if name not in doc)
+            elif key == "properties":
+                for name, sub in want.items():
+                    if name in doc:
+                        _walk(doc[name], sub, path + [name], errors)
+            elif key == "additionalProperties":
+                known = schema.get("properties", {})
+                extras = sorted((k for k in doc if k not in known), key=str)
+                if isinstance(want, dict):
+                    for name in extras:
+                        _walk(doc[name], want, path + [name], errors)
+                elif not want and extras:
+                    verb = "was" if len(extras) == 1 else "were"
+                    message = (f"Additional properties are not allowed "
+                               f"({', '.join(map(repr, extras))} {verb} unexpected)")
+        if message is not None:
+            errors.append((path, message))
+
+
+_check_schema(SCENARIO_FILE_SCHEMA)
+_check_schema(PARAM_FILE_SCHEMA)
+
+
 def validate_document(doc, schema=SCENARIO_FILE_SCHEMA):
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.path))
+    """Raise ScenarioFileError listing every ``path: message``, by path."""
+    errors = []
+    _walk(doc, schema, [], errors)
     if errors:
-        lines = []
-        for e in errors:
-            where = "/".join(str(p) for p in e.path) or "<root>"
-            lines.append(f"{where}: {e.message}")
-        raise ScenarioFileError("; ".join(lines))
+        errors.sort(key=lambda e: e[0])
+        raise ScenarioFileError("; ".join(
+            f"{'/'.join(map(str, where)) or '<root>'}: {message}"
+            for where, message in errors))
 
 
 def scenario_from_dict(entry: dict):

@@ -1,5 +1,6 @@
 """CLI and scenario-file behavior."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -13,7 +14,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpglue import scenarios
+from dpglue import cli, scenarios
 from dpglue.cli import main
 
 
@@ -288,6 +289,22 @@ def test_closed_stdout_exits_one_without_traceback(corpus):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    assert main(["run", WILD]) == 0
+    first = len(built)
+    assert main(["catalog", "--a-max", "1"]) == 0
+    assert first and len(built) == first
 
 
 def test_deterministic_output():

@@ -10,7 +10,7 @@ from dpglue.fields import PRIME_LIMIT, base_field, is_prime
 from dpglue.multipoly import parse_mpoly
 from dpglue.polynomials import Poly
 from dpglue.rational import (MAX_DEGREE, FunctionField, Place, RationalFunction,
-                             SimpleExtension, parse_rational)
+                             parse_rational)
 
 from conftest import CHARACTERISTICS, IRREDUCIBLES, ff, rand_poly, rand_ratfunc
 
@@ -96,6 +96,37 @@ def test_leibniz_rule_polynomials(cs, ds):
     assert (f * g).derivative() == f.derivative() * g + f * g.derivative()
 
 
+# -- powers ------------------------------------------------------------
+
+
+@given(st.sampled_from([0, 2, 1000003]),
+       st.lists(st.integers(-9, 9), max_size=4), st.integers(0, 12))
+@settings(max_examples=120)
+def test_power_equals_repeated_product(p, cs, n):
+    field = base_field(p)
+    f = Poly(field, [field.from_int(c) for c in cs])
+    expected = Poly.one(field)
+    for _ in range(n):
+        expected = expected * f
+    assert f ** n == expected
+
+
+@pytest.mark.parametrize("n, products", [(1, 0), (2, 1), (3, 2), (1024, 10)])
+def test_power_makes_no_product_by_one_and_no_spare_squaring(n, products, monkeypatch):
+    field = base_field(1000003)
+    f = Poly(field, [field.one, field.zero, field.one])
+    calls = []
+    general = Poly.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return general(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    assert (f ** n).degree == 2 * n
+    assert len(calls) == products
+
+
 # -- orders at places --------------------------------------------------
 
 
@@ -135,34 +166,6 @@ def test_canonical_forms(rng):
         assert (a / b) * (b / a) == ff(0).one
         # equality agrees with cross multiplication
         assert (a == b) == (a.num * b.den == b.num * a.den)
-
-
-# -- extensions and traces ---------------------------------------------
-
-
-def test_trace_of_one_is_degree():
-    Q = base_field(0)
-    ext = SimpleExtension(Q, Poly(Q, [Q.from_int(-2), Q.zero, Q.one]))
-    assert ext.trace(ext.one) == Q.from_int(2)
-
-
-def test_trace_of_sqrt_x_is_zero_char2_and_char0():
-    for p in (2, 0):
-        F = ff(p)
-        minpoly = Poly(F, [-F.x, F.zero, F.one])  # u^2 - x
-        ext = SimpleExtension(F, minpoly)
-        assert not ext.trace(ext.gen)
-
-
-def test_trace_is_linear(rng):
-    Q = base_field(0)
-    ext = SimpleExtension(Q, Poly(Q, [Q.from_int(-2), Q.zero, Q.one]))
-    for _ in range(40):
-        u = ext.element([Q.from_int(rng.randrange(-5, 6)) for _ in range(2)])
-        v = ext.element([Q.from_int(rng.randrange(-5, 6)) for _ in range(2)])
-        c = Q.from_int(rng.randrange(-5, 6))
-        lhs = ext.trace(ext.add([c * x for x in u], v))
-        assert lhs == c * ext.trace(u) + ext.trace(v)
 
 
 # -- multivariate identity checks --------------------------------------

@@ -1,0 +1,185 @@
+"""The scenario-file schema walker: Draft 2020-12 verdicts, messages, imports."""
+
+import copy
+import json
+import os
+import subprocess
+import sys
+from importlib import resources
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import dpglue
+from dpglue import scenarios
+from dpglue.scenarios import (PARAM_FILE_SCHEMA, SCENARIO_FILE_SCHEMA,
+                              ScenarioFileError, validate_document)
+
+
+def corpus(name):
+    return json.loads(resources.files("dpglue").joinpath("data", name).read_text())
+
+
+def scenario(**changes):
+    entry = {"name": "x", "characteristic": 0, "blocks": [{"case": "a1"}],
+             "glueCase": "A"}
+    entry.update(changes)
+    return {"version": "1", "scenarios": [entry]}
+
+
+SMALL_PARAM = {"version": "1", "checks": [
+    {"name": "c", "characteristic": 0, "hypersurface": "y - u", "variables": ["y"],
+     "substitution": {"y": "u"}, "targetVariables": ["u"]}]}
+
+# the shipped corpora cut to two entries each, so a mutation hits any part
+BASES = [dict(doc, **{key: doc[key][:2]})
+         for doc, key in ((corpus("tame_families.json"), "scenarios"),
+                          (corpus("wild_families.json"), "scenarios"),
+                          (corpus("parametrizations.json"), "checks"))]
+BASES += [scenario(derivation={"a": "1/x", "b": ["1"]}, cover="separable",
+                  expect={"gorenstein": True, "chi": 1, "wildPoints": []}),
+          scenario(glueCase="C", equations=["z"], identifications=[
+              {"map": [[0, 0], [1, 1], ["inf", "inf"]], "node": 0, "nodeTarget": "inf"}]),
+          SMALL_PARAM]
+
+VALUES = st.sampled_from([True, False, 0, 1, -1, 1.0, 2.5, -0.0, 10**30, "1", "A",
+                          "a1", "x", None, [], {}, [1], {"a": 1}, float("inf")])
+KINDS = st.sampled_from(["drop", "set", "add key", "swap bool and int", "float",
+                         "empty array", "append"])
+KEYS = st.sampled_from(["mystery", "name", "a", "case", "version"])
+
+
+def locations(doc, path=()):
+    yield path
+    children = (doc.items() if isinstance(doc, dict)
+                else enumerate(doc) if isinstance(doc, list) else ())
+    for key, child in children:
+        yield from locations(child, path + (key,))
+
+
+def mutate(doc, draw):
+    """``doc`` with one to three mutations, each at a place drawn below the root."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        places = list(locations(doc))[1:]
+        if not places:
+            break
+        *parents, last = draw(st.sampled_from(places))
+        holder = doc
+        for step in parents:
+            holder = holder[step]
+        old, kind = holder[last], draw(KINDS)
+        if kind == "drop":
+            del holder[last]
+        elif kind == "set":
+            holder[last] = draw(VALUES)
+        elif kind == "add key" and isinstance(old, dict):
+            old[draw(KEYS)] = draw(VALUES)
+        elif kind == "swap bool and int" and isinstance(old, int):
+            holder[last] = int(old) if isinstance(old, bool) else bool(old)
+        elif kind == "float" and isinstance(old, int) and not isinstance(old, bool):
+            holder[last] = float(old)
+        elif kind == "empty array":
+            holder[last] = []
+        elif kind == "append" and isinstance(old, list):
+            old.append(copy.deepcopy(old[-1]) if old else draw(VALUES))
+    return doc
+
+
+def walker_accepts(doc, schema):
+    try:
+        validate_document(doc, schema)
+    except ScenarioFileError:
+        return False
+    return True
+
+
+@settings(max_examples=500)
+@given(st.sampled_from(BASES), st.data())
+def test_walker_agrees_with_jsonschema(base, data):
+    jsonschema = pytest.importorskip("jsonschema")
+    doc = mutate(base, data.draw)
+    for schema in (SCENARIO_FILE_SCHEMA, PARAM_FILE_SCHEMA):
+        expected = jsonschema.Draft202012Validator(schema).is_valid(doc)
+        assert walker_accepts(doc, schema) == expected
+
+
+@pytest.mark.parametrize("schema", [
+    {"const": 1}, {"enum": [True, [1], {"a": 0}]}, {"enum": ["1", None, 2.0]},
+    {"type": ["integer", "null"], "minimum": 1},
+], ids=["const-one", "enum-true-list-object", "enum-string-null-float", "minimum"])
+@pytest.mark.parametrize("doc", [True, False, 1, 1.0, 0, 2, "1", None, [1], [True],
+                                 {"a": 0}, {"a": False}, [], {}])
+def test_equality_and_numbers_follow_the_draft(schema, doc):
+    jsonschema = pytest.importorskip("jsonschema")
+    expected = jsonschema.Draft202012Validator(schema).is_valid(doc)
+    assert walker_accepts(doc, schema) == expected
+
+
+def rejection(doc, schema=SCENARIO_FILE_SCHEMA):
+    with pytest.raises(ScenarioFileError) as err:
+        validate_document(doc, schema)
+    return str(err.value)
+
+
+def test_unknown_field_message():
+    assert rejection(scenario(mystery=1)) == (
+        "scenarios/0: Additional properties are not allowed ('mystery' was unexpected)")
+
+
+def test_missing_required_key_message():
+    doc = scenario()
+    del doc["scenarios"][0]["glueCase"]
+    assert rejection(doc) == "scenarios/0: 'glueCase' is a required property"
+
+
+def test_wrong_type_message():
+    assert rejection(scenario(characteristic="0")) == (
+        "scenarios/0/characteristic: '0' is not of type 'integer'")
+
+
+def test_messages_are_sorted_by_path_and_joined():
+    doc = scenario(characteristic=-1, glueCase="E")
+    doc["version"] = 1
+    assert rejection(doc) == (
+        "scenarios/0/characteristic: -1 is less than the minimum of 0; "
+        "scenarios/0/glueCase: 'E' is not one of ['A', 'B', 'C', 'D']; "
+        "version: '1' was expected")
+    assert rejection([]) == "<root>: [] is not of type 'object'"
+
+
+def test_draft_2020_12_integers_booleans_and_constants():
+    validate_document(scenario(characteristic=3.0))
+    assert "True is not of type 'integer'" in rejection(scenario(characteristic=True))
+    assert "'1' was expected" in rejection({"version": 1, "scenarios": []})
+    expect = scenario(expect={"chi": 1.0, "gorenstein": True})
+    validate_document(expect)
+    assert "1 is not of type 'boolean'" in rejection(scenario(expect={"tame": 1}))
+    assert "should be non-empty" in rejection(scenario(blocks=[]))
+
+
+def test_substitution_values_are_walked_by_their_schema():
+    doc = copy.deepcopy(SMALL_PARAM)
+    doc["checks"][0]["substitution"]["z"] = 2
+    assert rejection(doc, PARAM_FILE_SCHEMA) == (
+        "checks/0/substitution/z: 2 is not of type 'string'")
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "object", "properties": {"a": {"pattern": "x"}}},
+    {"type": "array", "items": {"type": "number"}},
+    {"type": "array", "items": False},
+], ids=["keyword", "type-name", "boolean-items"])
+def test_walker_refuses_what_it_does_not_implement(schema):
+    with pytest.raises(TypeError, match="schema walker cannot check"):
+        scenarios._check_schema(schema)
+
+
+def test_import_does_not_load_jsonschema():
+    code = ("import sys, dpglue.cli, dpglue.cohomology, dpglue.glue\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'))")
+    src = os.path.dirname(os.path.dirname(dpglue.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout == "[]\n"
