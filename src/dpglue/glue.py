@@ -82,29 +82,15 @@ class GenericGlueData:
     def wild_places(self) -> tuple:
         """((Place, pole order), ...): ``pole_divisor`` named by factoring.
 
-        A piece can gather places from different a/b_i, so when their
-        denominators differ it is first split by gcds against each one:
-        two places then reach ``factor`` together only if they are poles
-        of the same a/b_i.  Each place appears once, sorted by place.
+        Each piece is factored once; each place appears once, sorted by
+        place.
         """
-        dens = []
-        for c in self._ratios:
-            if c.den.degree > 0 and c.den not in dens:
-                dens.append(c.den)
         wild = []
         for piece, order in self.pole_divisor:
             if isinstance(piece, Place):
                 wild.append((piece, order))
-                continue
-            parts = [piece]
-            for den in dens if len(dens) > 1 else ():
-                split = []
-                for part in parts:
-                    g = part.gcd(den)
-                    split += [q for q in (g, part // g) if q.degree > 0]
-                parts = split
-            wild += [(Place(g), order)
-                     for part in parts for g, _ in part.factor()[1]]
+            else:
+                wild += [(Place(g), order) for g, _ in piece.factor()[1]]
         return tuple(sorted(wild, key=lambda place_order: _place_key(place_order[0])))
 
 

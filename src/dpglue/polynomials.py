@@ -8,8 +8,8 @@ fields, which makes towers like K(x)[t] available for free).
 ``squarefree`` splits a polynomial by multiplicity into pairwise coprime
 square-free pieces without factoring.  ``factor`` splits those pieces
 into irreducibles: over GF(p) by distinct-degree factorisation and
-Cantor-Zassenhaus, over Q by its rational roots, Newton-lifted from a
-small prime, and a certificate mod a prime for what is left.
+Cantor-Zassenhaus, over Q by Zassenhaus's algorithm, which factors mod
+a small prime, Hensel-lifts the factors and recombines them.
 """
 
 from __future__ import annotations
@@ -254,9 +254,9 @@ class Poly:
 
         The pieces are monic, square-free and pairwise coprime; piece m
         is the product of the irreducible factors of multiplicity m.
-        Yun's loop takes out the multiplicities prime to p, and what it
-        leaves is a p-th power (von zur Gathen-Gerhard, Modern Computer
-        Algebra, 14.6).  No factoring.
+        Musser's loop (y = gcd(w, c), with no derivative after the
+        first) takes out the multiplicities prime to p and leaves a p-th
+        power (Modern Computer Algebra, 14.6).  No factoring.
         """
         if self.is_zero():
             raise ValueError("cannot factor zero")
@@ -285,10 +285,10 @@ class Poly:
     def factor(self):
         """Factor into monic irreducibles; returns (unit, [(factor, mult)]).
 
-        Splits each square-free piece.  Complete over GF(p).  Over QQ a
-        piece loses its rational roots, and what is left must have
-        degree <= 3 or an irreducible image mod a prime up to 23;
-        otherwise NotImplementedError.
+        Splits each square-free piece, over GF(p) completely and over QQ
+        unless Zassenhaus recombination runs out of its budget of
+        ``RECOMBINATION_BUDGET`` subsets; over other fields only a
+        linear piece.  Otherwise NotImplementedError.
         """
         if self.is_zero():
             raise ValueError("cannot factor zero")
@@ -297,22 +297,8 @@ class Poly:
         return self.leading(), factors
 
     def is_irreducible(self) -> bool:
-        """True iff ``factor`` returns this polynomial, made monic, once.
-
-        A repeated factor, or over QQ a rational root, answers False
-        before a certificate is asked for.
-        """
-        from dpglue.fields import RationalField
-
-        f = self.monic()
-        if self.degree <= 0 or self.squarefree() != [(f, 1)]:
-            return False
-        if f.degree == 1 or not isinstance(f.field, RationalField):
-            return _split(f) == [f]
-        if _roots_in_q(f):
-            return False
-        _certify_rational(f)
-        return True
+        """True iff ``factor`` returns this polynomial, made monic, once."""
+        return bool(self) and self.factor()[1] == [(self.monic(), 1)]
 
 
 def _split(f: Poly) -> list:
@@ -389,77 +375,97 @@ def _equal_degree(f: Poly, d: int, rng) -> list:
             return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
 
 
+# Subsets that Zassenhaus recombination tries before it gives up; size-1
+# subsets come first, so rational roots cost one trial per factor mod q.
+RECOMBINATION_BUDGET = 2**12
+
+
 def _split_rational(f: Poly) -> list:
-    """Irreducible factors over QQ of a monic square-free f of degree >= 2."""
-    out = []
-    for root in _roots_in_q(f):
-        lin = Poly(f.field, [-root, f.field.one])
-        out.append(lin)
-        f = f // lin
-    if f.degree >= 1:
-        _certify_rational(f)
-        out.append(f)
-    return out
+    """Irreducible factors over QQ of a monic square-free f of degree >= 2.
 
-
-def _certify_rational(f: Poly) -> None:
-    """NotImplementedError unless f, rootless over QQ, is provably irreducible.
-
-    Degree <= 3 needs nothing more; a larger f needs an irreducible
-    image mod a prime up to 23.
-    """
-    from dpglue.fields import GF
-
-    if f.degree <= 3:
-        return
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23):
-        if all(c.denominator % q for c in f.coeffs) and Poly(
-            GF(q), [GF(q).from_int(c.numerator) / GF(q).from_int(c.denominator)
-                    for c in f.coeffs]).is_irreducible():
-            return
-    raise NotImplementedError(
-        "cannot certify irreducibility over QQ for this polynomial"
-    )
-
-
-def _roots_in_q(f: Poly) -> list:
-    """The roots in QQ of a monic square-free f, without a search.
-
-    F = L f has integer coefficients, so each root is s/L for an integer
-    s with |s| <= L (1 + max |F_i|) (Cauchy's bound).  Modulo the least
-    prime q that keeps F square-free every root is simple, so Newton's
-    step lifts it to the unique root mod q^k; once q^k passes twice the
-    bound, the symmetric residue of L r is s, and F(s/L) = 0 decides.
+    Zassenhaus (Modern Computer Algebra, 15.4-15.6): F(y) = L^n f(y/L),
+    L the lcm of the denominators, is monic in Z[y], and its factor G
+    gives G(Lx)/L^deg G.  F = prod g_i mod the least prime q that keeps
+    it square-free; as sum a_i F/g_i = 1 mod q for a_i = (F/g_i)^-1 mod
+    g_i, each linear Hensel step adds error * a_i mod g_i to g_i, up to
+    q^k > 2 * 2^n |F|_2 (Mignotte).  Subsets of the lifted g_i, smallest
+    first, are tried by the constant term, then by exact division.
     """
     from fractions import Fraction
-    from math import lcm
+    from functools import reduce
+    from itertools import combinations, count
+    from math import isqrt, lcm, prod
 
     from dpglue.fields import GF, is_prime
 
+    n = f.degree
     L = lcm(*(c.denominator for c in f.coeffs))
-    F = [int(c * L) for c in f.coeffs]
-    dF = [i * c for i, c in enumerate(F)][1:]
-    bound = 2 * L * (1 + max(abs(c) for c in F))
-    q = 1
-    while True:
-        q += 1
-        if is_prime(q) and L % q:
-            image = Poly(GF(q), [GF(q).from_int(c) for c in F])
-            if image.gcd(image.derivative()).degree == 0:
-                break
+    F = [int(c * L ** (n - i)) for i, c in enumerate(f.coeffs)]
+    for q in filter(is_prime, count(2)):
+        image = Poly(GF(q), [GF(q).from_int(c) for c in F])
+        if image.gcd(image.derivative()).degree == 0:
+            break
+    gs = _split(image)
+    if len(gs) == 1:
+        return [f]
+    inverses = [_power_mod(image // g, q**g.degree - 2, g) for g in gs]
+    lifted = [[c.value for c in g.coeffs] for g in gs]
+    m, bound = q, 2 ** (n + 1) * (isqrt(sum(c * c for c in F)) + 1)
+    while m <= bound:
+        product = reduce(_int_mul, lifted)
+        error = Poly(image.field, [image.field.from_int((a - b) // m)
+                                   for a, b in zip(F, product)])
+        for g, a, g_q in zip(lifted, inverses, gs):
+            for i, c in enumerate((error * a % g_q).coeffs):
+                g[i] += m * c.value
+        m *= q
 
-    def value(cs, v):
-        return sum(c * v**i for i, c in enumerate(cs))
+    def symmetric(c):
+        return (c + m // 2) % m - m // 2
 
-    roots = []
-    for g in _split(image.monic()):
-        if g.degree == 1:
-            r, m = (-g[0]).value, q
-            while m <= bound:
-                m *= m
-                r = (r - value(F, r) * pow(value(dF, r), -1, m)) % m
-            s = L * r % m
-            root = Fraction(s - m if s > m // 2 else s, L)
-            if not f.evaluate(root):
-                roots.append(root)
-    return roots
+    # a subset that failed stays a failure once factors leave F, so the
+    # search goes on from where it found one (Modern Computer Algebra, 15.22)
+    found, used, trials, s = [], set(), 0, 1
+    while 2 * s <= len(lifted) - len(used):
+        for subset in combinations(range(len(lifted)), s):
+            if used.intersection(subset):
+                continue
+            trials += 1
+            if trials > RECOMBINATION_BUDGET:
+                raise NotImplementedError(
+                    f"factoring over QQ gave up after {RECOMBINATION_BUDGET} "
+                    f"subsets of {len(gs)} factors mod {q}")
+            c0 = symmetric(prod(lifted[i][0] for i in subset))
+            # a true factor's constant term divides F's, which is 0 if x | f
+            if (F[0] % c0 if c0 else F[0]) != 0:
+                continue
+            G = [symmetric(c) for c in reduce(_int_mul, [lifted[i] for i in subset])]
+            rest = _int_exact_quotient(F, G)
+            if rest is not None:
+                found.append(G)
+                F = rest
+                used.update(subset)
+                if 2 * s > len(lifted) - len(used):
+                    break
+        s += 1
+    return [Poly(f.field, [Fraction(c, L ** (len(G) - 1 - i)) for i, c in enumerate(G)])
+            for G in found + [F]]
+
+
+def _int_mul(a: list, b: list) -> list:
+    """The product of two integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _int_exact_quotient(a: list, b: list):
+    """a / b for integer coefficient lists with b monic; None if b does not divide a."""
+    r, d = list(a), len(b) - 1
+    for k in range(len(a) - 1 - d, -1, -1):
+        # r[k + d] is now the quotient's coefficient of x^k
+        for j in range(d):
+            r[k + j] -= r[k + d] * b[j]
+    return None if any(r[:d]) else r[d:]

@@ -277,11 +277,18 @@ def scenario_from_dict(entry: dict):
     return scenario, entry.get("expect")
 
 
+def _json_number(text: str):
+    """A JSON number with a point or exponent, an int if integral: the schema
+    reads 3.0 as 3, and a float would key the field caches apart from 3."""
+    value = float(text)
+    return int(value) if value.is_integer() else value
+
+
 def _read_document(path: str, schema):
     """Open, parse and validate one JSON file against ``schema``."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=_json_number)
     except json.JSONDecodeError as exc:
         raise ScenarioFileError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"

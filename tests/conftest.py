@@ -55,3 +55,22 @@ def rand_ratfunc(rng, p, max_deg=3, nonzero=False):
 
 def ff(p):
     return FunctionField(base_field(p))
+
+
+def swinnerton_dyer(primes) -> str:
+    """prod (x ± √p_1 ± ... ± √p_k) over Q, as text.
+
+    Irreducible over Q, yet split into factors of degree <= 2 modulo
+    every prime: the worst case of Zassenhaus recombination.  Each
+    prime p replaces f by f(x - √p) f(x + √p) = A^2 - p B^2, with
+    f(x + y) = A + B y modulo y^2 - p.
+    """
+    field = base_field(0)
+    x = Poly.x(field)
+    f = x
+    for p in primes:
+        a = b = Poly.zero(field)
+        for c in reversed(f.coeffs):
+            a, b = a * x + b * p + c, a + b * x
+        f = a * a - b * b * p
+    return " + ".join(f"({c})*x^{i}" for i, c in enumerate(f.coeffs) if c)

@@ -17,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 from dpglue import cli, scenarios
 from dpglue.cli import main
 
+from conftest import swinnerton_dyer
+
 
 def data_path(name):
     return str(resources.files("dpglue").joinpath("data", name))
@@ -207,11 +209,13 @@ def test_identification_points_end_in_report_or_diagnostic(characteristic, sourc
 
 
 def test_failing_datum_is_recorded_and_run_continues(tmp_path):
-    # x^4 + 1 has no rational root and no certifying prime, so factoring
-    # it over Q raises NotImplementedError inside the closed form
+    # SD(2, 3, 5, 7, 11) has 16 quadratic factors mod 19, more subsets
+    # than Zassenhaus recombination tries, so factoring it over Q raises
+    # NotImplementedError inside the closed form
+    sd = swinnerton_dyer([2, 3, 5, 7, 11])
     doc = {"version": "1", "scenarios": [
-        {"name": "quartic", "characteristic": 0, "blocks": [{"case": "c2", "a": 2}],
-         "glueCase": "D", "derivation": {"a": "1/(x^4+1)", "b": ["1"]}},
+        {"name": "sd32", "characteristic": 0, "blocks": [{"case": "c2", "a": 2}],
+         "glueCase": "D", "derivation": {"a": f"1/({sd})", "b": ["1"]}},
         {"name": "good", "characteristic": 3, "blocks": [{"case": "c2", "a": 2}],
          "glueCase": "D", "derivation": {"a": "1/x^3", "b": ["1"]}}]}
     p = tmp_path / "s.json"
@@ -220,17 +224,48 @@ def test_failing_datum_is_recorded_and_run_continues(tmp_path):
     assert code == 1
     assert err == ""  # no traceback
     reports = {s["name"]: s for s in json.loads(out)["scenarios"]}
-    assert set(reports) == {"quartic", "good"}
-    bad = reports["quartic"]
+    assert set(reports) == {"sd32", "good"}
+    bad = reports["sd32"]
     assert bad["gorenstein"] is None and not bad["pass"]
-    assert bad["errors"] == ["NotImplementedError: cannot certify "
-                             "irreducibility over QQ for this polynomial"]
+    assert bad["errors"] == ["NotImplementedError: factoring over QQ gave up "
+                             "after 4096 subsets of 16 factors mod 19"]
     good = reports["good"]
     assert good["pass"] and good["gorenstein"] is True and good["h1"] == 2
 
 
-# Each of these once took seconds or hung: a root search linear in the
-# constant term or in p, or trial division by every candidate factor.
+def test_integral_floats_read_as_ints_in_either_order(tmp_path):
+    # 3.0 is the integer 3 to the schema; kept a float, it would key the
+    # field caches apart from 3 for the rest of the process and leak
+    # into the reports (degree=2.0, chi=-1.0)
+    def write(name, three, two):
+        scenario = {"name": "wild", "characteristic": three, "glueCase": "D",
+                    "blocks": [{"case": "c2", "a": two}],
+                    "derivation": {"a": "1/x^3", "b": ["1"]}}
+        path = tmp_path / name
+        path.write_text(json.dumps({"version": "1", "scenarios": [scenario]}))
+        return str(path)
+
+    floats, ints = write("floats.json", 3.0, 2.0), write("ints.json", 3, 2)
+
+    def run_in_one_process(*paths):
+        script = ("import sys\nfrom dpglue.cli import main\n"
+                  "for path in sys.argv[1:]:\n"
+                  "    for fmt in ('text', 'json'):\n"
+                  "        main(['run', path, '--format', fmt])\n")
+        proc = subprocess.run([sys.executable, "-c", script, *paths],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stderr == ""
+        return proc.stdout
+
+    alone = run_in_one_process(ints)
+    assert "degree=2 gorenstein=True" in alone and "chi=-1 h1=2" in alone
+    assert run_in_one_process(floats, ints) == alone * 2
+    assert run_in_one_process(ints, floats) == alone * 2
+
+
+# Each of these once took seconds, hung or went unnamed: a root search
+# linear in the constant term or in p, trial division by every candidate
+# factor, or over Q no recombination of the factors mod a prime.
 @pytest.mark.parametrize("characteristic, a, gorenstein, wild, h1", [
     (0, "1/(x-300)^3", False, [["x - 300", 3]], None),
     (0, "1/(x-3000)^3", False, [["x - 3000", 3]], None),
@@ -238,8 +273,12 @@ def test_failing_datum_is_recorded_and_run_continues(tmp_path):
     (7, "1/(x^8+x+3)^7", True, [["x^8 + x + 3", 7]], 48),
     (2, "1/x^8000", True, [["x", 8000]], 4000),
     (0, "-1/((x-2)*(x^2+1))", False, [["x - 2", 1], ["x^2 + 1", 1]], None),
+    (0, "1/(x^4+1)", False, [["x^4 + 1", 1]], None),
+    (0, "1/((x^2+2)*(x^2+x+1))^2", False, [["x^2 + 2", 2], ["x^2 + x + 1", 2]],
+     None),
+    (0, "1/(x*(x^2+1))", False, [["x", 1], ["x^2 + 1", 1]], None),
 ], ids=["Q-x300", "Q-x3000", "GF1000003-quadratic", "GF7-octic", "GF2-x8000",
-        "Q-two-places"])
+        "Q-two-places", "Q-quartic", "Q-two-quadratics", "Q-root-at-0"])
 def test_pole_divisor_inputs_run_quickly(tmp_path, capsys, characteristic, a,
                                          gorenstein, wild, h1):
     scenario = {"name": "x", "characteristic": characteristic, "glueCase": "D",

@@ -10,9 +10,10 @@ from dpglue.fields import PRIME_LIMIT, base_field, is_prime
 from dpglue.multipoly import parse_mpoly
 from dpglue.polynomials import Poly
 from dpglue.rational import (MAX_DEGREE, FunctionField, Place, RationalFunction,
-                             parse_rational)
+                             format_poly, parse_rational)
 
-from conftest import CHARACTERISTICS, IRREDUCIBLES, ff, rand_poly, rand_ratfunc
+from conftest import (CHARACTERISTICS, IRREDUCIBLES, ff, rand_poly, rand_ratfunc,
+                      swinnerton_dyer)
 
 
 def test_prime_field_arithmetic():
@@ -227,12 +228,7 @@ def test_factorization_reassembles(rng, p):
     mults = range(1, 4) if p == 0 else (1, 2, p, p + 1, 2 * p, 2 * p + 1)
     for _ in range(12):
         chosen = rng.sample(table, rng.randint(1, 3))
-        if p == 0:
-            # over Q, two factors of degree >= 2 and equal multiplicity
-            # need Zassenhaus recombination, which factor() does not do
-            ms = rng.sample(mults, len(chosen))
-        else:
-            ms = [rng.choice(mults) for _ in chosen]
+        ms = [rng.choice(mults) for _ in chosen]
         if len(chosen) == 1 and ms[0] == 1:
             ms[0] = 2
         c = field.from_int(rng.randrange(1, p or 7))
@@ -251,6 +247,19 @@ def test_factorization_reassembles(rng, p):
         assert rebuilt == f
         assert not f.is_irreducible()
     if p == 0:
-        # a rational root shows reducibility though x^4 + 3x^2 + 2 has
-        # no certificate
-        assert not parse_rational(F, "(x-1)*(x^2+1)*(x^2+2)").num.is_irreducible()
+        # four quadratics; an irreducible that splits mod every prime;
+        # 13 linear factors mod 13; a rational root beside two quadratics
+        for text, names in [
+            ("x^8-16", {"x^2 - 2", "x^2 - 2*x + 2", "x^2 + 2", "x^2 + 2*x + 2"}),
+            (swinnerton_dyer([2, 3, 5, 7]), None),
+            ("*".join(f"(x-{i})" for i in range(1, 14)),
+             {f"x - {i}" for i in range(1, 14)}),
+            ("(x-1)*(x^2+1)*(x^2+2)", {"x - 1", "x^2 + 1", "x^2 + 2"}),
+        ]:
+            f = parse_rational(F, text).num
+            factors = f.factor()[1]
+            if names is None:
+                assert f.degree == 16 and factors == [(f, 1)] and f.is_irreducible()
+            else:
+                assert {format_poly(g): m for g, m in factors} == dict.fromkeys(names, 1)
+                assert not f.is_irreducible()
