@@ -376,6 +376,19 @@ def is_free_rank_one(module: FiniteModule):
     raise AssertionError("unreachable: mM has codimension 1")
 
 
+def square_zero_algebra(field, m: int) -> FiniteAlgebra:
+    """F + F^m with unit e_0, where e_i e_j = 0 for all i, j >= 1.
+
+    The last m basis vectors span an ideal whose square is zero, so the
+    algebra is local with residue field F.
+    """
+    e, zero = linalg.identity(field, m + 1), [field.zero] * (m + 1)
+    # e_0 e_j = e_j e_0 = e_j, and i + j names that vector when i j = 0
+    table = [[list(e[i + j] if i * j == 0 else zero) for j in range(m + 1)]
+             for i in range(m + 1)]
+    return FiniteAlgebra(field, table, e[0])
+
+
 def matrix_counterexample(field, n: int):
     """Local algebra of length n^2+1 with a faithful module of length 2n.
 
@@ -384,32 +397,14 @@ def matrix_counterexample(field, n: int):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    d = n * n + 1  # basis: unit, then E_(i,j) for the top-right block
-    zero, one = field.zero, field.one
-    table = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            v = [zero] * d
-            if i == 0:
-                v[j] = one
-            elif j == 0:
-                v[i] = one
-            # block * block = 0
-            row.append(v)
-        table.append(row)
-    unit = [one] + [zero] * (d - 1)
-    algebra = FiniteAlgebra(field, table, unit)
+    algebra = square_zero_algebra(field, n * n)  # unit, then E_(i,j)
     # module k^(2n): unit acts as identity, E_(i,j) maps v_(n+j) to v_i
     mdim = 2 * n
-    action = []
-    for k in range(d):
+    action = [linalg.identity(field, mdim)]
+    for k in range(1, algebra.dim):
         mat = linalg.zeros(field, mdim, mdim)
-        if k == 0:
-            mat = linalg.identity(field, mdim)
-        else:
-            i, j = (k - 1) // n, (k - 1) % n
-            mat[i][n + j] = one
+        i, j = divmod(k - 1, n)
+        mat[i][n + j] = field.one
         action.append(mat)
     module = FiniteModule(algebra, mdim, action, check=True)
     return algebra, module

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+from dpglue import linalg
 from dpglue.fields import base_field
 from dpglue.multipoly import MPoly, parse_mpoly
 
@@ -251,20 +252,9 @@ def mobius_from_pairs(field, pairs):
     dst = [_proj_point(field, t) for _, t in pairs]
     ms = _mobius_matrix(field, *src)
     md = _mobius_matrix(field, *dst)
-    # md o ms^{-1}
-    a, b = ms[0]
-    c, d = ms[1]
-    inv = [[d, -b], [-c, a]]
-    return [
-        [
-            md[0][0] * inv[0][0] + md[0][1] * inv[1][0],
-            md[0][0] * inv[0][1] + md[0][1] * inv[1][1],
-        ],
-        [
-            md[1][0] * inv[0][0] + md[1][1] * inv[1][0],
-            md[1][0] * inv[0][1] + md[1][1] * inv[1][1],
-        ],
-    ]
+    # md o ms^{-1}, up to scale: the adjugate of ms inverts it projectively
+    (a, b), (c, d) = ms
+    return linalg.mat_mul(field, md, [[d, -b], [-c, a]])
 
 
 def identification_points(field, ident):
@@ -290,10 +280,7 @@ def node_matching_check(scenario: GlueScenario):
     problems = []
     for k, ident in enumerate(scenario.identifications):
         mat, node, target = identification_points(field, ident)
-        image = (
-            mat[0][0] * node[0] + mat[0][1] * node[1],
-            mat[1][0] * node[0] + mat[1][1] * node[1],
-        )
+        image = linalg.mat_vec(field, mat, node)
         cross = image[0] * target[1] - image[1] * target[0]
         if cross:
             problems.append(
@@ -349,8 +336,9 @@ def scenario_report(scenario: GlueScenario) -> dict:
         try:
             problems, h1 = cohomology.closed_form(data)
             if case[0] == "D":
-                wild_points = [(glue._place_key(pl), order)
-                               for pl, order in data.wild_places]
+                named = data.wild_places
+                wild_points = None if named is None else [
+                    (glue._place_key(pl), order) for pl, order in named]
         except Exception as exc:  # one scenario's failure must not stop the run
             report["errors"].append(f"{type(exc).__name__}: {exc}")
             report.update(gorenstein=None, singularity=None, tame=None,

@@ -6,9 +6,10 @@ with pole order n_P p at P.  ``closed_form`` reads the square-free pole
 divisor of the a/b_i (``GenericGlueData.pole_divisor``), which gives
 each pole's order and the degree of its places without factoring, and
 returns the pointwise criterion's problems and h1; it factors only to
-name a failing pole.  ``global_gorenstein``, ``wild_multiplicity``,
-``chi_OX`` and ``h1_OX`` each read one call of it, and
-``total_pole_order`` and ``delta_P_wild`` read the same divisor.
+name a failing pole, and words a pole it cannot name by its piece.
+``global_gorenstein``, ``wild_multiplicity``, ``chi_OX`` and ``h1_OX``
+each read one call of it, and ``total_pole_order`` and
+``delta_P_wild`` read the same divisor.
 
 These are cross-checked by a truncated two-chart section computation
 that treats O_D(n) as pairs (f, g_i) with a f' + sum b_i g_i = 0 inside
@@ -33,7 +34,7 @@ from typing import NamedTuple
 
 from dpglue import linalg
 from dpglue.glue import GenericGlueData, wild_cusp_ring
-from dpglue.rational import RationalFunction
+from dpglue.rational import Place, RationalFunction
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,13 @@ def closed_form(data: GenericGlueData) -> ClosedForm:
     p = data.characteristic
     poles = data.pole_divisor
     if any(p == 0 or order % p for _, order in poles):
+        named = data.wild_places
+        if named is None:  # factoring over Q gave up: word each piece
+            named = [(piece if isinstance(piece, Place) else "the places of an unfactored "
+                      f"square-free piece of degree {piece.degree}", order)
+                     for piece, order in poles]
         problems += [f"pole of order {order} at {place} is not allowed"
-                     for place, order in data.wild_places if p == 0 or order % p]
+                     for place, order in named if p == 0 or order % p]
     h1 = None
     if not problems:
         # p divides every pole order, and there is no pole when p = 0

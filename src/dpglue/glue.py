@@ -6,14 +6,17 @@ and O_D is the kernel of the rational derivation
     Delta(a,b): f(x) + sum g_i(x) y_i  |->  a f' + sum b_i g_i.
 
 Setting xi = x - (a/b_1) y_1 and eta_i = y_i - (b_i/b_1) y_1 makes O_C a
-2r-dimensional algebra over k(xi) with O_D spanned by {1, eta_i}; the
-trace pairing, the pointwise Gorenstein criterion, tameness scans, and
-the wild-cusp local rings all live here.
+2r-dimensional algebra over k(xi) with O_D spanned by {1, eta_i}.  Since
+y_i y_j = 0, every eta_i eta_j is 0: O_D is k(xi) plus a square-zero
+ideal for every datum, so its table depends on (p, r) only and is built
+once, in closed form.  The trace pairing, the pointwise Gorenstein
+criterion, tameness scans, and the wild-cusp local rings all live here.
 
 A datum's poles are computed once, in ``pole_divisor``: the square-free
 pieces of the a/b_i denominators and infinity, with their pole orders,
 which is all a verdict needs.  ``wild_places`` factors those pieces to
-name the places, which only reports do.
+name the places, which only reports do; it is None when a piece over Q
+cannot be factored.
 """
 
 from __future__ import annotations
@@ -22,11 +25,12 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from dpglue import linalg
-from dpglue.artinian import Subalgebra, make_subalgebra
-from dpglue.fields import base_field
+from dpglue.artinian import FiniteAlgebra, Subalgebra, square_zero_algebra
+from dpglue.fields import base_field, is_prime
 from dpglue.filling import BranchSpec, ConductorRing, build_conductor_ring
 from dpglue.polynomials import Poly
-from dpglue.rational import FunctionField, Place, RationalFunction
+from dpglue.rational import (FunctionField, Place, RationalFunction, format_poly,
+                             parse_rational)
 
 
 @dataclass(frozen=True)
@@ -79,18 +83,22 @@ class GenericGlueData:
         return tuple(poles)
 
     @cached_property
-    def wild_places(self) -> tuple:
+    def wild_places(self) -> tuple | None:
         """((Place, pole order), ...): ``pole_divisor`` named by factoring.
 
         Each piece is factored once; each place appears once, sorted by
-        place.
+        place.  None when factoring a piece over Q gives up; no verdict
+        needs the names.
         """
         wild = []
-        for piece, order in self.pole_divisor:
-            if isinstance(piece, Place):
-                wild.append((piece, order))
-            else:
-                wild += [(Place(g), order) for g, _ in piece.factor()[1]]
+        try:
+            for piece, order in self.pole_divisor:
+                if isinstance(piece, Place):
+                    wild.append((piece, order))
+                else:
+                    wild += [(Place(g), order) for g, _ in piece.factor()[1]]
+        except NotImplementedError:
+            return None
         return tuple(sorted(wild, key=lambda place_order: _place_key(place_order[0])))
 
 
@@ -102,8 +110,6 @@ def _function_field(characteristic: int) -> FunctionField:
 
 def glue_data(characteristic: int, a, b) -> GenericGlueData:
     """Build GenericGlueData from strings/RationalFunctions."""
-    from dpglue.rational import parse_rational
-
     ff = _function_field(characteristic)
 
     def conv(v):
@@ -157,10 +163,33 @@ def kernel_basis(data: GenericGlueData) -> list:
     return basis
 
 
+@lru_cache
+def kernel_algebra(characteristic: int, r: int) -> FiniteAlgebra:
+    """O_D's table: k(xi) + k(xi)^(r-1) square-zero, verified once per (p, r)."""
+    return square_zero_algebra(_function_field(characteristic), r - 1)
+
+
 def kxi_engine(data: GenericGlueData) -> Subalgebra:
-    """O_D = span{1, eta_2, ..., eta_r} in the cached O_C, built per datum."""
+    """O_D = span{1, eta_2, ..., eta_r} in the cached O_C, on a fixed table.
+
+    y_i y_j = 0, so eta_i eta_j = 0 whatever b is, and the table is the
+    cached ``kernel_algebra``.  The basis is checked with no elimination:
+    it starts with the unit, eta_i has coordinate 1 on y_i and 0 on the
+    other y_j, j >= 2 (so it is independent), and eta_i eta_j = 0.
+    """
     ring = conductor_ring(data.characteristic, data.r)
-    return make_subalgebra(ring.algebra, kernel_basis(data))
+    OC, F = ring.algebra, data.field
+    basis = kernel_basis(data)
+    if basis[0] != OC.unit:
+        raise AssertionError("the kernel basis does not start with the unit")
+    etas = basis[1:]
+    for i, eta in enumerate(etas, start=1):
+        if any(eta[2 * j + 1] != (F.one if j == i else F.zero) for j in range(1, data.r)):
+            raise AssertionError(f"eta_{i + 1} is not triangular on y_2, ..., y_r")
+    for i, eta in enumerate(etas):
+        if any(any(OC.mul(eta, other)) for other in etas[i:]):
+            raise AssertionError("the kernel basis is not closed under multiplication")
+    return Subalgebra(OC, basis, kernel_algebra(data.characteristic, data.r))
 
 
 # -- trace kernel -----------------------------------------------------
@@ -169,14 +198,9 @@ def kxi_engine(data: GenericGlueData) -> Subalgebra:
 def ker_trace_closed_form(data: GenericGlueData, s: KernelElement) -> bool:
     """Membership in ker Tr via f_i/b_i = f_1/b_1 and (af_1/b_1)' = -sum g_i."""
     f1b1 = s.f[0] / data.b[0]
-    for i in range(1, data.r):
-        if s.f[i] / data.b[i] != f1b1:
-            return False
-    lhs = (data.a * f1b1).derivative()
-    total = data.field.zero
-    for gi in s.g:
-        total = total + gi
-    return lhs == -total
+    if any(fi / bi != f1b1 for fi, bi in zip(s.f[1:], data.b[1:])):
+        return False
+    return (data.a * f1b1).derivative() == -sum(s.g, data.field.zero)
 
 
 def change_of_basis(data: GenericGlueData, s: KernelElement):
@@ -186,19 +210,10 @@ def change_of_basis(data: GenericGlueData, s: KernelElement):
     x_1 = xi + (a/b_1) y_1 and multiply by the Jacobian factor
     1 + (a/b_1)' y_1 on the first branch.
     """
-    c = data.c(0)
-    cp = c.derivative()
-    out = []
-    for i in range(data.r):
-        fi, gi = s.f[i], s.g[i]
-        if i == 0:
-            # f(x_1) = f(xi) + c f'(xi) y_1, then times (1 + c' y_1)
-            u, v = fi, c * fi.derivative() + gi
-            u, v = u, v + cp * u
-        else:
-            u, v = fi, gi
-        out.append((u, v))
-    return out
+    c, f1 = data.c(0), s.f[0]
+    # f(x_1) = f(xi) + c f'(xi) y_1, then times (1 + c' y_1)
+    first = (f1, c * f1.derivative() + s.g[0] + c.derivative() * f1)
+    return [first] + list(zip(s.f[1:], s.g[1:]))
 
 
 def functional_vector(data: GenericGlueData, s: KernelElement):
@@ -213,15 +228,7 @@ def functional_vector(data: GenericGlueData, s: KernelElement):
 def ker_trace_oracle(data: GenericGlueData, s: KernelElement) -> bool:
     """Evaluate the functional of s on the O_D basis and test vanishing."""
     vec = functional_vector(data, s)
-    F = data.field
-    for basis_vec in kxi_engine(data).basis:
-        acc = F.zero
-        for c, x in zip(vec, basis_vec):
-            if c and x:
-                acc = acc + c * x
-        if acc:
-            return False
-    return True
+    return not any(linalg.mat_vec(data.field, kxi_engine(data).basis, vec))
 
 
 def kernel_dimension(data: GenericGlueData) -> int:
@@ -357,8 +364,6 @@ def pole_places(f: RationalFunction):
 
 
 def _place_key(place: Place) -> str:
-    from dpglue.rational import format_poly
-
     return "~oo" if place.is_infinity() else format_poly(place.poly)
 
 
@@ -403,8 +408,6 @@ def semigroup_generators(members) -> tuple:
 
 def wild_cusp_ring(p: int, n: int) -> WildCuspRing:
     """The local ring k[x^i | i = 0 mod p or i >= np] of a wild cusp."""
-    from dpglue.fields import is_prime
-
     if not is_prime(p):
         raise ValueError("p must be prime")
     if n < 1:
@@ -415,18 +418,14 @@ def wild_cusp_ring(p: int, n: int) -> WildCuspRing:
     return WildCuspRing(p, n, semigroup_generators(members), gaps)
 
 
-def tangent_dims(p: int, n: int, y_smooth: bool = True):
-    """(dim T of the curve germ, dim T of the surface germ).
+def tangent_dims(p: int, n: int):
+    """(dim T of the curve germ, dim T of the surface germ), y smooth.
 
     The curve dimension is recomputed from the relevant semigroup: the
     wild-cusp semigroup for p >= 3, and <2, 2n+1> for p = 2.
     """
-    from dpglue.fields import is_prime
-
     if not is_prime(p):
         raise ValueError("p must be prime")
-    if not y_smooth:
-        raise NotImplementedError("only the y-smooth case is computed")
     if p >= 3:
         ring = wild_cusp_ring(p, n)
         dim_curve = ring.embedding_dim

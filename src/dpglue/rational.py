@@ -300,9 +300,8 @@ class Place:
 class FunctionField:
     """k(x) as a coefficient field for downstream linear algebra."""
 
-    def __init__(self, base, var: str = "x"):
+    def __init__(self, base):
         self.base = base
-        self.var = var
         self.characteristic = base.characteristic
 
     def from_int(self, n: int) -> RationalFunction:
@@ -333,17 +332,13 @@ class FunctionField:
         return RationalFunction(self.base, e.num.pth_root(), e.den.pth_root())
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FunctionField)
-            and other.base == self.base
-            and other.var == self.var
-        )
+        return isinstance(other, FunctionField) and other.base == self.base
 
     def __hash__(self):
-        return hash(("FF", self.base, self.var))
+        return hash(("FF", self.base))
 
     def __repr__(self):
-        return f"{self.base!r}({self.var})"
+        return f"{self.base!r}(x)"
 
 
 # -- string grammar ---------------------------------------------------
@@ -479,11 +474,11 @@ class _ExprParser:
 
 
 def parse_rational(field: FunctionField, text: str) -> RationalFunction:
-    """Parse the CLI/config grammar into k(x); variable must be the field's."""
+    """Parse the CLI/config grammar into k(x); the variable must be x."""
 
     def variable(name):
-        if name != field.var:
-            raise ValueError(f"unknown variable {name!r}; expected {field.var!r}")
+        if name != "x":
+            raise ValueError(f"unknown variable {name!r}; expected 'x'")
         return field.x
 
     def degree(f):

@@ -4,7 +4,7 @@ tameness, wild cusps."""
 import pytest
 
 from dpglue import glue, linalg
-from dpglue.artinian import FiniteAlgebra
+from dpglue.artinian import FiniteAlgebra, make_subalgebra
 from dpglue.fields import base_field
 from dpglue.glue import (KernelElement, change_of_basis, delta,
                          functional_vector, gamma_section_exponents,
@@ -57,11 +57,12 @@ def test_xi_and_eta_killed_by_delta(rng, p):
             assert delta(data, F.zero, g).is_zero()
 
 
-@pytest.mark.parametrize("p", CHARACTERISTICS)
+@pytest.mark.parametrize("p", CHARACTERISTICS + (7,))
 def test_engine_output_by_formula(rng, p):
     fixed = [glue_data(p, 0, ["1"]), glue_data(p, 0, ["1", "1"]),
              glue_data(p, "x", ["1"])]
-    for data in fixed + [rand_data(rng, p) for _ in range(10)]:
+    every_r = [rand_data(rng, p, r) for r in range(1, 7)]
+    for data in fixed + every_r + [rand_data(rng, p) for _ in range(10)]:
         sub = kxi_engine(data)
         OC = sub.parent
         F, r = data.field, data.r
@@ -74,7 +75,11 @@ def test_engine_output_by_formula(rng, p):
             want[2 * i + 1] = F.one
             eta.append(want)
         assert sub.basis == [OC.unit] + eta
-        # the O_D table agrees with one solve per product
+        # the closed-form table is the one elimination finds
+        reference = make_subalgebra(OC, sub.basis).algebra
+        assert sub.algebra.table == reference.table
+        assert sub.algebra.unit == reference.unit
+        # and agrees with one solve per product
         bt = linalg.transpose(sub.basis)
         for i, bi in enumerate(sub.basis):
             for j, bj in enumerate(sub.basis):
@@ -83,8 +88,44 @@ def test_engine_output_by_formula(rng, p):
         assert sub.algebra.unit == linalg.solve(F, bt, OC.unit)
 
 
+@pytest.mark.parametrize("bad", ["not-closed", "dependent"])
+def test_engine_rejects_a_bad_kernel_basis(monkeypatch, bad):
+    data = glue_data(3, "1/x^3", ["1", "x", "x + 1"])
+    ring = glue.conductor_ring(3, 3)
+    unit, eta2, eta3 = glue.kernel_basis(data)
+    if bad == "not-closed":
+        # (eta_2 + e_1)^2 = e_1 - 2 (b_2/b_1) y_1 lies outside the span
+        e1 = ring.idempotent(0)
+        basis, message = [unit, [a + b for a, b in zip(eta2, e1)], eta3], "not closed"
+    else:
+        basis, message = [unit, eta2, eta2], "not triangular"
+    with pytest.raises(ValueError):
+        make_subalgebra(ring.algebra, basis)
+    monkeypatch.setattr(glue, "kernel_basis", lambda _: basis)
+    with pytest.raises(AssertionError, match=message):
+        kxi_engine(data)
+
+
+def test_engine_runs_no_elimination(rng, monkeypatch):
+    data = [rand_data(rng, p, r) for p in CHARACTERISTICS for r in range(1, 7)]
+    for datum in data:
+        kxi_engine(datum)  # O_C and O_D's table are built here, once per shape
+    eliminations = []
+    rref = linalg.rref
+
+    def counting_rref(field, mat):
+        eliminations.append(mat)
+        return rref(field, mat)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    for datum in data + [rand_data(rng, p, r) for p in CHARACTERISTICS for r in range(1, 7)]:
+        kxi_engine(datum)
+    assert eliminations == []
+
+
 def test_conductor_algebra_built_once_per_shape(monkeypatch):
     glue.conductor_ring.cache_clear()
+    glue.kernel_algebra.cache_clear()
     verified = []
     check = FiniteAlgebra._verify
 
@@ -101,15 +142,18 @@ def test_conductor_algebra_built_once_per_shape(monkeypatch):
     second = kxi_engine(glue_data(3, "1/x", ["x^2", "1 + x"]))
     assert first.parent is second.parent
     assert times_verified(first.parent) == 1
-    # the O_D algebra depends on b and is verified for every datum
+    # eta_i eta_j = 0 whatever b is, so O_D's table is one algebra per
+    # (p, r), verified once
+    assert first.algebra is second.algebra
     assert times_verified(first.algebra) == 1
-    assert times_verified(second.algebra) == 1
     other_r = kxi_engine(glue_data(3, "x", ["1", "x", "x"]))
     other_p = kxi_engine(glue_data(5, "x", ["1", "x"]))
     for sub in (other_r, other_p):
         assert sub.parent is not first.parent
+        assert sub.algebra is not first.algebra
         assert times_verified(sub.parent) == 1
-    assert len(verified) == 7
+        assert times_verified(sub.algebra) == 1
+    assert len(verified) == 6
 
 
 # -- trace kernel membership -------------------------------------------

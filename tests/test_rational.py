@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from dpglue.fields import base_field
 from dpglue.polynomials import Poly
-from dpglue.rational import RationalFunction
+from dpglue.rational import FunctionField, RationalFunction, parse_rational
 
 
 def polys(field, max_deg=3, nonzero=False):
@@ -143,3 +143,10 @@ def test_constructors_are_canonical(p):
         assert_canonical(h)
     assert cases[0] == RationalFunction.const(field, field.zero)
     assert cases[2] == RationalFunction(field, x.scale(field.one / two))
+
+
+def test_the_variable_is_x():
+    field = FunctionField(base_field(3))
+    assert parse_rational(field, "x^2/(x + 1)") == field.x ** 2 / (field.x + field.one)
+    with pytest.raises(ValueError, match="unknown variable 'y'; expected 'x'"):
+        parse_rational(field, "y + 1")
