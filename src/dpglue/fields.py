@@ -2,7 +2,9 @@
 
 Field objects are lightweight descriptors handing out elements that
 support +, -, *, /, ==, bool.  Rational arithmetic is delegated to
-``fractions.Fraction``; GF(p) elements are a thin wrapper around ints.
+``fractions.Fraction``.  GF(p) elements wrap an int mod p; below
+``SHARED_BELOW`` the field builds each of its p elements once, and
+arithmetic returns those shared objects instead of allocating.
 Function fields k(x) live in :mod:`dpglue.rational` and follow the same
 protocol, so generic linear algebra works over any of them.
 """
@@ -48,82 +50,124 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# GF(p) below this bound builds each of its p elements once, and all
+# arithmetic hands out those shared objects; at p = 1021 the table takes
+# about 89 KiB.  Above it elements are allocated, as a table would cost
+# memory linear in p.
+SHARED_BELOW = 2**10
+
+
 class FpElement:
-    """Element of GF(p), normalized to 0 <= value < p."""
+    """Element of GF(p), normalized to 0 <= value < p.
 
-    __slots__ = ("value", "p")
+    ``table`` is the list of all p elements when p < ``SHARED_BELOW``
+    (see ``PrimeField``), and None otherwise.
+    """
 
-    def __init__(self, value: int, p: int):
+    __slots__ = ("value", "p", "table")
+
+    def __init__(self, value: int, p: int, table=None):
         self.value = value % p
         self.p = p
+        self.table = table
 
-    def _coerce(self, other):
-        if isinstance(other, FpElement):
+    def _make(self, v: int) -> "FpElement":
+        t = self.table
+        return t[v % self.p] if t is not None else FpElement(v, self.p)
+
+    def _other(self, other):
+        """The value of a same-field element or an int; None otherwise."""
+        if other.__class__ is FpElement:
             if other.p != self.p:
                 raise ValueError("mixed characteristics")
-            return other
+            return other.value
         if isinstance(other, int):
-            return FpElement(other, self.p)
+            return other
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(self.value + o.value, self.p)
+        if other.__class__ is FpElement and other.p == self.p:
+            v = self.value + other.value
+        else:
+            v = self._other(other)
+            if v is None:
+                return NotImplemented
+            v += self.value
+        t = self.table
+        return t[v % self.p] if t is not None else FpElement(v, self.p)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(self.value - o.value, self.p)
+        if other.__class__ is FpElement and other.p == self.p:
+            v = self.value - other.value
+        else:
+            v = self._other(other)
+            if v is None:
+                return NotImplemented
+            v = self.value - v
+        t = self.table
+        return t[v % self.p] if t is not None else FpElement(v, self.p)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        v = self._other(other)
+        if v is None:
             return NotImplemented
-        return FpElement(o.value - self.value, self.p)
+        return self._make(v - self.value)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(self.value * o.value, self.p)
+        if other.__class__ is FpElement and other.p == self.p:
+            v = self.value * other.value
+        else:
+            v = self._other(other)
+            if v is None:
+                return NotImplemented
+            v *= self.value
+        t = self.table
+        return t[v % self.p] if t is not None else FpElement(v, self.p)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.value == 0:
+        if other.__class__ is FpElement and other.p == self.p:
+            d = other.value
+        else:
+            d = self._other(other)
+            if d is None:
+                return NotImplemented
+            d %= self.p
+        if not d:
             raise ZeroDivisionError("division by zero in GF(p)")
-        return FpElement(self.value * pow(o.value, self.p - 2, self.p), self.p)
+        v = self.value * pow(d, -1, self.p)
+        t = self.table
+        return t[v % self.p] if t is not None else FpElement(v, self.p)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        v = self._other(other)
+        if v is None:
             return NotImplemented
-        return o / self
+        return self._make(v) / self
 
     def __neg__(self):
-        return FpElement(-self.value, self.p)
+        # t[-v] is t[p - v], and t[-0] is t[0]
+        t = self.table
+        return t[-self.value] if t is not None else FpElement(-self.value, self.p)
 
     def __pow__(self, n: int):
         if n < 0:
-            return (self.__pow__(-n)).inverse()
-        return FpElement(pow(self.value, n, self.p), self.p)
+            return self.inverse() ** -n
+        return self._make(pow(self.value, n, self.p))
 
     def inverse(self):
-        return FpElement(1, self.p) / self
+        if not self.value:
+            raise ZeroDivisionError("division by zero in GF(p)")
+        return self._make(pow(self.value, -1, self.p))
 
     def __eq__(self, other):
+        if other.__class__ is FpElement:
+            return self.p == other.p and self.value == other.value
         if isinstance(other, int):
             return self.value == other % self.p
-        if isinstance(other, FpElement):
-            return self.p == other.p and self.value == other.value
         return NotImplemented
 
     def __hash__(self):
@@ -163,21 +207,25 @@ class RationalField:
 
 
 class PrimeField:
-    """GF(p) for prime p."""
+    """GF(p) for prime p; below ``SHARED_BELOW`` it builds its p elements once."""
 
     def __init__(self, p: int):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.characteristic = p
-        self.zero = FpElement(0, p)
-        self.one = FpElement(1, p)
+        if p < SHARED_BELOW:
+            table: list = []
+            table.extend(FpElement(v, p, table) for v in range(p))
+            self.zero, self.one = table[0], table[1]
+        else:
+            self.zero, self.one = FpElement(0, p), FpElement(1, p)
 
     def from_int(self, n: int) -> FpElement:
-        return FpElement(n, self.p)
+        return self.zero._make(n)
 
     def random(self, rng) -> FpElement:
-        return FpElement(rng.randrange(self.p), self.p)
+        return self.zero._make(rng.randrange(self.p))
 
     def pth_root(self, e: FpElement) -> FpElement:
         # Frobenius is the identity on the prime field.

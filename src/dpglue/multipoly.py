@@ -164,4 +164,8 @@ def parse_mpoly(field, variables, text: str) -> MPoly:
     def degree(f):
         return max((sum(exps) for exps in f.terms), default=0)
 
-    return _ExprParser(text, constant, variable, degree, allow_division=False).parse()
+    def coefficients(f):
+        return f.terms.values()
+
+    return _ExprParser(text, constant, variable, degree, coefficients,
+                       allow_division=False).parse()

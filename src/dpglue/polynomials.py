@@ -125,6 +125,14 @@ class Poly:
             return NotImplemented
         if not self.coeffs or not o.coeffs:
             return Poly.zero(self.field)
+        # a constant factor only scales; by 1 the product is the other
+        # factor itself, which is safe as nothing mutates a Poly
+        if len(o.coeffs) == 1:
+            c = o.coeffs[0]
+            return self if c == self.field.one else self.scale(c)
+        if len(self.coeffs) == 1:
+            c = self.coeffs[0]
+            return o if c == self.field.one else o.scale(c)
         out = [self.field.zero] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
@@ -156,9 +164,15 @@ class Poly:
         o = self._coerce(other)
         if o is None or o.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [self.field.zero] * max(0, self.degree - o.degree + 1)
+        if self.degree < o.degree:
+            return Poly.zero(self.field), self
+        lead = o.leading()
+        if not o.degree:
+            one = self.field.one
+            return (self if lead == one else self.scale(one / lead)), Poly.zero(self.field)
+        q = [self.field.zero] * (self.degree - o.degree + 1)
         r = list(self.coeffs)
-        lead, low = o.leading(), o.coeffs[:-1]
+        low = o.coeffs[:-1]
         while len(r) > len(low):
             shift = len(r) - len(o.coeffs)
             factor = r.pop() / lead
@@ -316,6 +330,22 @@ def _split(f: Poly) -> list:
     raise NotImplementedError("factoring only over QQ and GF(p)")
 
 
+def _inverse_mod(a: Poly, f: Poly) -> Poly:
+    """a^-1 mod f for a coprime to f, by one extended Euclidean pass.
+
+    Only the cofactor of a is carried: s_i a = r_i mod f for each
+    remainder r_i, down to a nonzero constant (Modern Computer Algebra, 3.2).
+    """
+    r0, r1 = f, a % f
+    s0, s1 = Poly.zero(f.field), Poly.one(f.field)
+    while r1.degree > 0:
+        q, r = divmod(r0, r1)
+        r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
+    if not r1:
+        raise ZeroDivisionError("not invertible modulo f")
+    return s1.scale(f.field.one / r1.leading())
+
+
 def _power_mod(a: Poly, n: int, f: Poly) -> Poly:
     """a^n mod f by repeated squaring."""
     result = Poly.one(f.field)
@@ -388,8 +418,9 @@ def _split_rational(f: Poly) -> list:
     gives G(Lx)/L^deg G.  F = prod g_i mod the least prime q that keeps
     it square-free; as sum a_i F/g_i = 1 mod q for a_i = (F/g_i)^-1 mod
     g_i, each linear Hensel step adds error * a_i mod g_i to g_i, up to
-    q^k > 2 * 2^n |F|_2 (Mignotte).  Subsets of the lifted g_i, smallest
-    first, are tried by the constant term, then by exact division.
+    q^k > 2 * 2^n |F|_2 (Mignotte); each a_i takes one extended
+    Euclidean pass.  Subsets of the lifted g_i, smallest first, are
+    tried by the constant term, then by exact division.
     """
     from fractions import Fraction
     from functools import reduce
@@ -408,7 +439,7 @@ def _split_rational(f: Poly) -> list:
     gs = _split(image)
     if len(gs) == 1:
         return [f]
-    inverses = [_power_mod(image // g, q**g.degree - 2, g) for g in gs]
+    inverses = [_inverse_mod(image // g, g) for g in gs]
     lifted = [[c.value for c in g.coeffs] for g in gs]
     m, bound = q, 2 ** (n + 1) * (isqrt(sum(c * c for c in F)) + 1)
     while m <= bound:

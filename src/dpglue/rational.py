@@ -12,6 +12,7 @@ scenario files and the CLI.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from dpglue.polynomials import Poly, _is_element
@@ -380,22 +381,41 @@ def _tokenize(text: str):
 # with that many coefficients; GF(2) 1/x^8000 (h1 = 4000) stays inside.
 MAX_DEGREE = 8192
 
+# A power over Q may give numerators and denominators up to 2^MAX_BITS.
+# A constant has degree 0 and passes MAX_DEGREE, so 2^n would otherwise
+# cost time and memory linear in n.  Over GF(p) every coefficient stays
+# below p, and a power takes about log2 n products.
+MAX_BITS = 2**16
+
+
+def _coefficient_bits(coeffs) -> int:
+    """Least k with every numerator and denominator in coeffs at most 2^k.
+
+    Then c^n stays within 2^(k*n) for a constant c.  Coefficients that
+    are not ``Fraction``s (GF(p)) count 0.
+    """
+    return max(((max(abs(c.numerator), c.denominator) - 1).bit_length()
+                for c in coeffs if isinstance(c, Fraction)), default=0)
+
 
 class _ExprParser:
     """Recursive-descent parser over an algebra adapter.
 
-    The adapter provides constant(int), variable(name) and degree(value),
-    and its values support +, -, *, / and integer **.  A power whose
-    degree would exceed ``MAX_DEGREE`` raises ``ValueError`` before it
-    is expanded.
+    The adapter provides constant(int), variable(name), degree(value)
+    and coefficients(value), and its values support +, -, *, / and
+    integer **.  A power whose degree would exceed ``MAX_DEGREE``, or
+    whose numbers would exceed ``MAX_BITS`` by ``_coefficient_bits``,
+    raises ``ValueError`` before it is expanded.
     """
 
-    def __init__(self, text: str, constant, variable, degree, allow_division=True):
+    def __init__(self, text: str, constant, variable, degree, coefficients,
+                 allow_division=True):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.constant = constant
         self.variable = variable
         self.degree = degree
+        self.coefficients = coefficients
         self.allow_division = allow_division
 
     def peek(self):
@@ -453,6 +473,10 @@ class _ExprParser:
             if self.degree(v) * val > MAX_DEGREE:
                 raise ValueError(f"a power of degree {self.degree(v) * val} exceeds "
                                  f"the limit {MAX_DEGREE}")
+            bits = _coefficient_bits(self.coefficients(v)) * val
+            if bits > MAX_BITS:
+                raise ValueError(f"a power with numbers up to 2^{bits} exceeds "
+                                 f"the limit 2^{MAX_BITS}")
             v = v ** (-val if neg else val)
         return v
 
@@ -484,12 +508,13 @@ def parse_rational(field: FunctionField, text: str) -> RationalFunction:
     def degree(f):
         return max(f.num.degree, f.den.degree)
 
-    return _ExprParser(text, field.from_int, variable, degree).parse()
+    def coefficients(f):
+        return f.num.coeffs + f.den.coeffs
+
+    return _ExprParser(text, field.from_int, variable, degree, coefficients).parse()
 
 
 def format_poly(p: Poly, var: str = "x") -> str:
-    from fractions import Fraction
-
     if p.is_zero():
         return "0"
     parts = []

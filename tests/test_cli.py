@@ -328,6 +328,21 @@ def test_power_past_the_degree_limit_exits_two_quickly(tmp_path, capsys):
     assert captured.err.count("\n") == 1 and "exceeds the limit" in captured.err
 
 
+def test_constant_power_past_the_bit_limit_exits_two_quickly(tmp_path, capsys):
+    # 14 characters for a number of ten billion bits
+    scenario = {"name": "x", "characteristic": 0, "glueCase": "D",
+                "blocks": [{"case": "c2", "a": 2}],
+                "derivation": {"a": "2^10000000000", "b": ["1"]}}
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps({"version": "1", "scenarios": [scenario]}))
+    start = time.perf_counter()
+    code = main(["run", str(p)])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "exceeds the limit" in captured.err
+
+
 # With a buffered stdout the tame report outgrows the buffer and fails
 # inside print; the wild one fits and fails when main flushes it.
 @pytest.mark.parametrize("corpus", [TAME, WILD], ids=["tame", "wild"])

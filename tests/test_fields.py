@@ -1,15 +1,16 @@
 """Exact field and rational function arithmetic."""
 
 import fractions
+import operator
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpglue.fields import PRIME_LIMIT, base_field, is_prime
+from dpglue.fields import PRIME_LIMIT, SHARED_BELOW, FpElement, PrimeField, base_field, is_prime
 from dpglue.multipoly import parse_mpoly
 from dpglue.polynomials import Poly
-from dpglue.rational import (MAX_DEGREE, FunctionField, Place, RationalFunction,
+from dpglue.rational import (MAX_BITS, MAX_DEGREE, FunctionField, Place, RationalFunction,
                              format_poly, parse_rational)
 
 from conftest import (CHARACTERISTICS, IRREDUCIBLES, ff, rand_poly, rand_ratfunc,
@@ -24,6 +25,88 @@ def test_prime_field_arithmetic():
     assert (a / b) * b == a
     assert -a == F.from_int(2)
     assert not F.from_int(10)
+
+
+def test_small_prime_field_hands_out_shared_elements():
+    F = base_field(7)
+    assert F.from_int(3) is F.from_int(10) is F.from_int(-4)
+    elements = [F.from_int(v) for v in range(7)]
+    for a in elements:
+        assert -a is F.from_int(-a.value)
+        assert a ** 5 is F.from_int(a.value ** 5)
+        for b in elements:
+            assert a * b is F.from_int(a.value * b.value)
+            assert a + b is F.from_int(a.value + b.value)
+            assert a - b is F.from_int(a.value - b.value)
+            assert a + 3 is 3 + a is F.from_int(a.value + 3)
+            if b:
+                assert a / b is F.from_int(a.value * pow(b.value, -1, 7))
+
+
+def test_poly_arithmetic_over_a_small_field_builds_no_element(rng, monkeypatch):
+    F = base_field(7)
+    pairs = [(rand_poly(rng, F, 6), rand_poly(rng, F, 4, nonzero=True)) for _ in range(50)]
+    built = []
+    init = FpElement.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(FpElement, "__init__", counting)
+    for f, g in pairs:
+        q, r = divmod(f * g + f, g)
+        assert q * g + r == f * g + f
+        f.gcd(g)
+    assert not built
+
+
+LARGE_SHARED = max(filter(is_prime, range(SHARED_BELOW)))
+SMALL_ALLOCATED = next(filter(is_prime, range(SHARED_BELOW, 2 * SHARED_BELOW)))
+
+
+@pytest.mark.parametrize("p", [LARGE_SHARED, SMALL_ALLOCATED, 1000003])
+def test_prime_field_agrees_with_int_arithmetic(rng, p):
+    F = PrimeField(p)
+    assert (F.from_int(3) is F.from_int(3 + p)) == (p < SHARED_BELOW)
+    for _ in range(300):
+        a, b = rng.randrange(-3 * p, 3 * p), rng.randrange(-3 * p, 3 * p)
+        x, y = F.from_int(a), F.from_int(b)
+        for op in (operator.add, operator.sub, operator.mul):
+            assert op(x, y).value == op(x, b).value == op(a, y).value == op(a, b) % p
+        assert (-x).value == -a % p
+        n = rng.randrange(-5, 6)
+        if b % p:
+            inverse = pow(b, -1, p)
+            assert (x / y).value == (x / b).value == (a / y).value == a * inverse % p
+            assert (y ** n).value == pow(b, n, p)
+            assert y.inverse().value == inverse
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+            with pytest.raises(ZeroDivisionError):
+                y.inverse()
+
+
+@pytest.mark.parametrize("p, q", [(5, 7), (1000003, 1000033)])
+def test_mixed_characteristics_raise(p, q):
+    a, b = base_field(p).one, base_field(q).one
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(ValueError, match="mixed characteristics"):
+            op(a, b)
+        with pytest.raises(ValueError, match="mixed characteristics"):
+            op(b, a)
+
+
+@pytest.mark.parametrize("p", [7, 1000003])
+def test_prime_field_equality_and_hash(p):
+    F = base_field(p)
+    a = F.from_int(3)
+    assert a == 3 and a == 3 + p and a == 3 - p and a != 4 and 3 == a
+    assert a == PrimeField(p).from_int(3) and hash(a) == hash(PrimeField(p).from_int(3))
+    assert hash(a) == hash((3, p)) and repr(a) == "3"
+    assert a != base_field(5).from_int(3)
+    assert len({F.from_int(v) for v in range(-10, 10)}) == min(p, 20)
 
 
 def test_rationals_are_exact():
@@ -128,6 +211,25 @@ def test_power_makes_no_product_by_one_and_no_spare_squaring(n, products, monkey
     assert len(calls) == products
 
 
+@pytest.mark.parametrize("p", [0, 2, 1000003])
+def test_product_by_a_constant_only_scales(rng, p):
+    field = base_field(p)
+    for _ in range(40):
+        f = rand_poly(rng, field, 6)
+        g = rand_poly(rng, field, 3, nonzero=True)
+        c = g.leading()
+        const = Poly.const(field, c)
+        assert f * const == const * f == f.scale(c)
+        if f.degree > 0:
+            assert f * Poly.one(field) is f and Poly.one(field) * f is f
+        q, r = divmod(f, const)
+        assert r.is_zero() and q.scale(c) == f
+        longer = g.shift(f.degree + 1)
+        assert divmod(f, longer) == (Poly.zero(field), f)
+        q, r = divmod(f, g)
+        assert q * g + r == f and r.degree < g.degree
+
+
 # -- orders at places --------------------------------------------------
 
 
@@ -204,6 +306,25 @@ def test_powers_past_the_degree_limit_are_refused_before_expanding():
     parse_mpoly(F.base, names, f"u^{MAX_DEGREE}")
     with pytest.raises(ValueError, match="exceeds the limit"):
         parse_mpoly(F.base, names, f"(u*v)^{MAX_DEGREE // 2 + 1}")
+    # a constant has degree 0: over Q its numbers are bounded instead,
+    # at each power of a nested one; over GF(p) they stay below p
+    Q = ff(0)
+    too_big = f"exceeds the limit 2\\^{MAX_BITS}"
+    assert parse_rational(Q, f"2^{MAX_BITS}") == 2 ** MAX_BITS
+    assert parse_rational(Q, f"(2^{MAX_BITS // 4})^-4") == Q.one / 2 ** MAX_BITS
+    assert parse_rational(Q, f"(1/3)^{MAX_BITS // 2}") == Q.one / 3 ** (MAX_BITS // 2)
+    assert parse_rational(Q, f"1^{MAX_BITS + 1}") == 1
+    for text in (f"2^{MAX_BITS + 1}", f"(2^{MAX_BITS // 4})^5", f"(1/3)^{MAX_BITS // 2 + 1}",
+                 f"(x+2^{MAX_BITS // 4})^5", "2^10000000000"):
+        with pytest.raises(ValueError, match=too_big):
+            parse_rational(Q, text)
+    parse_mpoly(Q.base, names, f"2^{MAX_BITS}*u")
+    for text in (f"(2^{MAX_BITS // 4}*u)^5", f"2^{MAX_BITS + 1}"):
+        with pytest.raises(ValueError, match=too_big):
+            parse_mpoly(Q.base, names, text)
+    G = ff(7)
+    assert parse_rational(G, f"3^{MAX_BITS + 1}") == pow(3, MAX_BITS + 1, 7)
+    assert parse_rational(G, "2^10000000000") == pow(2, 10**10, 7)
 
 
 # -- polynomial factorization (used by the tameness scan) --------------

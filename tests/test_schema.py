@@ -175,11 +175,21 @@ def test_walker_refuses_what_it_does_not_implement(schema):
         scenarios._check_schema(schema)
 
 
-def test_import_does_not_load_jsonschema():
-    code = ("import sys, dpglue.cli, dpglue.cohomology, dpglue.glue\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'))")
+def printed_after_import(expr):
+    """What a fresh interpreter prints for expr after importing the CLI's modules."""
+    code = f"import sys, dpglue.cli, dpglue.cohomology, dpglue.glue\nprint({expr})"
     src = os.path.dirname(os.path.dirname(dpglue.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_import_does_not_load_jsonschema():
+    modules = "sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema')"
+    assert printed_after_import(modules) == "[]\n"
+
+
+def test_import_builds_no_prime_field():
+    # GF(p) builds its shared elements on first use, not at import
+    assert printed_after_import("sorted(dpglue.fields._gf_cache)") == "[]\n"
