@@ -21,10 +21,11 @@ on the overlap window W, and
     h0 = nullity(chart 0 cap chart 1),
     h1 = nullity(W) - nullity(chart 0) - nullity(chart 1) + h0.
 
-Forward elimination over W's columns ordered [chart 0 cap chart 1 |
-rest of chart 0 | rest of W] gives three of those ranks as counts of
-pivots in a prefix; one more pass over chart 1's columns gives the
-fourth.  No change of basis and no back-substitution.
+One ``linalg.echelon`` of L's sparse rows, with W's columns ordered
+[chart 0 cap chart 1 | rest of chart 0 | rest of W], gives three of
+those ranks as counts of pivots in a prefix; one more of the same rows
+cut to chart 1's columns gives the fourth.  No dense row, no change of
+basis and no back-substitution.
 """
 
 from __future__ import annotations
@@ -165,13 +166,13 @@ def truncated_section_oracle(data: GenericGlueData, twist: int = 0,
         h1 = dim W - dim(V_0 + V_1)
            = nullity(W) - nullity(chart 0) - nullity(chart 1) + h0.
 
-    Forward elimination from the left puts a pivot in column c exactly
-    when column c is not in the span of the columns before it, so the
-    pivots among the first k columns count the rank of those k columns.
-    With W's columns ordered [both | chart 0 minus both | W minus
-    chart 0], one pass gives rank(both), rank(chart 0) and rank(W) as
-    prefix counts, and one more pass on chart 1's columns gives
-    rank(chart 1).
+    An echelon basis has a pivot in column c exactly when column c is
+    not in the span of the columns before it, so the pivots among the
+    first k columns count the rank of those k columns.  With W's columns
+    ordered [both | chart 0 minus both | W minus chart 0], one
+    ``linalg.echelon`` gives rank(both), rank(chart 0) and rank(W) as
+    prefix counts, and one more of the rows cut to chart 1's columns
+    gives rank(chart 1).
 
     ``bound`` is B: at least the degree of the wild pole divisor plus
     |twist| + 2, by default that degree plus |twist| + 4.
@@ -206,11 +207,13 @@ def truncated_section_oracle(data: GenericGlueData, twist: int = 0,
                   key=lambda col: (not inside(both, col), not inside(chart0, col)))
     size_both = sum(inside(both, col) for col in cols)
     size_0 = sum(inside(chart0, col) for col in cols)
-    chart1_cols = [k for k, col in enumerate(cols) if inside(chart1, col)]
+    chart1_cols = {k for k, col in enumerate(cols) if inside(chart1, col)}
     field = data.field.base
-    rows = _constraint_rows(data, cols, B)
-    pivots = linalg.pivot_columns(field, rows)
-    rank_1 = linalg.rank(field, [[row[k] for k in chart1_cols] for row in rows])
+    rows = _constraint_rows(data, cols)
+    pivots = linalg.echelon(field, rows)
+    # a rank does not depend on the column labels, so chart 1 keeps W's
+    chart1_rows = ({k: c for k, c in row.items() if k in chart1_cols} for row in rows)
+    rank_1 = len(linalg.echelon(field, chart1_rows))
     h0 = size_both - sum(c < size_both for c in pivots)
     dim_0 = size_0 - sum(c < size_0 for c in pivots)
     dim_1 = len(chart1_cols) - rank_1
@@ -218,17 +221,16 @@ def truncated_section_oracle(data: GenericGlueData, twist: int = 0,
     return (h0, dim_w - dim_0 - dim_1 + h0)
 
 
-def _constraint_rows(data: GenericGlueData, cols, B: int):
-    """Coefficient rows of a f' + sum b_i g_i = 0 on Laurent monomials.
+def _constraint_rows(data: GenericGlueData, cols):
+    """Sparse rows {column index: entry} of a f' + sum b_i g_i = 0.
 
-    Column (comp, e) holds the image of x^e in component comp, times
-    Q x^shift with Q the common denominator: the coefficients of Q a,
-    scaled by e and shifted by e - 1 + shift, for f; those of Q b_i,
-    shifted by e + shift, for g_i.  Only the rows that some column
-    touches are built.
+    Column j = (comp, e) holds the image of x^e in component comp,
+    times the common denominator Q: the coefficients of Q a, scaled by
+    e and starting at x^(e-1), for f; those of Q b_i, starting at x^e,
+    for g_i.  There is one row per power of x that some column reaches,
+    and it holds that column's nonzero entries only.
     """
     field = data.field.base
-    shift = 2 * B + 4
     Q = data.a.den
     for bi in data.b:
         Q = Q * bi.den
@@ -238,22 +240,12 @@ def _constraint_rows(data: GenericGlueData, cols, B: int):
         val = h * q
         if val.den.degree:
             raise AssertionError("denominator failed to clear")
-        cleared.append(val.num.coeffs)
+        cleared.append([(k, c) for k, c in enumerate(val.num.coeffs) if c])
 
-    entries = []
-    for comp, e in cols:
-        expo = e - 1 if comp == 0 else e
-        if expo + shift < 0:
-            raise AssertionError("shift too small for Laurent clearing")
-        coeffs = cleared[comp]
-        if comp == 0:
-            scale = field.from_int(e)
-            coeffs = [scale * c for c in coeffs] if scale else []
-        entries.append([(k, c) for k, c in enumerate(coeffs, start=expo + shift) if c])
-    touched = sorted({k for column in entries for k, _ in column})
-    position = {k: i for i, k in enumerate(touched)}
-    rows = [[field.zero] * len(cols) for _ in touched]
-    for j, column in enumerate(entries):
-        for k, c in column:
-            rows[position[k]][j] = c
-    return rows
+    rows = {}
+    for j, (comp, e) in enumerate(cols):
+        scale, start = (field.from_int(e), e - 1) if comp == 0 else (field.one, e)
+        if scale:
+            for k, c in cleared[comp]:
+                rows.setdefault(start + k, {})[j] = scale * c
+    return list(rows.values())

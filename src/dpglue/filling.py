@@ -331,9 +331,8 @@ def trace_shape_detect(result: FillingResult, ring: ConductorRing) -> bool:
                 return False
     m_mat = [[v[c] for c in cols] for v in m_parent]
     total = len(cols)
-    if linalg.rank(field, m_mat) != total - 1:
-        return False
-    # the annihilated functional; m_D = 0 (one branch) leaves the whole line
+    # the annihilated functional, which must be unique up to scale (rank
+    # total - 1); m_D = 0 (one branch) leaves the whole line
     psi = linalg.nullspace(field, m_mat) if m_mat else linalg.identity(field, total)
     if len(psi) != 1:
         return False

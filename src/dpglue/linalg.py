@@ -1,15 +1,16 @@
-"""Exact dense linear algebra over any of the package's fields.
+"""Exact linear algebra over any of the package's fields.
 
-Matrices are plain lists of rows.  Everything is fraction-free-agnostic:
-we just divide, which is fine because all coefficient fields here are
-exact.  Dimensions stay small (<= ~100), so Gaussian elimination is the
-only algorithm needed, in two forms.  ``rref`` (Gauss-Jordan) gives the
-reduced matrix that ``nullspace`` and ``solve_many`` read;
-``pivot_columns`` eliminates forward only, which is all that ``rank``
-needs, and its pivots also give the rank of every prefix of the
-columns.  Both row updates skip the zero entries of the pivot row: the
-matrices here are sparse, and over k(x) every entry rewritten costs
-polynomial arithmetic.
+Matrices are plain lists of rows, and every field here is exact, so
+elimination just divides.  There is one elimination, ``echelon``: it
+takes sparse rows {column: nonzero entry}, reduces each row by the
+pivot rows before it at its leading column and never touches a zero
+entry, which matters because the matrices here are mostly zero and over
+k(x) every entry rewritten costs polynomial arithmetic.  Its pivots are
+those of the reduced row echelon form, so they also give the rank of
+every prefix of the columns.  ``rref`` is ``echelon`` plus
+back-substitution, on dense rows, and ``rank``, ``nullspace``,
+``solve_many``, ``solve``, ``in_span`` and ``row_space_basis`` read one
+of the two.
 """
 
 from __future__ import annotations
@@ -60,79 +61,76 @@ def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
+def echelon(field, rows) -> dict:
+    """Echelon basis of the span of sparse rows, as {pivot column: row}.
+
+    A row is a dict {column: nonzero entry}.  Each row is reduced by the
+    pivot rows found before it, always at its leading (least) column,
+    until that column has no pivot row yet; it is then kept, unscaled,
+    as the pivot row of that column.  A row reduced to nothing is
+    dropped.  Column c gets a pivot exactly when the rank of the columns
+    <= c exceeds the rank of the columns < c, so the pivot set does not
+    depend on the order of the rows, and the pivots below k count the
+    rank of the first k columns.
+    """
+    basis = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            lead = min(row)
+            pivot = basis.get(lead)
+            if pivot is None:
+                basis[lead] = row
+                break
+            _add_multiple(row, -row[lead] / pivot[lead], pivot)
+    return basis
+
+
+def _add_multiple(row, f, other):
+    """row += f * other, keeping only the entries that stay nonzero."""
+    for c, y in other.items():
+        if c in row:
+            v = row[c] + f * y
+            if v:
+                row[c] = v
+            else:
+                del row[c]
+        else:
+            row[c] = f * y
+
+
+def _sparse(mat):
+    return [{j: x for j, x in enumerate(row) if x} for row in mat]
+
+
 def rref(field, mat):
     """Reduced row echelon form; returns (matrix, pivot column list).
 
-    A row is updated only on the pivot row's nonzero entries.
+    ``echelon``, then back-substitution from the highest pivot down:
+    each pivot row is scaled to 1 at its pivot and cleared at every
+    later pivot column by the row already reduced there.  The zero rows
+    come last.
     """
-    m = [list(row) for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        for pivot_row in range(r, rows):
-            if m[pivot_row][c]:
-                break
-        else:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = field.one / m[r][c]
-        pivot = m[r] = [inv * y if y else y for y in m[r]]
-        support = [j for j, y in enumerate(pivot) if y]
-        for i in range(rows):
-            row = m[i]
-            f = row[c]
-            if i != r and f:
-                for j in support:
-                    row[j] = row[j] - f * pivot[j]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
-
-
-def pivot_columns(field, mat) -> list:
-    """Pivot columns of mat by forward elimination alone.
-
-    Columns are taken left to right, and a pivot clears only the rows
-    below it; the pivot row is not scaled and no entry above a pivot is
-    touched.  Column c gets a pivot exactly when it is not in the span
-    of the columns before it, so the pivots among the first k columns
-    count the rank of those k columns.
-    """
-    m = [list(row) for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        for pivot_row in range(r, rows):
-            if m[pivot_row][c]:
-                break
-        else:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pivot = m[r]
-        inv = field.one / pivot[c]
-        support = [j for j in range(c + 1, cols) if pivot[j]]
-        # column c is never read again, so its entries below r stay as they are
-        for i in range(r + 1, rows):
-            row = m[i]
-            if row[c]:
-                f = row[c] * inv
-                for j in support:
-                    row[j] = row[j] - f * pivot[j]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return pivots
+    cols = len(mat[0]) if mat else 0
+    basis = echelon(field, _sparse(mat))
+    pivots = sorted(basis)
+    reduced = {}
+    for p in reversed(pivots):
+        row = basis[p]
+        inv = field.one / row[p]
+        row = {c: inv * y for c, y in row.items()}
+        for q in [c for c in row if c in reduced]:
+            _add_multiple(row, -row[q], reduced[q])
+        reduced[p] = row
+    out = [[field.zero] * cols for _ in mat]
+    for dense, p in zip(out, pivots):
+        for c, y in reduced[p].items():
+            dense[c] = y
+    return out, pivots
 
 
 def rank(field, mat) -> int:
-    return len(pivot_columns(field, mat))
+    return len(echelon(field, _sparse(mat)))
 
 
 def nullspace(field, mat):
@@ -195,8 +193,6 @@ def in_span(field, basis, vectors) -> list:
 
 def row_space_basis(field, vectors):
     """Echelonized basis of the span of the given vectors."""
-    if not vectors:
-        return []
     red, pivots = rref(field, vectors)
-    return [red[i] for i in range(len(pivots))]
+    return red[:len(pivots)]
 

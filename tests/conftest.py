@@ -57,6 +57,29 @@ def ff(p):
     return FunctionField(base_field(p))
 
 
+def dense_rref(field, mat):
+    """Reference Gauss-Jordan: rewrite every entry of every row the pivot row clears."""
+    m = [list(row) for row in mat]
+    rows, cols = len(m), len(m[0]) if m else 0
+    pivots, r = [], 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = field.one / m[r][c]
+        m[r] = [inv * x for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
 def swinnerton_dyer(primes) -> str:
     """prod (x ± √p_1 ± ... ± √p_k) over Q, as text.
 

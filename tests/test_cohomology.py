@@ -1,8 +1,8 @@
 """Euler characteristics and the truncated section oracle."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dpglue import linalg
 from dpglue.cohomology import (LineSheafSum, chi_OX, d_plus_structure,
                                delta_P_wild, global_gorenstein, h1_OX,
                                line_sheaf_chi, total_pole_order,
@@ -10,7 +10,7 @@ from dpglue.cohomology import (LineSheafSum, chi_OX, d_plus_structure,
 from dpglue.glue import glue_data
 from dpglue.rational import RationalFunction
 
-from conftest import IRREDUCIBLES
+from conftest import IRREDUCIBLES, dense_rref
 
 # (p, a, N) with b = (1): one wild place of degree 2 or 3 with n_P in
 # {1, 2}, and one degree-1 + degree-2 datum; N = sum deg P * n_P.
@@ -195,10 +195,10 @@ def test_oracle_negative_twists_match_sheaf_values():
             assert truncated_section_oracle(data, twist=n) == (0, h1)
 
 
-def four_rank_oracle(data, twist):
+def four_rank_oracle(data, twist, bound=None):
     """Reference: the dense constraint matrix on W, one rref per column slice."""
     field, r, n = data.field.base, data.r, twist
-    B = total_pole_order(data) + abs(twist) + 4
+    B = total_pole_order(data) + abs(twist) + 4 if bound is None else bound
     chart0 = [(0, B)] * (r + 1)
     chart1 = [(n - B, n)] + [(n - 1 - B, n - 1)] * r
     overlap = [(n - B, B)] + [(n - 1 - B, B)] * r
@@ -223,8 +223,8 @@ def four_rank_oracle(data, twist):
     for window in (overlap, chart0, chart1, both):
         s = [k for k, (comp, e) in enumerate(cols)
              if window[comp][0] <= e <= window[comp][1]]
-        nullity.append(len(s) - len(linalg.rref(field, [[row[k] for k in s]
-                                                         for row in rows])[1]))
+        nullity.append(len(s) - len(dense_rref(field, [[row[k] for k in s]
+                                                       for row in rows])[1]))
     dim_w, dim_0, dim_1, h0 = nullity
     return (h0, dim_w - dim_0 - dim_1 + h0)
 
@@ -240,3 +240,34 @@ def test_prefix_ranks_match_four_eliminations(p, a, b, twists):
     data = glue_data(p, a, b)
     for n in twists:
         assert truncated_section_oracle(data, twist=n) == four_rank_oracle(data, n)
+
+
+@st.composite
+def oracle_data(draw):
+    """(datum, twist, bound): poles at places of degree 1-3, wild or tame."""
+    p = draw(st.sampled_from([0, 2, 3, 5, 7]))
+    places = [f for by_degree in IRREDUCIBLES[p] for f in by_degree]
+    chosen = draw(st.lists(st.sampled_from(places), max_size=2, unique=True))
+    tame = st.integers(1, 3)
+    order = st.one_of(st.integers(1, 2).map(lambda n: n * p), tame) if p else tame
+    den = "*".join(f"({f})^{draw(order)}" for f in chosen) or "1"
+    unit = st.integers(1, p - 1 if p else 3).map(str)
+    b = draw(st.lists(unit, min_size=1, max_size=4))
+    data = glue_data(p, f"{draw(unit)}/({den})", b)
+    twist = draw(st.integers(-3, 3))
+    bound = total_pole_order(data) + abs(twist) + 4 + draw(st.sampled_from([0, p]))
+    return data, twist, bound
+
+
+@given(oracle_data())
+@settings(max_examples=80)
+def test_prefix_ranks_match_four_eliminations_on_drawn_data(case):
+    data, twist, bound = case
+    assert truncated_section_oracle(data, twist, bound) == \
+        four_rank_oracle(data, twist, bound)
+
+
+@pytest.mark.parametrize("p, a", [(2, "1/x^1280"), (5, "1/(x^2+2)^200")])
+def test_oracle_at_large_h1(p, a):
+    data = glue_data(p, a, ["1"])
+    assert truncated_section_oracle(data) == (1, h1_OX(data))

@@ -7,6 +7,8 @@ from dpglue.fields import base_field
 from dpglue.polynomials import Poly
 from dpglue.rational import FunctionField, RationalFunction
 
+from conftest import dense_rref
+
 
 @st.composite
 def systems(draw):
@@ -58,30 +60,7 @@ def test_in_span_of_nothing_is_only_zero():
     assert linalg.in_span(Q, [], [[Q.zero, Q.zero], [Q.zero, Q.one]]) == [True, False]
 
 
-# -- sparse row update against a dense reference -------------------------
-
-
-def dense_rref(field, mat):
-    """Reference: rewrite every entry of every row the pivot row clears."""
-    m = [list(row) for row in mat]
-    rows, cols = len(m), len(m[0]) if m else 0
-    pivots, r = [], 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = field.one / m[r][c]
-        m[r] = [inv * x for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+# -- sparse elimination against a dense reference ------------------------
 
 
 @st.composite
@@ -114,10 +93,34 @@ def test_rref_matches_dense_reference(case):
     assert linalg.rref(field, mat) == dense_rref(field, mat)
 
 
+def sparse(mat):
+    return [{j: x for j, x in enumerate(row) if x} for row in mat]
+
+
 @given(sparse_matrices())
 @settings(max_examples=150)
 def test_forward_elimination_finds_the_rref_pivots(case):
     field, mat = case
-    pivots = linalg.pivot_columns(field, mat)
-    assert pivots == dense_rref(field, mat)[1]
+    pivots = linalg.echelon(field, sparse(mat))
+    assert sorted(pivots) == dense_rref(field, mat)[1]
     assert linalg.rank(field, mat) == len(pivots)
+
+
+@given(sparse_matrices())
+@settings(max_examples=100)
+def test_echelon_pivots_count_the_rank_of_every_prefix(case):
+    field, mat = case
+    pivots = linalg.echelon(field, sparse(mat))
+    for k in range(len(mat[0]) + 1):
+        prefix = [row[:k] for row in mat]
+        assert sum(c < k for c in pivots) == len(dense_rref(field, prefix)[1])
+
+
+@given(sparse_matrices(), st.data())
+@settings(max_examples=100)
+def test_echelon_pivots_do_not_depend_on_row_order(case, data):
+    field, mat = case
+    rows = sparse(mat)
+    shuffled = data.draw(st.permutations(rows))
+    assert set(linalg.echelon(field, shuffled)) == set(linalg.echelon(field, rows))
+    assert rows == sparse(mat)  # the input rows are left as they were
