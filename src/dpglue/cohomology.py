@@ -21,11 +21,14 @@ on the overlap window W, and
     h0 = nullity(chart 0 cap chart 1),
     h1 = nullity(W) - nullity(chart 0) - nullity(chart 1) + h0.
 
-One ``linalg.echelon`` of L's sparse rows, with W's columns ordered
-[chart 0 cap chart 1 | rest of chart 0 | rest of W], gives three of
-those ranks as counts of pivots in a prefix; one more of the same rows
-cut to chart 1's columns gives the fourth.  No dense row, no change of
-basis and no back-substitution.
+Every window is an interval of exponents per component, so W's columns
+ordered [chart 0 cap chart 1 | rest of chart 0 | rest of W] are one run
+of exponents per component and block, laid out from the window ends.
+One ``linalg.echelon`` of L's sparse rows gives three of those ranks as
+counts of pivots in a prefix; one more of the same rows cut to chart
+1's columns gives the fourth.  The rows come from the numerators of a
+and b_i times their common denominator, each cleared by one exact
+division.  No dense row, no change of basis and no back-substitution.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import NamedTuple
 
 from dpglue import linalg
 from dpglue.glue import GenericGlueData, wild_cusp_ring
-from dpglue.rational import Place, RationalFunction
+from dpglue.rational import Place
 
 
 @dataclass(frozen=True)
@@ -172,7 +175,10 @@ def truncated_section_oracle(data: GenericGlueData, twist: int = 0,
     ordered [both | chart 0 minus both | W minus chart 0], one
     ``linalg.echelon`` gives rank(both), rank(chart 0) and rank(W) as
     prefix counts, and one more of the rows cut to chart 1's columns
-    gives rank(chart 1).
+    gives rank(chart 1).  With top the end of chart 1's window, each
+    block is one run of exponents per component: both = [0, top],
+    chart 0 minus both = [max(0, top + 1), B] and W minus chart 0 =
+    [top - B, -1], of which chart 1 keeps the exponents up to top.
 
     ``bound`` is B: at least the degree of the wild pole divisor plus
     |twist| + 2, by default that degree plus |twist| + 4.
@@ -183,69 +189,71 @@ def truncated_section_oracle(data: GenericGlueData, twist: int = 0,
         bound = poles + abs(twist) + 4
     if bound < minimum:
         raise ValueError(f"bound {bound} too small; need >= {minimum}")
-    n = twist
-    B = bound
-    r = data.r
+    n, B = twist, bound
+    # chart 1's top exponent per component, f then g_1..g_r; every
+    # component's overlap window is [top - B, B], chart 0's is [0, B]
+    tops = [n] + [n - 1] * data.r
+    if n > B:
+        raise AssertionError("chart window escapes the overlap window")
 
-    # exponent windows (lo, hi) per component: f then g_1..g_r
-    chart0 = [(0, B)] * (r + 1)
-    chart1 = [(n - B, n)] + [(n - 1 - B, n - 1)] * r
-    overlap = [(n - B, B)] + [(n - 1 - B, B)] * r
-    both = [(max(lo0, lo1), min(hi0, hi1))
-            for (lo0, hi0), (lo1, hi1) in zip(chart0, chart1)]
-    for (lo, hi), (lo0, hi0), (lo1, hi1) in zip(overlap, chart0, chart1):
-        if not (lo <= lo0 and hi0 <= hi and lo <= lo1 and hi1 <= hi):
-            raise AssertionError("chart window escapes the overlap window")
-
-    def inside(window, col):
-        lo, hi = window[col[0]]
-        return lo <= col[1] <= hi
-
-    # W's columns ordered [both | chart 0 minus both | W minus chart 0]
-    cols = sorted(((comp, e) for comp, (lo, hi) in enumerate(overlap)
-                   for e in range(lo, hi + 1)),
-                  key=lambda col: (not inside(both, col), not inside(chart0, col)))
-    size_both = sum(inside(both, col) for col in cols)
-    size_0 = sum(inside(chart0, col) for col in cols)
-    chart1_cols = {k for k, col in enumerate(cols) if inside(chart1, col)}
+    # W's columns ordered [both | chart 0 minus both | W minus chart 0],
+    # each block one run (comp, lo, hi, first column) per component
+    runs, ends, size = [], [], 0
+    for block in ([(0, top) for top in tops],
+                  [(max(0, top + 1), B) for top in tops],
+                  [(top - B, -1) for top in tops]):
+        for comp, (lo, hi) in enumerate(block):
+            if lo <= hi:
+                runs.append((comp, lo, hi, size))
+                size += hi - lo + 1
+        ends.append(size)
+    size_both, size_0, _ = ends
+    # chart 1 is "both" plus, in the third block, the exponents up to its top
+    in_chart1 = [e <= tops[comp] for comp, lo, hi, _ in runs for e in range(lo, hi + 1)]
     field = data.field.base
-    rows = _constraint_rows(data, cols)
+    rows = _constraint_rows(data, runs)
     pivots = linalg.echelon(field, rows)
     # a rank does not depend on the column labels, so chart 1 keeps W's
-    chart1_rows = ({k: c for k, c in row.items() if k in chart1_cols} for row in rows)
+    chart1_rows = ({k: c for k, c in row.items() if in_chart1[k]} for row in rows)
     rank_1 = len(linalg.echelon(field, chart1_rows))
     h0 = size_both - sum(c < size_both for c in pivots)
     dim_0 = size_0 - sum(c < size_0 for c in pivots)
-    dim_1 = len(chart1_cols) - rank_1
-    dim_w = len(cols) - len(pivots)
+    dim_1 = sum(in_chart1) - rank_1
+    dim_w = size - len(pivots)
     return (h0, dim_w - dim_0 - dim_1 + h0)
 
 
-def _constraint_rows(data: GenericGlueData, cols):
+def _constraint_rows(data: GenericGlueData, runs):
     """Sparse rows {column index: entry} of a f' + sum b_i g_i = 0.
 
-    Column j = (comp, e) holds the image of x^e in component comp,
-    times the common denominator Q: the coefficients of Q a, scaled by
-    e and starting at x^(e-1), for f; those of Q b_i, starting at x^e,
-    for g_i.  There is one row per power of x that some column reaches,
-    and it holds that column's nonzero entries only.
+    A run (comp, lo, hi, first) puts x^lo..x^hi of component comp in
+    columns first, first + 1, ...; each column holds the image of its
+    monomial times the common denominator Q.  Each h in a, b_i is
+    cleared exactly as h.num * (Q // h.den).  For f, the column of x^e
+    holds e times the terms of Q a, starting at x^(e-1), and is empty
+    when e is 0 in the field; for g_i it holds the terms of Q b_i,
+    starting at x^e.  There is one row per power of x that some column
+    reaches, and it holds that column's nonzero entries only.
     """
     field = data.field.base
     Q = data.a.den
     for bi in data.b:
         Q = Q * bi.den
-    q = RationalFunction.from_poly(Q)
     cleared = []
     for h in (data.a,) + data.b:
-        val = h * q
-        if val.den.degree:
+        quotient, remainder = divmod(Q, h.den)
+        if remainder:
             raise AssertionError("denominator failed to clear")
-        cleared.append([(k, c) for k, c in enumerate(val.num.coeffs) if c])
+        cleared.append([(k, c) for k, c in enumerate((h.num * quotient).coeffs) if c])
 
     rows = {}
-    for j, (comp, e) in enumerate(cols):
-        scale, start = (field.from_int(e), e - 1) if comp == 0 else (field.one, e)
-        if scale:
-            for k, c in cleared[comp]:
-                rows.setdefault(start + k, {})[j] = scale * c
+    for comp, lo, hi, first in runs:
+        terms = cleared[comp]
+        for j, e in enumerate(range(lo, hi + 1), first):
+            if comp:
+                for k, c in terms:
+                    rows.setdefault(e + k, {})[j] = c
+            elif scale := field.from_int(e):
+                for k, c in terms:
+                    rows.setdefault(e - 1 + k, {})[j] = scale * c
     return list(rows.values())

@@ -11,6 +11,7 @@ scenario files and the CLI.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -345,33 +346,26 @@ class FunctionField:
 # -- string grammar ---------------------------------------------------
 
 
+# A token is a run of decimal digits, a word, an operator, or any other
+# non-space character, which is an error; so is a word that does not start
+# with a letter or "_", such as one that starts with "²".
+_TOKEN = re.compile(r"\d+|\w+|[-+*/^()]|\S")
+_OPERATORS = {ch: (ch, ch) for ch in "+-*/^()"}
+
+
 def _tokenize(text: str):
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j])))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-            continue
-        if ch in "+-*/^()":
-            tokens.append((ch, ch))
-            i += 1
-            continue
-        raise ValueError(f"unexpected character {ch!r} at position {i}")
+    for tok in _TOKEN.findall(text):
+        if op := _OPERATORS.get(tok):
+            tokens.append(op)
+        elif tok[0].isdecimal():
+            tokens.append(("int", int(tok)))
+        elif tok[0].isalpha() or tok[0] == "_":
+            tokens.append(("name", tok))
+        else:
+            # each match before this one made one token
+            position = list(_TOKEN.finditer(text))[len(tokens)].start()
+            raise ValueError(f"unexpected character {tok[0]!r} at position {position}")
     tokens.append(("end", None))
     return tokens
 

@@ -1,11 +1,14 @@
 """Canonical form of k(x): every operator agrees with normalising the raw result."""
 
+import string
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpglue.fields import base_field
 from dpglue.polynomials import Poly
-from dpglue.rational import FunctionField, RationalFunction, parse_rational
+from dpglue.rational import (FunctionField, RationalFunction, _tokenize,
+                             parse_rational)
 
 
 def polys(field, max_deg=3, nonzero=False):
@@ -150,3 +153,52 @@ def test_the_variable_is_x():
     assert parse_rational(field, "x^2/(x + 1)") == field.x ** 2 / (field.x + field.one)
     with pytest.raises(ValueError, match="unknown variable 'y'; expected 'x'"):
         parse_rational(field, "y + 1")
+
+
+def character_loop_tokenize(text):
+    """The character loop that the one-pattern ``_tokenize`` replaced."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(("int", int(text[i:j])))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("name", text[i:j]))
+            i = j
+            continue
+        if ch in "+-*/^()":
+            tokens.append((ch, ch))
+            i += 1
+            continue
+        raise ValueError(f"unexpected character {ch!r} at position {i}")
+    tokens.append(("end", None))
+    return tokens
+
+
+# "²" is a digit that int() refuses, "٣" one that it reads, "é" a letter
+@given(st.text(alphabet=string.digits + string.ascii_letters + "_ \t+-*/^()²٣é"))
+@settings(max_examples=300)
+def test_tokenize_matches_the_character_loop(text):
+    try:
+        want = character_loop_tokenize(text)
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
+            _tokenize(text)
+        # the loop let int() refuse a digit such as "²"; its own message
+        # names the character and its position, and so must the pattern's
+        if str(error).startswith("unexpected character"):
+            assert str(raised.value) == str(error)
+        return
+    assert _tokenize(text) == want
