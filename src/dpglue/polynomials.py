@@ -25,17 +25,58 @@ def _is_element(v) -> bool:
     return isinstance(v, (Fraction, FpElement)) or type(v).__name__ == "RationalFunction"
 
 
+def _cut(cs: list) -> list:
+    """cs with its trailing zeros cut off, in place."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _reduce(r: list, b: list, inv, q=None) -> list:
+    """The remainder of r modulo b, computed in place in r.
+
+    inv is the inverse of b's leading coefficient, so each step of the
+    division multiplies by it and divides nothing (Knuth, TAOCP 2,
+    4.6.1).  The quotient's coefficients go into q, if given.
+    """
+    n = len(b) - 1
+    low = b[:n]
+    for k in range(len(r) - 1 - n, -1, -1):
+        c = r[k + n]
+        if c:
+            c = c * inv
+            if q is not None:
+                q[k] = c
+            for j, y in enumerate(low, k):
+                r[j] = r[j] - c * y
+    del r[n:]
+    return _cut(r)
+
+
 class Poly:
+    """A polynomial with its coefficients low degree first.
+
+    ``coeffs`` has no trailing zero, the zero polynomial has ``[]``, and
+    no code mutates it after construction.  ``__init__`` copies and
+    cuts any list; the operators build each result once, by
+    ``_trusted``, where its leading coefficient is known to be nonzero.
+    """
+
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
         self.field = field
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = cs
+        self.coeffs = _cut(list(coeffs))
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, field, coeffs: list) -> "Poly":
+        """Trusted constructor: coeffs has no trailing zero, and nothing mutates it."""
+        p = object.__new__(cls)
+        p.field = field
+        p.coeffs = coeffs
+        return p
 
     @classmethod
     def zero(cls, field) -> "Poly":
@@ -84,6 +125,9 @@ class Poly:
         return bool(self.coeffs) and self.leading() == self.field.one
 
     # -- arithmetic ---------------------------------------------------
+    # A sum of unequal lengths, a product, a negation and a quotient keep
+    # a nonzero leading coefficient; only equal-length sums and
+    # differences and remainders are cut.
 
     def _coerce(self, other):
         if isinstance(other, Poly):
@@ -95,20 +139,32 @@ class Poly:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly(self.field, [self[i] + o[i] for i in range(n)])
+        if other.__class__ is not Poly:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = [x + y for x, y in zip(a, b)]
+        if len(a) > len(b):
+            return Poly._trusted(self.field, out + a[len(b):])
+        return Poly._trusted(self.field, _cut(out))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly(self.field, [self[i] - o[i] for i in range(n)])
+        if other.__class__ is not Poly:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        out = [x - y for x, y in zip(a, b)]
+        if len(a) > len(b):
+            return Poly._trusted(self.field, out + a[len(b):])
+        if len(a) < len(b):
+            return Poly._trusted(self.field, out + [-y for y in b[len(a):]])
+        return Poly._trusted(self.field, _cut(out))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -117,34 +173,37 @@ class Poly:
         return o - self
 
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
+        return Poly._trusted(self.field, [-c for c in self.coeffs])
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not self.coeffs or not o.coeffs:
-            return Poly.zero(self.field)
+        if other.__class__ is not Poly:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return Poly._trusted(self.field, [])
         # a constant factor only scales; by 1 the product is the other
         # factor itself, which is safe as nothing mutates a Poly
-        if len(o.coeffs) == 1:
-            c = o.coeffs[0]
+        if len(b) == 1:
+            c = b[0]
             return self if c == self.field.one else self.scale(c)
-        if len(self.coeffs) == 1:
-            c = self.coeffs[0]
-            return o if c == self.field.one else o.scale(c)
-        out = [self.field.zero] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
+        if len(a) == 1:
+            c = a[0]
+            return other if c == self.field.one else other.scale(c)
+        out = [self.field.zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] = out[j] + x * y
+        return Poly._trusted(self.field, out)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
-        return Poly(self.field, [c * a for a in self.coeffs])
+        if not c:
+            return Poly._trusted(self.field, [])
+        return Poly._trusted(self.field, [c * a for a in self.coeffs])
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -161,27 +220,20 @@ class Poly:
         return result
 
     def __divmod__(self, other):
-        o = self._coerce(other)
-        if o is None or o.is_zero():
+        if other.__class__ is not Poly:
+            other = self._coerce(other)
+        if other is None or not other.coeffs:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < o.degree:
-            return Poly.zero(self.field), self
-        lead = o.leading()
-        if not o.degree:
-            one = self.field.one
-            return (self if lead == one else self.scale(one / lead)), Poly.zero(self.field)
-        q = [self.field.zero] * (self.degree - o.degree + 1)
-        r = list(self.coeffs)
-        low = o.coeffs[:-1]
-        while len(r) > len(low):
-            shift = len(r) - len(o.coeffs)
-            factor = r.pop() / lead
-            q[shift] = factor
-            for i, c in enumerate(low):
-                r[shift + i] = r[shift + i] - factor * c
-            while r and not r[-1]:
-                r.pop()
-        return Poly(self.field, q), Poly(self.field, r)
+        a, b = self.coeffs, other.coeffs
+        field = self.field
+        if len(a) < len(b):
+            return Poly._trusted(field, []), self
+        inv = field.one / b[-1]
+        if len(b) == 1:
+            return (self if inv == field.one else self.scale(inv)), Poly._trusted(field, [])
+        q = [field.zero] * (len(a) - len(b) + 1)
+        r = _reduce(list(a), b, inv, q)
+        return Poly._trusted(field, q), Poly._trusted(field, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -190,12 +242,11 @@ class Poly:
         return divmod(self, other)[1]
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.degree == o.degree and all(
-            a == b for a, b in zip(self.coeffs, o.coeffs)
-        )
+        if other.__class__ is not Poly:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.degree, tuple(str(c) for c in self.coeffs)))
@@ -215,16 +266,18 @@ class Poly:
         return acc
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        if not self.coeffs or self.coeffs[-1] == self.field.one:
             return self
-        lead = self.leading()
-        return Poly(self.field, [c / lead for c in self.coeffs])
+        inv = self.field.one / self.coeffs[-1]
+        return Poly._trusted(self.field, [c * inv for c in self.coeffs])
 
     def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        """The monic gcd; Euclid's algorithm on remainders alone."""
+        one = self.field.one
+        a, b = self.coeffs, other.coeffs
+        while b:
+            a, b = b, _reduce(list(a), b, one / b[-1])
+        return Poly._trusted(self.field, a).monic()
 
     def valuation(self, p: "Poly") -> int:
         """Multiplicity of the irreducible factor p; self must be nonzero."""

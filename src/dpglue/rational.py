@@ -130,18 +130,20 @@ class RationalFunction:
         return RationalFunction._reduced(self.field, t, b * den * g)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._add(o.num, o.den)
+        if other.__class__ is not RationalFunction:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._add(other.num, other.den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._add(-o.num, o.den)
+        if other.__class__ is not RationalFunction:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._add(-other.num, other.den)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -155,31 +157,32 @@ class RationalFunction:
     def _mul(self, num: Poly, den: Poly) -> "RationalFunction":
         """self * num/den for a reduced num/den with monic den."""
         a, b = self.num, self.den
-        if not a or not num:
+        if not a.coeffs or not num.coeffs:
             return RationalFunction._reduced(self.field, Poly.zero(self.field),
                                              Poly.one(self.field))
         # a side equal to 1/1 leaves the other as it is (dens are monic)
         one = self.field.one
-        if den.degree == 0 and num.degree == 0 and num.coeffs[0] == one:
+        if len(den.coeffs) == 1 and len(num.coeffs) == 1 and num.coeffs[0] == one:
             return self
-        if b.degree == 0 and a.degree == 0 and a.coeffs[0] == one:
+        if len(b.coeffs) == 1 and len(a.coeffs) == 1 and a.coeffs[0] == one:
             return RationalFunction._reduced(self.field, num, den)
         # gcd(a, b) = gcd(num, den) = 1, so only the cross gcds can cancel
-        if a.degree >= 1 and den.degree >= 1:
+        if len(a.coeffs) > 1 and len(den.coeffs) > 1:
             g = a.gcd(den)
-            if g.degree >= 1:
+            if len(g.coeffs) > 1:
                 a, den = a // g, den // g
-        if num.degree >= 1 and b.degree >= 1:
+        if len(num.coeffs) > 1 and len(b.coeffs) > 1:
             g = num.gcd(b)
-            if g.degree >= 1:
+            if len(g.coeffs) > 1:
                 num, b = num // g, b // g
         return RationalFunction._reduced(self.field, a * num, b * den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._mul(o.num, o.den)
+        if other.__class__ is not RationalFunction:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._mul(other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -194,10 +197,11 @@ class RationalFunction:
         return self.den.scale(inv), self.num.scale(inv)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._mul(*o._inverse_parts())
+        if other.__class__ is not RationalFunction:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._mul(*other._inverse_parts())
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -215,10 +219,11 @@ class RationalFunction:
         return RationalFunction._reduced(self.field, num**n, den**n)
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
+        if other.__class__ is not RationalFunction:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((hash(self.num), hash(self.den)))
@@ -399,7 +404,15 @@ class _ExprParser:
     and coefficients(value), and its values support +, -, *, / and
     integer **.  A power whose degree would exceed ``MAX_DEGREE``, or
     whose numbers would exceed ``MAX_BITS`` by ``_coefficient_bits``,
-    raises ``ValueError`` before it is expanded.
+    raises ``ValueError`` before it is expanded.  The grammar, over the
+    token list that ``pos`` indexes:
+
+        expr   := ["+" | "-"] term (("+" | "-") term)*
+        term   := factor (("*" | "/") factor)*
+        factor := "-"* (int | name | "(" expr ")") ["^" ["-"] int]
+
+    The minus signs of a factor apply before its power, so 2*-x^2 is
+    2*x^2, while a leading minus of an expr negates its whole first term.
     """
 
     def __init__(self, text: str, constant, variable, degree, coefficients,
@@ -412,83 +425,80 @@ class _ExprParser:
         self.coefficients = coefficients
         self.allow_division = allow_division
 
-    def peek(self):
-        return self.tokens[self.pos][0]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def parse(self):
         v = self.expr()
-        if self.peek() != "end":
+        if self.tokens[self.pos][0] != "end":
             raise ValueError(f"trailing input at token {self.pos}")
         return v
 
     def expr(self):
-        if self.peek() == "-":
-            self.next()
-            v = -self.term()
-        else:
-            if self.peek() == "+":
-                self.next()
-            v = self.term()
-        while self.peek() in "+-":
-            op = self.next()[0]
+        tokens = self.tokens
+        sign = tokens[self.pos][0]
+        if sign == "-" or sign == "+":
+            self.pos += 1
+        v = self.term()
+        if sign == "-":
+            v = -v
+        while (op := tokens[self.pos][0]) == "+" or op == "-":
+            self.pos += 1
             rhs = self.term()
             v = v + rhs if op == "+" else v - rhs
         return v
 
     def term(self):
+        tokens = self.tokens
         v = self.factor()
-        while self.peek() in "*/":
-            op = self.next()[0]
+        while (op := tokens[self.pos][0]) == "*" or op == "/":
+            self.pos += 1
+            # the right operand is parsed, and may raise, before the check
             rhs = self.factor()
             if op == "*":
                 v = v * rhs
+            elif not self.allow_division:
+                raise ValueError("division not allowed in this context")
             else:
-                if not self.allow_division:
-                    raise ValueError("division not allowed in this context")
                 v = v / rhs
         return v
 
     def factor(self):
-        v = self.atom()
-        if self.peek() == "^":
-            self.next()
-            neg = False
-            if self.peek() == "-":
-                self.next()
-                neg = True
-            kind, val = self.next()
-            if kind != "int":
-                raise ValueError("exponent must be an integer")
-            if self.degree(v) * val > MAX_DEGREE:
-                raise ValueError(f"a power of degree {self.degree(v) * val} exceeds "
-                                 f"the limit {MAX_DEGREE}")
-            bits = _coefficient_bits(self.coefficients(v)) * val
-            if bits > MAX_BITS:
-                raise ValueError(f"a power with numbers up to 2^{bits} exceeds "
-                                 f"the limit 2^{MAX_BITS}")
-            v = v ** (-val if neg else val)
-        return v
-
-    def atom(self):
-        kind, val = self.next()
+        tokens, pos = self.tokens, self.pos
+        negate = False
+        while tokens[pos][0] == "-":
+            negate = not negate
+            pos += 1
+        kind, val = tokens[pos]
+        self.pos = pos + 1
         if kind == "int":
-            return self.constant(val)
-        if kind == "name":
-            return self.variable(val)
-        if kind == "(":
+            v = self.constant(val)
+        elif kind == "name":
+            v = self.variable(val)
+        elif kind == "(":
             v = self.expr()
-            kind, _ = self.next()
-            if kind != ")":
+            if tokens[self.pos][0] != ")":
                 raise ValueError("missing closing parenthesis")
+            self.pos += 1
+        else:
+            raise ValueError(f"unexpected token {kind!r}")
+        if negate:
+            v = -v
+        if tokens[self.pos][0] != "^":
             return v
-        if kind == "-":
-            return -self.atom()
-        raise ValueError(f"unexpected token {kind!r}")
+        pos = self.pos + 1
+        neg = tokens[pos][0] == "-"
+        if neg:
+            pos += 1
+        kind, val = tokens[pos]
+        self.pos = pos + 1
+        if kind != "int":
+            raise ValueError("exponent must be an integer")
+        if self.degree(v) * val > MAX_DEGREE:
+            raise ValueError(f"a power of degree {self.degree(v) * val} exceeds "
+                             f"the limit {MAX_DEGREE}")
+        bits = _coefficient_bits(self.coefficients(v)) * val
+        if bits > MAX_BITS:
+            raise ValueError(f"a power with numbers up to 2^{bits} exceeds "
+                             f"the limit 2^{MAX_BITS}")
+        return v ** (-val if neg else val)
 
 
 def parse_rational(field: FunctionField, text: str) -> RationalFunction:

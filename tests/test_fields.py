@@ -58,6 +58,10 @@ def test_poly_arithmetic_over_a_small_field_builds_no_element(rng, monkeypatch):
         q, r = divmod(f * g + f, g)
         assert q * g + r == f * g + f
         f.gcd(g)
+        assert -(f - g) == g - f
+        assert f.scale(g.leading()) == g.leading() * f
+        assert g.monic() == g.scale(F.one / g.leading())
+        assert (f == g) == (f.coeffs == g.coeffs)
     assert not built
 
 
@@ -228,6 +232,131 @@ def test_product_by_a_constant_only_scales(rng, p):
         assert divmod(f, longer) == (Poly.zero(field), f)
         q, r = divmod(f, g)
         assert q * g + r == f and r.degree < g.degree
+
+
+# -- the Poly core against plain coefficient lists ---------------------
+
+
+def _cut(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def ref_add(a, b, zero):
+    n = max(len(a), len(b))
+    return _cut((a[i] if i < len(a) else zero) + (b[i] if i < len(b) else zero)
+                for i in range(n))
+
+
+def ref_mul(a, b, zero):
+    out = [zero] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _cut(out)
+
+
+def ref_divmod(a, b, zero):
+    """Schoolbook long division, one field division per step."""
+    q, r = [zero] * max(len(a) - len(b) + 1, 0), list(a)
+    while len(r) >= len(b):
+        k = len(r) - len(b)
+        c = r[-1] / b[-1]
+        q[k] = c
+        r = _cut(x - c * b[j - k] if j >= k else x for j, x in enumerate(r))
+    return _cut(q), r
+
+
+def ref_gcd(a, b, zero):
+    while b:
+        a, b = b, ref_divmod(a, b, zero)[1]
+    return [c / a[-1] for c in a] if a else []
+
+
+# GF(1000003) has no shared element table; k(x) coefficients are
+# themselves reduced fractions of polynomials
+POLY_CORE_FIELDS = [
+    (base_field(2), st.integers(0, 1)),
+    (base_field(7), st.integers(0, 6)),
+    (base_field(1000003), st.one_of(st.integers(0, 3), st.integers(0, 1000002))),
+    (base_field(0), st.integers(-4, 4)),
+    (ff(3), st.lists(st.integers(0, 2), max_size=2)),
+]
+
+
+@st.composite
+def poly_core_pairs(draw):
+    """(field, a, b): coefficient lists, some with trailing zeros.
+
+    b may share a's top coefficients, so that a - b cancels them, or
+    a factor with a, so that their gcd is not 1.
+    """
+    field, ints = draw(st.sampled_from(POLY_CORE_FIELDS))
+    if isinstance(field, FunctionField):
+        den = field.x + field.one
+
+        def element(cs):
+            return RationalFunction(field.base, Poly.from_ints(field.base, cs)) / den
+    else:
+        element = field.from_int
+
+    def coeffs(max_size=5):
+        return [element(c) for c in draw(st.lists(ints, max_size=max_size))]
+
+    a = coeffs()
+    relation = draw(st.sampled_from(["none", "same top", "common factor"]))
+    if relation == "same top":
+        # a - b loses its top coefficients; a + b too in characteristic 2
+        low = coeffs(len(a))
+        b = low + a[len(low):]
+    else:
+        b = coeffs()
+        if relation == "common factor":
+            h = _cut(coeffs(3))
+            a, b = ref_mul(_cut(a), h, field.zero), ref_mul(_cut(b), h, field.zero)
+    return field, a, b
+
+
+def assert_poly_invariant(f):
+    assert type(f) is Poly and type(f.coeffs) is list
+    assert not f.coeffs or f.coeffs[-1], "a trailing zero"
+
+
+@given(poly_core_pairs(), st.integers(0, 3))
+@settings(max_examples=400)
+def test_poly_core_matches_coefficient_lists(pair, k):
+    field, a, b = pair
+    zero = field.zero
+    f, g = Poly(field, a), Poly(field, b)
+    a, b = _cut(a), _cut(b)
+    c = field.from_int(k)
+    results = {
+        "+": (f + g, ref_add(a, b, zero)),
+        "-": (f - g, ref_add(a, [-y for y in b], zero)),
+        "neg": (-f, [-x for x in a]),
+        "*": (f * g, ref_mul(a, b, zero)),
+        "scale": (f.scale(c), _cut(c * x for x in a)),
+        "gcd": (f.gcd(g), ref_gcd(a, b, zero)),
+        "monic": (f.monic(), [x / a[-1] for x in a] if a else []),
+        "int +": (f + k, ref_add(a, [c], zero)),
+        "int *": (k * f, _cut(c * x for x in a)),
+    }
+    if b:
+        q, r = divmod(f, g)
+        want_q, want_r = ref_divmod(a, b, zero)
+        results["//"], results["%"] = (q, want_q), (r, want_r)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            divmod(f, g)
+    for op, (got, want) in results.items():
+        assert_poly_invariant(got)
+        assert got.coeffs == want, op
+    assert (f == g) == (a == b) and (g == f) == (a == b)
+    assert (f == k) == (a == _cut([c]))
+    # no operator mutated an operand
+    assert f.coeffs == a and g.coeffs == b
 
 
 # -- orders at places --------------------------------------------------

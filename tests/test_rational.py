@@ -1,14 +1,18 @@
 """Canonical form of k(x): every operator agrees with normalising the raw result."""
 
+import re
 import string
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from dpglue import multipoly, rational
 from dpglue.fields import base_field
+from dpglue.multipoly import MPoly, parse_mpoly
 from dpglue.polynomials import Poly
-from dpglue.rational import (FunctionField, RationalFunction, _tokenize,
-                             parse_rational)
+from dpglue.rational import (MAX_BITS, MAX_DEGREE, FunctionField, RationalFunction,
+                             _coefficient_bits, _tokenize, parse_rational)
 
 
 def polys(field, max_deg=3, nonzero=False):
@@ -202,3 +206,167 @@ def test_tokenize_matches_the_character_loop(text):
             assert str(raised.value) == str(error)
         return
     assert _tokenize(text) == want
+
+
+class RecursiveDescentParser:
+    """The parser with peek()/next() and a separate atom() that ``_ExprParser`` replaced.
+
+    The adapter provides constant(int), variable(name), degree(value)
+    and coefficients(value), and its values support +, -, *, / and
+    integer **.  A power whose degree would exceed ``MAX_DEGREE``, or
+    whose numbers would exceed ``MAX_BITS`` by ``_coefficient_bits``,
+    raises ``ValueError`` before it is expanded.
+    """
+
+    def __init__(self, text: str, constant, variable, degree, coefficients,
+                 allow_division=True):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.constant = constant
+        self.variable = variable
+        self.degree = degree
+        self.coefficients = coefficients
+        self.allow_division = allow_division
+
+    def peek(self):
+        return self.tokens[self.pos][0]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def parse(self):
+        v = self.expr()
+        if self.peek() != "end":
+            raise ValueError(f"trailing input at token {self.pos}")
+        return v
+
+    def expr(self):
+        if self.peek() == "-":
+            self.next()
+            v = -self.term()
+        else:
+            if self.peek() == "+":
+                self.next()
+            v = self.term()
+        while self.peek() in "+-":
+            op = self.next()[0]
+            rhs = self.term()
+            v = v + rhs if op == "+" else v - rhs
+        return v
+
+    def term(self):
+        v = self.factor()
+        while self.peek() in "*/":
+            op = self.next()[0]
+            rhs = self.factor()
+            if op == "*":
+                v = v * rhs
+            else:
+                if not self.allow_division:
+                    raise ValueError("division not allowed in this context")
+                v = v / rhs
+        return v
+
+    def factor(self):
+        v = self.atom()
+        if self.peek() == "^":
+            self.next()
+            neg = False
+            if self.peek() == "-":
+                self.next()
+                neg = True
+            kind, val = self.next()
+            if kind != "int":
+                raise ValueError("exponent must be an integer")
+            if self.degree(v) * val > MAX_DEGREE:
+                raise ValueError(f"a power of degree {self.degree(v) * val} exceeds "
+                                 f"the limit {MAX_DEGREE}")
+            bits = _coefficient_bits(self.coefficients(v)) * val
+            if bits > MAX_BITS:
+                raise ValueError(f"a power with numbers up to 2^{bits} exceeds "
+                                 f"the limit 2^{MAX_BITS}")
+            v = v ** (-val if neg else val)
+        return v
+
+    def atom(self):
+        kind, val = self.next()
+        if kind == "int":
+            return self.constant(val)
+        if kind == "name":
+            return self.variable(val)
+        if kind == "(":
+            v = self.expr()
+            kind, _ = self.next()
+            if kind != ")":
+                raise ValueError("missing closing parenthesis")
+            return v
+        if kind == "-":
+            return -self.atom()
+        raise ValueError(f"unexpected token {kind!r}")
+
+
+# the grammar's characters, with x its one variable
+EXPR_ALPHABET = "x0123456789+-*/^() "
+
+
+def _join(parts):
+    return "".join(map(str, parts))
+
+
+# valid expressions, with small exponents so that no power is slow
+valid_expressions = st.recursive(
+    st.one_of(st.just("x"), st.integers(0, 12).map(str)),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/", " - ", "*-", "/-"]), inner).map(_join),
+        inner.map("({})".format),
+        st.tuples(inner, st.sampled_from(["^", "^-", " ^ "]), st.integers(0, 3)).map(_join),
+        inner.map("-{}".format),
+    ),
+    max_leaves=8)
+# any string over the alphabet, mostly invalid; an exponent of three or
+# more digits could expand a dense power of degree in the thousands
+any_expressions = st.text(alphabet=EXPR_ALPHABET, max_size=14).filter(
+    lambda text: not re.search(r"\^ *-? *\d{3}", text))
+
+
+def parse_outcome(parse, *args):
+    """What parsing gives: a value, or the type and message of the error."""
+    try:
+        return parse(*args)
+    except Exception as error:  # the two parsers must raise alike
+        return type(error), str(error)
+
+
+@given(st.one_of(valid_expressions, any_expressions))
+@example("x/(")
+@example("x/0")
+@example("2*-x^2")
+@example("--x^-2")
+@example("-(x)^2")
+@example("x^-")
+@example("(x+1")
+@example("x^1000000")
+@example("2^100000")
+@settings(max_examples=400)
+def test_parser_matches_the_recursive_descent(text):
+    fields = (FunctionField(base_field(3)), FunctionField(base_field(0)))
+    want = []
+    with (patch.object(rational, "_ExprParser", RecursiveDescentParser),
+          patch.object(multipoly, "_ExprParser", RecursiveDescentParser)):
+        for field in fields:
+            want.append(parse_outcome(parse_rational, field, text))
+            want.append(parse_outcome(parse_mpoly, field.base, ("x",), text))
+    got = []
+    for field in fields:
+        got.append(parse_outcome(parse_rational, field, text))
+        got.append(parse_outcome(parse_mpoly, field.base, ("x",), text))
+    for g, w in zip(got, want):
+        if isinstance(w, tuple):
+            assert g == w
+        elif isinstance(w, RationalFunction):
+            assert type(g) is RationalFunction and (g.num.coeffs, g.den.coeffs) == (
+                w.num.coeffs, w.den.coeffs)
+        else:
+            assert type(g) is MPoly and g.terms == w.terms
