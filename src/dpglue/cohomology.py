@@ -78,11 +78,8 @@ def closed_form(data: GenericGlueData) -> ClosedForm:
     divisible by p.  With constant b_i/b_1 every a/b_i has the poles of
     a/b_1, so the pole orders alone decide.
     """
-    problems = []
-    b1 = data.b[0]
-    for i, bi in enumerate(data.b[1:], start=2):
-        if not (bi / b1).is_constant():
-            problems.append(f"b_{i}/b_1 is non-constant")
+    problems = [f"b_{i}/b_1 is non-constant"
+                for i, ratio in enumerate(data.b_ratios, start=2) if not ratio.is_constant()]
     p = data.characteristic
     poles = data.pole_divisor
     if any(p == 0 or order % p for _, order in poles):

@@ -3,8 +3,9 @@
 Field objects are lightweight descriptors handing out elements that
 support +, -, *, /, ==, bool.  Rational arithmetic is delegated to
 ``fractions.Fraction``.  GF(p) elements wrap an int mod p; below
-``SHARED_BELOW`` the field builds each of its p elements once, and
-arithmetic returns those shared objects instead of allocating.
+``SHARED_BELOW`` the field builds each of its p elements once, keeps
+them as its ``table``, and arithmetic returns those shared objects
+instead of allocating; every other field's ``table`` is None.
 Function fields k(x) live in :mod:`dpglue.rational` and follow the same
 protocol, so generic linear algebra works over any of them.
 """
@@ -184,6 +185,7 @@ class RationalField:
     """The field of rational numbers; elements are ``Fraction``s."""
 
     characteristic = 0
+    table = None
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -207,7 +209,12 @@ class RationalField:
 
 
 class PrimeField:
-    """GF(p) for prime p; below ``SHARED_BELOW`` it builds its p elements once."""
+    """GF(p) for prime p; below ``SHARED_BELOW`` it builds its p elements once.
+
+    ``table`` is then the list of them, ``table[v]`` the element v mod p,
+    so that code holding ints mod p can hand out the shared elements;
+    at or above ``SHARED_BELOW`` it is None.
+    """
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -219,7 +226,9 @@ class PrimeField:
             table.extend(FpElement(v, p, table) for v in range(p))
             self.zero, self.one = table[0], table[1]
         else:
+            table = None
             self.zero, self.one = FpElement(0, p), FpElement(1, p)
+        self.table = table
 
     def from_int(self, n: int) -> FpElement:
         return self.zero._make(n)

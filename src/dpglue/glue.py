@@ -28,7 +28,7 @@ from dpglue import linalg
 from dpglue.artinian import FiniteAlgebra, Subalgebra, square_zero_algebra
 from dpglue.fields import base_field, is_prime
 from dpglue.filling import BranchSpec, ConductorRing, build_conductor_ring
-from dpglue.polynomials import Poly
+from dpglue.polynomials import Poly, split_squarefree
 from dpglue.rational import (FunctionField, Place, RationalFunction, format_poly,
                              parse_rational)
 
@@ -61,6 +61,12 @@ class GenericGlueData:
         """(a/b_1, ..., a/b_r), each divided once."""
         return tuple(self.a / bi for bi in self.b)
 
+    @cached_property
+    def b_ratios(self) -> tuple:
+        """(b_2/b_1, ..., b_r/b_1), each divided once."""
+        b1 = self.b[0]
+        return tuple(bi / b1 for bi in self.b[1:])
+
     def c(self, i: int) -> RationalFunction:
         """The ratio a/b_i."""
         return self._ratios[i]
@@ -86,7 +92,8 @@ class GenericGlueData:
     def wild_places(self) -> tuple | None:
         """((Place, pole order), ...): ``pole_divisor`` named by factoring.
 
-        Each piece is factored once; each place appears once, sorted by
+        Each piece is monic and square-free, so it is split once, with
+        no second square-free pass; each place appears once, sorted by
         place.  None when factoring a piece over Q gives up; no verdict
         needs the names.
         """
@@ -96,7 +103,7 @@ class GenericGlueData:
                 if isinstance(piece, Place):
                     wild.append((piece, order))
                 else:
-                    wild += [(Place(g), order) for g, _ in piece.factor()[1]]
+                    wild += [(Place(g), order) for g in split_squarefree(piece)]
         except NotImplementedError:
             return None
         return tuple(sorted(wild, key=lambda place_order: _place_key(place_order[0])))
@@ -243,9 +250,8 @@ def gorenstein_at_point(data: GenericGlueData, place: Place) -> bool:
     """b_i/b_j units at P, and each a/b_i regular at P or (char p) with
     pole order divisible by p."""
     p = data.characteristic
-    b1 = data.b[0]
-    for bi in data.b[1:]:
-        if (bi / b1).order_at(place) != 0:
+    for ratio in data.b_ratios:
+        if ratio.order_at(place) != 0:
             return False
     for i in range(data.r):
         ci = data.c(i)

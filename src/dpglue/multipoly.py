@@ -167,5 +167,6 @@ def parse_mpoly(field, variables, text: str) -> MPoly:
     def coefficients(f):
         return f.terms.values()
 
-    return _ExprParser(text, constant, variable, degree, coefficients,
+    return _ExprParser(text, constant, variable, degree,
+                       None if field.characteristic else coefficients,
                        allow_division=False).parse()

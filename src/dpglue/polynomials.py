@@ -3,7 +3,12 @@
 Coefficient lists are stored low degree first with no trailing zeros;
 the zero polynomial has an empty list.  All operations are exact and
 work over any field object from :mod:`dpglue.fields` (including function
-fields, which makes towers like K(x)[t] available for free).
+fields, which makes towers like K(x)[t] available for free).  Over a
+field with a ``table`` (GF(p) below ``fields.SHARED_BELOW``), +, -, *,
+``scale``, ``divmod`` and ``gcd`` of two polynomials over that same
+field object run on the coefficients' int residues and look each result
+coefficient up in the table once; every other field takes the generic
+loops.
 
 ``squarefree`` splits a polynomial by multiplicity into pairwise coprime
 square-free pieces without factoring.  ``factor`` splits those pieces
@@ -15,13 +20,12 @@ a small prime, Hensel-lifts the factors and recombines them.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+
+from dpglue.fields import GF, FpElement, PrimeField, RationalField, is_prime
 
 
 def _is_element(v) -> bool:
-    from fractions import Fraction
-
-    from dpglue.fields import FpElement
-
     return isinstance(v, (Fraction, FpElement)) or type(v).__name__ == "RationalFunction"
 
 
@@ -51,6 +55,28 @@ def _reduce(r: list, b: list, inv, q=None) -> list:
                 r[j] = r[j] - c * y
     del r[n:]
     return _cut(r)
+
+
+def _reduce_residues(r: list, b: list, p: int, q=None) -> list:
+    """``_reduce`` on lists of ints: the remainder of r modulo b, mod p.
+
+    b's entries lie in [0, p) and its top is nonzero; r's may be any
+    ints, and r is overwritten.  Entries are taken mod p only where a
+    step reads them and once at the end, so the remainder comes back
+    in [0, p) and cut; the quotient's residues go into q, if given.
+    """
+    n = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    low = b[:n]
+    for k in range(len(r) - 1 - n, -1, -1):
+        c = r[k + n] % p
+        if c:
+            c = c * inv % p
+            if q is not None:
+                q[k] = c
+            for j, y in enumerate(low, k):
+                r[j] -= c * y
+    return _cut([v % p for v in r[:n]])
 
 
 class Poly:
@@ -146,10 +172,16 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = [x + y for x, y in zip(a, b)]
+        field = self.field
+        table = field.table
+        if table is not None and other.field is field:
+            p = field.p
+            out = [table[(x.value + y.value) % p] for x, y in zip(a, b)]
+        else:
+            out = [x + y for x, y in zip(a, b)]
         if len(a) > len(b):
-            return Poly._trusted(self.field, out + a[len(b):])
-        return Poly._trusted(self.field, _cut(out))
+            return Poly._trusted(field, out + a[len(b):])
+        return Poly._trusted(field, _cut(out))
 
     __radd__ = __add__
 
@@ -159,7 +191,12 @@ class Poly:
             if other is None:
                 return NotImplemented
         a, b = self.coeffs, other.coeffs
-        out = [x - y for x, y in zip(a, b)]
+        table = self.field.table
+        if table is not None and other.field is self.field:
+            # x - y lies in (-p, p), and table[-v] is the element p - v
+            out = [table[x.value - y.value] for x, y in zip(a, b)]
+        else:
+            out = [x - y for x, y in zip(a, b)]
         if len(a) > len(b):
             return Poly._trusted(self.field, out + a[len(b):])
         if len(a) < len(b):
@@ -191,18 +228,35 @@ class Poly:
         if len(a) == 1:
             c = a[0]
             return other if c == self.field.one else other.scale(c)
-        out = [self.field.zero] * (len(a) + len(b) - 1)
+        field = self.field
+        table = field.table
+        if table is not None and other.field is field:
+            # int products summed, and each sum looked up once
+            p = field.p
+            b = [y.value for y in b]
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                x = x.value
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
+            return Poly._trusted(field, [table[v % p] for v in out])
+        out = [field.zero] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b, i):
                     out[j] = out[j] + x * y
-        return Poly._trusted(self.field, out)
+        return Poly._trusted(field, out)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
         if not c:
             return Poly._trusted(self.field, [])
+        table = self.field.table
+        if table is not None and c.__class__ is FpElement and c.table is table:
+            p, v = self.field.p, c.value
+            return Poly._trusted(self.field, [table[v * x.value % p] for x in self.coeffs])
         return Poly._trusted(self.field, [c * a for a in self.coeffs])
 
     def __pow__(self, n: int) -> "Poly":
@@ -231,6 +285,12 @@ class Poly:
         inv = field.one / b[-1]
         if len(b) == 1:
             return (self if inv == field.one else self.scale(inv)), Poly._trusted(field, [])
+        table = field.table
+        if table is not None and other.field is field:
+            q = [0] * (len(a) - len(b) + 1)
+            r = _reduce_residues([x.value for x in a], [y.value for y in b], field.p, q)
+            return (Poly._trusted(field, [table[v] for v in q]),
+                    Poly._trusted(field, [table[v] for v in r]))
         q = [field.zero] * (len(a) - len(b) + 1)
         r = _reduce(list(a), b, inv, q)
         return Poly._trusted(field, q), Poly._trusted(field, r)
@@ -268,16 +328,27 @@ class Poly:
     def monic(self) -> "Poly":
         if not self.coeffs or self.coeffs[-1] == self.field.one:
             return self
-        inv = self.field.one / self.coeffs[-1]
-        return Poly._trusted(self.field, [c * inv for c in self.coeffs])
+        return self.scale(self.field.one / self.coeffs[-1])
 
     def gcd(self, other: "Poly") -> "Poly":
         """The monic gcd; Euclid's algorithm on remainders alone."""
-        one = self.field.one
+        field = self.field
         a, b = self.coeffs, other.coeffs
+        table = field.table
+        if table is not None and other.field is field:
+            # the whole loop on residues, converted once each way
+            p = field.p
+            a, b = [x.value for x in a], [y.value for y in b]
+            while b:
+                a, b = b, _reduce_residues(a, b, p)
+            if not a:
+                return Poly._trusted(field, [])
+            inv = pow(a[-1], -1, p)
+            return Poly._trusted(field, [table[v * inv % p] for v in a])
+        one = field.one
         while b:
             a, b = b, _reduce(list(a), b, one / b[-1])
-        return Poly._trusted(self.field, a).monic()
+        return Poly._trusted(field, a).monic()
 
     def valuation(self, p: "Poly") -> int:
         """Multiplicity of the irreducible factor p; self must be nonzero."""
@@ -359,7 +430,8 @@ class Poly:
         """
         if self.is_zero():
             raise ValueError("cannot factor zero")
-        factors = [(g, m) for piece, m in self.squarefree() for g in _split(piece)]
+        factors = [(g, m) for piece, m in self.squarefree()
+                   for g in split_squarefree(piece)]
         factors.sort(key=lambda fm: (fm[0].degree, [str(c) for c in fm[0].coeffs]))
         return self.leading(), factors
 
@@ -368,10 +440,8 @@ class Poly:
         return bool(self) and self.factor()[1] == [(self.monic(), 1)]
 
 
-def _split(f: Poly) -> list:
+def split_squarefree(f: Poly) -> list:
     """The monic irreducible factors of a monic square-free f."""
-    from dpglue.fields import PrimeField, RationalField
-
     if f.degree == 1:
         return [f]
     if isinstance(f.field, PrimeField):
@@ -475,12 +545,9 @@ def _split_rational(f: Poly) -> list:
     Euclidean pass.  Subsets of the lifted g_i, smallest first, are
     tried by the constant term, then by exact division.
     """
-    from fractions import Fraction
     from functools import reduce
     from itertools import combinations, count
     from math import isqrt, lcm, prod
-
-    from dpglue.fields import GF, is_prime
 
     n = f.degree
     L = lcm(*(c.denominator for c in f.coeffs))
@@ -489,7 +556,7 @@ def _split_rational(f: Poly) -> list:
         image = Poly(GF(q), [GF(q).from_int(c) for c in F])
         if image.gcd(image.derivative()).degree == 0:
             break
-    gs = _split(image)
+    gs = split_squarefree(image)
     if len(gs) == 1:
         return [f]
     inverses = [_inverse_mod(image // g, g) for g in gs]

@@ -215,8 +215,10 @@ class RationalFunction:
             n = -n
         else:
             num, den = self.num, self.den
-        # powers of coprime polynomials stay coprime, of monic ones monic
-        return RationalFunction._reduced(self.field, num**n, den**n)
+        # powers of coprime polynomials stay coprime, of monic ones monic;
+        # a monic constant is 1, and its power is itself
+        return RationalFunction._reduced(self.field, num**n,
+                                         den if len(den.coeffs) == 1 else den**n)
 
     def __eq__(self, other):
         if other.__class__ is not RationalFunction:
@@ -305,23 +307,38 @@ class Place:
 
 
 class FunctionField:
-    """k(x) as a coefficient field for downstream linear algebra."""
+    """k(x) as a coefficient field for downstream linear algebra.
+
+    Over a base field with a ``table`` (GF(p) below
+    ``fields.SHARED_BELOW``), ``from_int`` hands out one shared constant
+    per residue; k(x) itself has no table, so polynomials over it take
+    the generic loops.
+    """
+
+    table = None
 
     def __init__(self, base):
         self.base = base
         self.characteristic = base.characteristic
 
     def from_int(self, n: int) -> RationalFunction:
+        if self.base.table is not None:
+            return self._constants[n % self.base.p]
         return RationalFunction.const(self.base, self.base.from_int(n))
 
     # built on first use and shared: RationalFunction is never mutated
     @cached_property
+    def _constants(self) -> list:
+        """The p constants of k(x) over a base field with a table, by residue."""
+        return [RationalFunction.const(self.base, c) for c in self.base.table]
+
+    @cached_property
     def zero(self) -> RationalFunction:
-        return RationalFunction.const(self.base, self.base.zero)
+        return self.from_int(0)
 
     @cached_property
     def one(self) -> RationalFunction:
-        return RationalFunction.const(self.base, self.base.one)
+        return self.from_int(1)
 
     @cached_property
     def x(self) -> RationalFunction:
@@ -386,26 +403,32 @@ MAX_DEGREE = 8192
 # below p, and a power takes about log2 n products.
 MAX_BITS = 2**16
 
+# Deepest nesting of parentheses the expression grammar accepts.  Each
+# level takes three frames (expr, term, factor), so the parser stays
+# well inside the interpreter's default recursion limit of 1000.
+MAX_NESTING = 100
+
 
 def _coefficient_bits(coeffs) -> int:
     """Least k with every numerator and denominator in coeffs at most 2^k.
 
-    Then c^n stays within 2^(k*n) for a constant c.  Coefficients that
-    are not ``Fraction``s (GF(p)) count 0.
+    Then c^n stays within 2^(k*n) for a constant c.
     """
     return max(((max(abs(c.numerator), c.denominator) - 1).bit_length()
-                for c in coeffs if isinstance(c, Fraction)), default=0)
+                for c in coeffs), default=0)
 
 
 class _ExprParser:
     """Recursive-descent parser over an algebra adapter.
 
-    The adapter provides constant(int), variable(name), degree(value)
-    and coefficients(value), and its values support +, -, *, / and
-    integer **.  A power whose degree would exceed ``MAX_DEGREE``, or
-    whose numbers would exceed ``MAX_BITS`` by ``_coefficient_bits``,
-    raises ``ValueError`` before it is expanded.  The grammar, over the
-    token list that ``pos`` indexes:
+    The adapter provides constant(int), variable(name) and degree(value),
+    and its values support +, -, *, / and integer **; coefficients(value)
+    gives the ``Fraction``s of a value over Q and is None over GF(p),
+    whose numbers stay below p.  A power whose degree would exceed
+    ``MAX_DEGREE``, or whose numbers would exceed ``MAX_BITS`` by
+    ``_coefficient_bits``, and parentheses nested deeper than
+    ``MAX_NESTING`` raise ``ValueError`` before anything is expanded.
+    The grammar, over the token list that ``pos`` indexes:
 
         expr   := ["+" | "-"] term (("+" | "-") term)*
         term   := factor (("*" | "/") factor)*
@@ -419,6 +442,7 @@ class _ExprParser:
                  allow_division=True):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.constant = constant
         self.variable = variable
         self.degree = degree
@@ -473,7 +497,11 @@ class _ExprParser:
         elif kind == "name":
             v = self.variable(val)
         elif kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ValueError(f"parentheses nested deeper than the limit {MAX_NESTING}")
+            self.depth += 1
             v = self.expr()
+            self.depth -= 1
             if tokens[self.pos][0] != ")":
                 raise ValueError("missing closing parenthesis")
             self.pos += 1
@@ -494,10 +522,11 @@ class _ExprParser:
         if self.degree(v) * val > MAX_DEGREE:
             raise ValueError(f"a power of degree {self.degree(v) * val} exceeds "
                              f"the limit {MAX_DEGREE}")
-        bits = _coefficient_bits(self.coefficients(v)) * val
-        if bits > MAX_BITS:
-            raise ValueError(f"a power with numbers up to 2^{bits} exceeds "
-                             f"the limit 2^{MAX_BITS}")
+        if self.coefficients is not None:
+            bits = _coefficient_bits(self.coefficients(v)) * val
+            if bits > MAX_BITS:
+                raise ValueError(f"a power with numbers up to 2^{bits} exceeds "
+                                 f"the limit 2^{MAX_BITS}")
         return v ** (-val if neg else val)
 
 
@@ -515,7 +544,8 @@ def parse_rational(field: FunctionField, text: str) -> RationalFunction:
     def coefficients(f):
         return f.num.coeffs + f.den.coeffs
 
-    return _ExprParser(text, field.from_int, variable, degree, coefficients).parse()
+    return _ExprParser(text, field.from_int, variable, degree,
+                       None if field.characteristic else coefficients).parse()
 
 
 def format_poly(p: Poly, var: str = "x") -> str:

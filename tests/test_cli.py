@@ -14,9 +14,10 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpglue import cli, cohomology, scenarios
+from dpglue import cli, cohomology, glue, scenarios
 from dpglue.cli import main
-from dpglue.polynomials import Poly
+from dpglue.polynomials import Poly, split_squarefree
+from dpglue.rational import MAX_NESTING
 
 from conftest import swinnerton_dyer
 
@@ -290,14 +291,19 @@ def test_integral_floats_read_as_ints_in_either_order(tmp_path):
         "Q-two-places", "Q-quartic", "Q-two-quadratics", "Q-root-at-0", "Q-sd32"])
 def test_pole_divisor_inputs_run_quickly(tmp_path, capsys, monkeypatch, characteristic,
                                          a, gorenstein, wild, h1):
-    factored = []
+    factored, split = [], []
     factor = Poly.factor
 
     def counting_factor(self):
         factored.append(self)
         return factor(self)
 
+    def counting_split(piece):
+        split.append(piece)
+        return split_squarefree(piece)
+
     monkeypatch.setattr(Poly, "factor", counting_factor)
+    monkeypatch.setattr(glue, "split_squarefree", counting_split)
     scenario = {"name": "x", "characteristic": characteristic, "glueCase": "D",
                 "blocks": [{"case": "c2", "a": 2}],
                 "derivation": {"a": a, "b": ["1"]}}
@@ -310,7 +316,8 @@ def test_pole_divisor_inputs_run_quickly(tmp_path, capsys, monkeypatch, characte
     assert code == (0 if gorenstein else 1)
     assert report["gorenstein"] is gorenstein
     assert report["wildPoints"] == wild and report["h1"] == h1
-    assert len(factored) == 1  # the one square-free piece, factored once
+    # the one square-free piece is split once, with no second square-free pass
+    assert len(split) == 1 and not factored
 
 
 def test_power_past_the_degree_limit_exits_two_quickly(tmp_path, capsys):
@@ -341,6 +348,38 @@ def test_constant_power_past_the_bit_limit_exits_two_quickly(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.count("\n") == 1 and "exceeds the limit" in captured.err
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 1000, 5000])
+def test_deep_parentheses_exit_two(tmp_path, capsys, depth):
+    # each level would take three frames of the recursive-descent parser
+    nested = "(" * depth + "1/x^3" + ")" * depth
+    scenario = {"name": "x", "characteristic": 3, "glueCase": "D",
+                "blocks": [{"case": "c2", "a": 2}],
+                "derivation": {"a": nested, "b": ["1"]}}
+    check = {"name": "deep", "characteristic": 0, "hypersurface": nested.replace("x", "y"),
+             "variables": ["y"], "substitution": {"y": "u"}, "targetVariables": ["u"]}
+    runs = {"run": {"version": "1", "scenarios": [scenario]},
+            "verify-param": {"version": "1", "checks": [check]}}
+    for command, doc in runs.items():
+        p = tmp_path / f"{command}.json"
+        p.write_text(json.dumps(doc))
+        assert main([command, str(p)]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == "", command
+        assert captured.err.count("\n") == 1, command
+        assert f"nested deeper than the limit {MAX_NESTING}" in captured.err, command
+
+
+def test_parentheses_at_the_nesting_limit_run(tmp_path, capsys):
+    nested = "(" * MAX_NESTING + "1/x^3" + ")" * MAX_NESTING
+    scenario = {"name": "x", "characteristic": 3, "glueCase": "D",
+                "blocks": [{"case": "c2", "a": 2}],
+                "derivation": {"a": nested, "b": ["1"]}}
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps({"version": "1", "scenarios": [scenario]}))
+    assert main(["run", str(p), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["scenarios"][0]["h1"] == 2
 
 
 # With a buffered stdout the tame report outgrows the buffer and fails

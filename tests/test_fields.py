@@ -46,6 +46,8 @@ def test_small_prime_field_hands_out_shared_elements():
 def test_poly_arithmetic_over_a_small_field_builds_no_element(rng, monkeypatch):
     F = base_field(7)
     pairs = [(rand_poly(rng, F, 6), rand_poly(rng, F, 4, nonzero=True)) for _ in range(50)]
+    high = [(rand_poly(rng, F, 30), rand_poly(rng, F, 30), rand_poly(rng, F, 15, nonzero=True))
+            for _ in range(20)]
     built = []
     init = FpElement.__init__
 
@@ -62,6 +64,9 @@ def test_poly_arithmetic_over_a_small_field_builds_no_element(rng, monkeypatch):
         assert f.scale(g.leading()) == g.leading() * f
         assert g.monic() == g.scale(F.one / g.leading())
         assert (f == g) == (f.coeffs == g.coeffs)
+    for f, g, h in high:
+        assert (f * h + g * h).gcd(h * h) == h.monic() * (f + g).gcd(h)
+        assert f + g - g == f
     assert not built
 
 
@@ -100,6 +105,41 @@ def test_mixed_characteristics_raise(p, q):
             op(a, b)
         with pytest.raises(ValueError, match="mixed characteristics"):
             op(b, a)
+    f, g = Poly.from_ints(base_field(p), [1, 2, 1]), Poly.from_ints(base_field(q), [3, 1, 1])
+    for op in (operator.add, operator.sub, operator.mul, divmod, Poly.gcd):
+        with pytest.raises(ValueError, match="mixed characteristics"):
+            op(f, g)
+        with pytest.raises(ValueError, match="mixed characteristics"):
+            op(g, f)
+    with pytest.raises(ValueError, match="mixed characteristics"):
+        f.scale(b + b)
+
+
+def test_polys_over_two_copies_of_a_small_field_agree():
+    # the residue loops need the same field object; an operand over a
+    # second GF(7) takes the generic loops, with the same values
+    F, G = base_field(7), PrimeField(7)
+    a, b = [1, 2, 3, 4, 6], [5, 0, 1]
+
+    def values(result):
+        if isinstance(result, tuple):
+            return [values(r) for r in result]
+        return [c.value for c in result.coeffs]
+
+    for op in (operator.add, operator.sub, operator.mul, divmod, Poly.gcd):
+        same = op(Poly.from_ints(F, a), Poly.from_ints(F, b))
+        assert values(op(Poly.from_ints(F, a), Poly.from_ints(G, b))) == values(same)
+
+
+@pytest.mark.parametrize("p", [2, 7, LARGE_SHARED, SMALL_ALLOCATED, 1000003, 0])
+def test_function_field_constants_are_shared_below_the_bound(p):
+    F = ff(p)
+    shared = 0 < p < SHARED_BELOW
+    for n in (-3, 0, 1, 2, p + 5):
+        c = F.from_int(n)
+        assert (c is F.from_int(n + p)) == shared
+        assert c == RationalFunction.const(F.base, F.base.from_int(n))
+    assert (F.zero is F.from_int(0) and F.one is F.from_int(1)) == shared
 
 
 @pytest.mark.parametrize("p", [7, 1000003])
@@ -356,6 +396,42 @@ def test_poly_core_matches_coefficient_lists(pair, k):
     assert (f == g) == (a == b) and (g == f) == (a == b)
     assert (f == k) == (a == _cut([c]))
     # no operator mutated an operand
+    assert f.coeffs == a and g.coeffs == b
+
+
+@given(st.sampled_from([2, 3, 7, LARGE_SHARED]), st.data())
+@settings(max_examples=200)
+def test_residue_loops_match_coefficient_lists(p, data):
+    """The int residue loops of a field with a table, at degrees up to about 30."""
+    F = base_field(p)
+    assert F.table is not None
+
+    def coeffs(max_size):
+        return [F.from_int(v) for v in data.draw(st.lists(st.integers(0, p - 1),
+                                                          max_size=max_size))]
+
+    a, b, h = _cut(coeffs(20)), _cut(coeffs(20)), _cut(coeffs(12))
+    if data.draw(st.booleans()):
+        # a common factor, so that the gcd is not 1
+        a, b = ref_mul(a, h, F.zero), ref_mul(b, h, F.zero)
+    f, g = Poly(F, a), Poly(F, b)
+    c = F.from_int(data.draw(st.integers(0, p - 1)))
+    results = {
+        "+": (f + g, ref_add(a, b, F.zero)),
+        "-": (f - g, ref_add(a, [-y for y in b], F.zero)),
+        "*": (f * g, ref_mul(a, b, F.zero)),
+        "scale": (f.scale(c), _cut(c * x for x in a)),
+        "monic": (f.monic(), [x / a[-1] for x in a] if a else []),
+        "gcd": (f.gcd(g), ref_gcd(a, b, F.zero)),
+    }
+    if b:
+        q, r = divmod(f, g)
+        want_q, want_r = ref_divmod(a, b, F.zero)
+        results["//"], results["%"] = (q, want_q), (r, want_r)
+    for op, (got, want) in results.items():
+        assert_poly_invariant(got)
+        assert got.coeffs == want, op
+        assert all(x is F.table[x.value] for x in got.coeffs), op
     assert f.coeffs == a and g.coeffs == b
 
 

@@ -3,7 +3,7 @@ tameness, wild cusps."""
 
 import pytest
 
-from dpglue import glue, linalg
+from dpglue import cohomology, glue, linalg
 from dpglue.artinian import FiniteAlgebra, make_subalgebra
 from dpglue.fields import base_field
 from dpglue.glue import (KernelElement, change_of_basis, delta,
@@ -290,6 +290,22 @@ def test_criterion_wild_pole_char3():
     data = glue_data(3, "1/x^3", ["1"])
     assert gorenstein_at_point(data, origin(3))
     assert gorenstein_at_point_oracle(data, origin(3))
+
+
+@pytest.mark.parametrize("a, b, gorenstein", [("1/x^2", ["x", "2*x"], True),
+                                               ("1/x^3", ["1", "2", "x"], False)])
+def test_b_ratios_are_divided_once_per_datum(a, b, gorenstein, monkeypatch):
+    data = glue_data(3, a, b)
+    first = cohomology.closed_form(data)
+
+    def refuse(self, other):
+        raise AssertionError("a second division")
+
+    monkeypatch.setattr(RationalFunction, "__truediv__", refuse)
+    assert cohomology.closed_form(data) == first
+    assert ("b_3/b_1 is non-constant" in first.problems) != gorenstein
+    assert gorenstein_at_point(data, origin(3)) == gorenstein
+    assert gorenstein_at_point(data, Place.infinity()) == gorenstein
 
 
 def test_oracle_simple_pole_char0():

@@ -117,6 +117,37 @@ def test_product_with_one_makes_no_polynomial_product(p, monkeypatch):
     assert calls
 
 
+@pytest.mark.parametrize("p", [0, 3])
+def test_power_leaves_a_denominator_of_one_alone(p, monkeypatch):
+    field = FunctionField(base_field(p))
+    f = field.x + field.one
+    powered = []
+    general = Poly.__pow__
+
+    def counting(self, n):
+        powered.append(self)
+        return general(self, n)
+
+    monkeypatch.setattr(Poly, "__pow__", counting)
+    for h, n in ((f, 5), (field.one / f, -5)):
+        powered.clear()
+        h ** n
+        assert powered == [f.num]
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_powers_over_a_prime_field_count_no_bits(p, monkeypatch):
+    def refuse(coeffs):
+        raise AssertionError("bits counted over GF(p)")
+
+    monkeypatch.setattr(rational, "_coefficient_bits", refuse)
+    field = FunctionField(base_field(p))
+    assert parse_rational(field, "(x+2)^3/(x-1)^-2") == (field.x + 2) ** 3 * (field.x - 1) ** 2
+    parse_mpoly(base_field(p), ("u", "v"), "(u+2*v)^4")
+    with pytest.raises(AssertionError, match="bits counted"):
+        parse_rational(FunctionField(base_field(0)), "(x+2)^3")
+
+
 @given(operand_pairs(), st.integers(-3, 3))
 @settings(max_examples=150)
 def test_derivative_and_powers_match_normalised_form(pair, n):
@@ -283,10 +314,12 @@ class RecursiveDescentParser:
             if self.degree(v) * val > MAX_DEGREE:
                 raise ValueError(f"a power of degree {self.degree(v) * val} exceeds "
                                  f"the limit {MAX_DEGREE}")
-            bits = _coefficient_bits(self.coefficients(v)) * val
-            if bits > MAX_BITS:
-                raise ValueError(f"a power with numbers up to 2^{bits} exceeds "
-                                 f"the limit 2^{MAX_BITS}")
+            # the adapters give no coefficients over GF(p)
+            if self.coefficients is not None:
+                bits = _coefficient_bits(self.coefficients(v)) * val
+                if bits > MAX_BITS:
+                    raise ValueError(f"a power with numbers up to 2^{bits} exceeds "
+                                     f"the limit 2^{MAX_BITS}")
             v = v ** (-val if neg else val)
         return v
 
