@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from dpglue import linalg
 from dpglue.fields import base_field
 from dpglue.multipoly import MPoly, parse_mpoly
 
@@ -220,41 +219,49 @@ def classify_gluing(scenario: GlueScenario) -> str:
 
 
 def _proj_point(field, v):
-    """(p : q) from an int, an integer string, or 'inf'."""
+    """(x, y) in ints, x reduced mod p over GF(p), from an int, an
+    integer string or 'inf'."""
     if v == "inf":
-        return (field.one, field.zero)
+        return (1, 0)
     try:
-        return (field.from_int(int(v)), field.one)
+        n = int(v)
     except ValueError:
         raise ScenarioError(
             f"identification point {v!r} is not an integer or 'inf'") from None
+    p = field.characteristic
+    return (n % p if p else n, 1)
 
 
 def _mobius_matrix(field, p1, p2, p3):
-    """2x2 matrix sending (1:0), (0:1), (1:1) to the three points."""
+    """2x2 int matrix sending (1:0), (0:1), (1:1) to the three points.
+
+    With det = |p1 p2|, alpha and beta solve alpha*p1 + beta*p2 = det*p3;
+    the map is projective, so the factor det is kept, not divided out.
+    """
     det = p1[0] * p2[1] - p1[1] * p2[0]
-    if not det:
+    alpha = p3[0] * p2[1] - p3[1] * p2[0]
+    beta = p1[0] * p3[1] - p1[1] * p3[0]
+    if not (field.from_int(det) and field.from_int(alpha) and field.from_int(beta)):
         raise ScenarioError("identification points are not distinct")
-    # solve alpha*p1 + beta*p2 = p3
-    alpha = (p3[0] * p2[1] - p3[1] * p2[0]) / det
-    beta = (p1[0] * p3[1] - p1[1] * p3[0]) / det
-    if not alpha or not beta:
-        raise ScenarioError("identification points are not distinct")
-    return [[alpha * p1[0], beta * p2[0]], [alpha * p1[1], beta * p2[1]]]
+    return ((alpha * p1[0], beta * p2[0]), (alpha * p1[1], beta * p2[1]))
+
+
+def _mobius_ints(field, pairs):
+    """``mobius_from_pairs`` as a 2x2 int matrix, up to a nonzero scale."""
+    if len(pairs) != 3:
+        raise ScenarioError("a Moebius identification needs three point pairs")
+    src = [_proj_point(field, s) for s, _ in pairs]
+    dst = [_proj_point(field, t) for _, t in pairs]
+    (a, b), (c, d) = _mobius_matrix(field, *src)
+    (e, f), (g, h) = _mobius_matrix(field, *dst)
+    # md o ms^{-1}, up to scale: the adjugate of ms inverts it projectively
+    return ((e * d - f * c, f * a - e * b), (g * d - h * c, h * a - g * b))
 
 
 def mobius_from_pairs(field, pairs):
     """The Moebius map sending three source points to three targets,
     as a 2x2 matrix acting on projective pairs."""
-    if len(pairs) != 3:
-        raise ScenarioError("a Moebius identification needs three point pairs")
-    src = [_proj_point(field, s) for s, _ in pairs]
-    dst = [_proj_point(field, t) for _, t in pairs]
-    ms = _mobius_matrix(field, *src)
-    md = _mobius_matrix(field, *dst)
-    # md o ms^{-1}, up to scale: the adjugate of ms inverts it projectively
-    (a, b), (c, d) = ms
-    return linalg.mat_mul(field, md, [[d, -b], [-c, a]])
+    return [[field.from_int(x) for x in row] for row in _mobius_ints(field, pairs)]
 
 
 def identification_points(field, ident):
@@ -265,8 +272,8 @@ def identification_points(field, ident):
     the field.
     """
     return (mobius_from_pairs(field, ident["map"]),
-            _proj_point(field, ident["node"]),
-            _proj_point(field, ident["nodeTarget"]))
+            tuple(map(field.from_int, _proj_point(field, ident["node"]))),
+            tuple(map(field.from_int, _proj_point(field, ident["nodeTarget"]))))
 
 
 def node_matching_check(scenario: GlueScenario):
@@ -279,10 +286,11 @@ def node_matching_check(scenario: GlueScenario):
     field = base_field(scenario.characteristic)
     problems = []
     for k, ident in enumerate(scenario.identifications):
-        mat, node, target = identification_points(field, ident)
-        image = linalg.mat_vec(field, mat, node)
-        cross = image[0] * target[1] - image[1] * target[0]
-        if cross:
+        (a, b), (c, d) = _mobius_ints(field, ident["map"])
+        x, y = _proj_point(field, ident["node"])
+        s, t = _proj_point(field, ident["nodeTarget"])
+        # the image (ax + by : cx + dy) against the target (s : t)
+        if field.from_int((a * x + b * y) * t - (c * x + d * y) * s):
             problems.append(
                 f"identification {k} moves the node marker: sections regular "
                 "at the marked node acquire a pole on the matched line"

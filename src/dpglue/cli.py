@@ -2,19 +2,71 @@
 
 Exit codes: 0 all checks pass, 1 at least one assertion/expectation
 fails or the reader of stdout closed it early, 2 malformed input.
-Output is deterministic (scenarios in file order, JSON keys sorted).
+Output is deterministic (scenarios in file order).  ``--format json``
+writes the text of ``json.dumps(value, indent=2, sort_keys=True)``: a
+two-space indent, keys sorted, and strings with every non-ASCII or
+control character escaped.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from dpglue import catalog, scenarios
 from dpglue.fields import base_field
+
+
+def _write_json(value, out: list, indent: str) -> None:
+    """Append to ``out`` the pieces of ``value``'s JSON text at ``indent``.
+
+    Reports hold only dicts with string keys, lists, tuples, strings,
+    ints, bools and None; anything else raises TypeError.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple, dict)):
+        if not value:
+            out.append("{}" if isinstance(value, dict) else "[]")
+            return
+        inner = indent + "  "
+        step = ",\n" + inner
+        if isinstance(value, dict):
+            out.append("{\n" + inner)
+            for k, key in enumerate(sorted(value)):
+                if k:
+                    out.append(step)
+                out.append(encode_basestring_ascii(key))
+                out.append(": ")
+                _write_json(value[key], out, inner)
+            out.append("\n" + indent + "}")
+        else:
+            out.append("[\n" + inner)
+            for k, item in enumerate(value):
+                if k:
+                    out.append(step)
+                _write_json(item, out, inner)
+            out.append("\n" + indent + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def to_json(value) -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``."""
+    out: list = []
+    _write_json(value, out, "")
+    return "".join(out)
 
 
 def _report_lines(report: dict, mismatches) -> list:
@@ -65,7 +117,7 @@ def cmd_run(args) -> int:
     total = len(loaded)
     if args.format == "json":
         doc = {"scenarios": out, "passed": total - failed, "failed": failed}
-        print(json.dumps(doc, indent=2, sort_keys=True, default=str))
+        print(to_json(doc))
     else:
         for line in out:
             print(line)
@@ -95,7 +147,7 @@ def cmd_catalog(args) -> int:
                 "gorenstein": rep["gorenstein"],
             })
         if args.format == "json":
-            print(json.dumps(rows, indent=2, sort_keys=True))
+            print(to_json(rows))
         else:
             for r in rows:
                 v = {True: "identity checked", None: "-"}.get(
@@ -114,7 +166,7 @@ def cmd_catalog(args) -> int:
             "conic": b.conic, "verified": ok,
         })
     if args.format == "json":
-        print(json.dumps(out, indent=2, sort_keys=True))
+        print(to_json(out))
     else:
         for r in out:
             a = "-" if r["a"] is None else r["a"]

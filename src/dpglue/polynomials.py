@@ -335,19 +335,23 @@ class Poly:
         field = self.field
         a, b = self.coeffs, other.coeffs
         table = field.table
+        one = field.one
         if table is not None and other.field is field:
             # the whole loop on residues, converted once each way
             p = field.p
             a, b = [x.value for x in a], [y.value for y in b]
-            while b:
+            while len(b) > 1:
                 a, b = b, _reduce_residues(a, b, p)
+            if b:  # a nonzero constant: the gcd is 1
+                return Poly._trusted(field, [one])
             if not a:
                 return Poly._trusted(field, [])
             inv = pow(a[-1], -1, p)
             return Poly._trusted(field, [table[v * inv % p] for v in a])
-        one = field.one
-        while b:
+        while len(b) > 1:
             a, b = b, _reduce(list(a), b, one / b[-1])
+        if b:
+            return Poly._trusted(field, [one])
         return Poly._trusted(field, a).monic()
 
     def valuation(self, p: "Poly") -> int:

@@ -6,9 +6,10 @@ scenario names its building blocks, the glue case, and per-case data
 Unknown fields are rejected.  An optional ``expect`` block records the
 intended report values; the CLI exits nonzero when they do not match.
 
-The schemas are JSON Schema (Draft 2020-12) dicts.  The module validates
-by its own walker, which implements the ten keywords they use and
-refuses, at import, a schema that uses any other.
+The schemas are JSON Schema (Draft 2020-12) dicts, compiled once, at
+import, into nested closures: one per keyword, run in schema order.  The
+compiler implements the ten keywords they use and refuses a schema that
+uses any other.
 """
 
 from __future__ import annotations
@@ -148,32 +149,15 @@ class ScenarioFileError(ValueError):
     pass
 
 
-_KEYWORDS = {"type", "const", "enum", "required", "properties",
-             "additionalProperties", "items", "minItems", "maxItems", "minimum"}
-
-_IS_TYPE = {
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
-    "string": lambda v: isinstance(v, str),
-    "boolean": lambda v: isinstance(v, bool),
-    "null": lambda v: v is None,
-    # Draft 2020-12: 1.0 is an integer, true is not
-    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
-                          or isinstance(v, float) and v.is_integer()),
-}
+# the class of each JSON type but integer, which no class matches:
+# Draft 2020-12 counts 1.0 as an integer, and true as none
+_TYPE_CLASS = {"object": dict, "array": list, "string": str, "boolean": bool,
+               "null": type(None)}
 
 
-def _check_schema(schema):
-    """Raise unless ``schema`` uses only what ``_walk`` implements."""
-    types = schema.get("type", [])
-    unknown = (set(schema) - _KEYWORDS
-               | set([types] if isinstance(types, str) else types) - set(_IS_TYPE))
-    if unknown or not isinstance(schema.get("items", {}), dict):
-        raise TypeError(f"schema walker cannot check {sorted(unknown) or 'items'}")
-    for sub in [*schema.get("properties", {}).values(),
-                schema.get("items"), schema.get("additionalProperties")]:
-        if isinstance(sub, dict):
-            _check_schema(sub)
+def _is_integer(v) -> bool:
+    return (isinstance(v, int) and not isinstance(v, bool)
+            or isinstance(v, float) and v.is_integer())
 
 
 def _equal(a, b) -> bool:
@@ -187,62 +171,165 @@ def _equal(a, b) -> bool:
     return a == b
 
 
-def _walk(doc, schema, path, errors):
-    """Append (path, message) for each keyword of ``schema`` that ``doc``
-    breaks, in schema order and with jsonschema's wording."""
+# Each keyword compiles, given its value and the whole schema, to a
+# check(doc, path, errors) that appends (path, message) for what doc
+# breaks, with jsonschema's wording, or to None when it checks nothing.
+
+
+def _type(want, schema):
+    names = [want] if isinstance(want, str) else want
+    unknown = [name for name in names if name not in _TYPE_CLASS and name != "integer"]
+    if unknown:
+        raise TypeError(f"schema compiler cannot check {unknown}")
+    classes = tuple(_TYPE_CLASS[name] for name in names if name != "integer")
+    integer = "integer" in names
+    listed = ", ".join(map(repr, names))
+
+    def check(doc, path, errors):
+        if not (isinstance(doc, classes) or integer and _is_integer(doc)):
+            errors.append((path, f"{doc!r} is not of type {listed}"))
+    return check
+
+
+def _const(want, schema):
+    def check(doc, path, errors):
+        if not _equal(doc, want):
+            errors.append((path, f"{want!r} was expected"))
+    return check
+
+
+def _enum(want, schema):
+    def check(doc, path, errors):
+        for w in want:
+            if _equal(doc, w):
+                return
+        errors.append((path, f"{doc!r} is not one of {want!r}"))
+    return check
+
+
+def _minimum(want, schema):
+    def check(doc, path, errors):
+        if isinstance(doc, (int, float)) and not isinstance(doc, bool) and doc < want:
+            errors.append((path, f"{doc!r} is less than the minimum of {want!r}"))
+    return check
+
+
+def _items(want, schema):
+    check_item = _compile(want)
+
+    def check(doc, path, errors):
+        if isinstance(doc, list):
+            for i, item in enumerate(doc):
+                check_item(item, path + [i], errors)
+    return check
+
+
+def _min_items(want, schema):
+    tail = "should be non-empty" if want == 1 else "is too short"
+
+    def check(doc, path, errors):
+        if isinstance(doc, list) and len(doc) < want:
+            errors.append((path, f"{doc!r} {tail}"))
+    return check
+
+
+def _max_items(want, schema):
+    tail = "is expected to be empty" if want == 0 else "is too long"
+
+    def check(doc, path, errors):
+        if isinstance(doc, list) and len(doc) > want:
+            errors.append((path, f"{doc!r} {tail}"))
+    return check
+
+
+def _required(want, schema):
+    def check(doc, path, errors):
+        if isinstance(doc, dict):
+            for name in want:
+                if name not in doc:
+                    errors.append((path, f"{name!r} is a required property"))
+    return check
+
+
+def _properties(want, schema):
+    subs = {name: _compile(sub) for name, sub in want.items()}
+
+    def check(doc, path, errors):
+        # in the document's order: errors below distinct names have
+        # distinct paths, so the sort by path decides their order
+        if isinstance(doc, dict):
+            for name, value in doc.items():
+                sub = subs.get(name)
+                if sub is not None:
+                    sub(value, path + [name], errors)
+    return check
+
+
+def _additional_properties(want, schema):
+    known = frozenset(schema.get("properties", {}))
+
+    def extras(doc):
+        return sorted((k for k in doc if k not in known), key=str)
+
+    if isinstance(want, dict):
+        check_extra = _compile(want)
+
+        def check(doc, path, errors):
+            if isinstance(doc, dict) and not doc.keys() <= known:
+                for name in extras(doc):
+                    check_extra(doc[name], path + [name], errors)
+        return check
+    if want:
+        return None
+
+    def check(doc, path, errors):
+        if isinstance(doc, dict) and not doc.keys() <= known:
+            names = extras(doc)
+            verb = "was" if len(names) == 1 else "were"
+            errors.append((path, f"Additional properties are not allowed "
+                                 f"({', '.join(map(repr, names))} {verb} unexpected)"))
+    return check
+
+
+_KEYWORDS = {"type": _type, "const": _const, "enum": _enum, "minimum": _minimum,
+             "items": _items, "minItems": _min_items, "maxItems": _max_items,
+             "required": _required, "properties": _properties,
+             "additionalProperties": _additional_properties}
+
+
+def _compile(schema):
+    """check(doc, path, errors) running ``schema``'s keywords in its order.
+
+    Raises TypeError on a schema that is not a dict, and on a keyword or
+    a type name that the compiler does not implement.
+    """
+    if not isinstance(schema, dict):
+        raise TypeError(f"schema compiler cannot check {schema!r}")
+    checks = []
     for key, want in schema.items():
-        message = None
-        if key == "type":
-            names = [want] if isinstance(want, str) else want
-            if not any(_IS_TYPE[name](doc) for name in names):
-                message = f"{doc!r} is not of type {', '.join(map(repr, names))}"
-        elif key == "const":
-            if not _equal(doc, want):
-                message = f"{want!r} was expected"
-        elif key == "enum":
-            if not any(_equal(doc, w) for w in want):
-                message = f"{doc!r} is not one of {want!r}"
-        elif key == "minimum":
-            if isinstance(doc, (int, float)) and not isinstance(doc, bool) and doc < want:
-                message = f"{doc!r} is less than the minimum of {want!r}"
-        elif isinstance(doc, list):
-            if key == "items":
-                for i, item in enumerate(doc):
-                    _walk(item, want, path + [i], errors)
-            elif key == "minItems" and len(doc) < want:
-                message = f"{doc!r} " + ("should be non-empty" if want == 1 else "is too short")
-            elif key == "maxItems" and len(doc) > want:
-                message = f"{doc!r} " + ("is expected to be empty" if want == 0 else "is too long")
-        elif isinstance(doc, dict):
-            if key == "required":
-                errors.extend((path, f"{name!r} is a required property")
-                              for name in want if name not in doc)
-            elif key == "properties":
-                for name, sub in want.items():
-                    if name in doc:
-                        _walk(doc[name], sub, path + [name], errors)
-            elif key == "additionalProperties":
-                known = schema.get("properties", {})
-                extras = sorted((k for k in doc if k not in known), key=str)
-                if isinstance(want, dict):
-                    for name in extras:
-                        _walk(doc[name], want, path + [name], errors)
-                elif not want and extras:
-                    verb = "was" if len(extras) == 1 else "were"
-                    message = (f"Additional properties are not allowed "
-                               f"({', '.join(map(repr, extras))} {verb} unexpected)")
-        if message is not None:
-            errors.append((path, message))
+        if key not in _KEYWORDS:
+            raise TypeError(f"schema compiler cannot check {key!r}")
+        check = _KEYWORDS[key](want, schema)
+        if check is not None:
+            checks.append(check)
+    if len(checks) == 1:
+        return checks[0]
+
+    def check_all(doc, path, errors):
+        for check in checks:
+            check(doc, path, errors)
+    return check_all
 
 
-_check_schema(SCENARIO_FILE_SCHEMA)
-_check_schema(PARAM_FILE_SCHEMA)
+# the shipped schemas, compiled once; validate_document compiles any other
+_COMPILED = {id(s): _compile(s) for s in (SCENARIO_FILE_SCHEMA, PARAM_FILE_SCHEMA)}
 
 
 def validate_document(doc, schema=SCENARIO_FILE_SCHEMA):
     """Raise ScenarioFileError listing every ``path: message``, by path."""
+    check = _COMPILED.get(id(schema)) or _compile(schema)
     errors = []
-    _walk(doc, schema, [], errors)
+    check(doc, [], errors)
     if errors:
         errors.sort(key=lambda e: e[0])
         raise ScenarioFileError("; ".join(

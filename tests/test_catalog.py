@@ -1,7 +1,9 @@
 """Building-block table, gluing classifier, explicit equations."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dpglue import linalg
 from dpglue.catalog import (GlueScenario, PicardClass, ScenarioError,
                             block_table, building_block, canonical_class,
                             classify_gluing, degree12_catalog,
@@ -171,6 +173,86 @@ def test_self_glued_cone_case():
                         identifications=[IDENTITY_IDENT])
     ok, _ = node_matching_check(scen)
     assert ok
+
+
+# The Moebius maps in field arithmetic, dividing by det, that the integer
+# maps replaced; kept as their reference.
+
+
+def field_point(field, v):
+    if v == "inf":
+        return (field.one, field.zero)
+    try:
+        return (field.from_int(int(v)), field.one)
+    except ValueError:
+        raise ScenarioError(
+            f"identification point {v!r} is not an integer or 'inf'") from None
+
+
+def field_mobius_matrix(field, p1, p2, p3):
+    det = p1[0] * p2[1] - p1[1] * p2[0]
+    if not det:
+        raise ScenarioError("identification points are not distinct")
+    alpha = (p3[0] * p2[1] - p3[1] * p2[0]) / det
+    beta = (p1[0] * p3[1] - p1[1] * p3[0]) / det
+    if not alpha or not beta:
+        raise ScenarioError("identification points are not distinct")
+    return [[alpha * p1[0], beta * p2[0]], [alpha * p1[1], beta * p2[1]]]
+
+
+def field_mobius_from_pairs(field, pairs):
+    if len(pairs) != 3:
+        raise ScenarioError("a Moebius identification needs three point pairs")
+    src = [field_point(field, s) for s, _ in pairs]
+    dst = [field_point(field, t) for _, t in pairs]
+    ms = field_mobius_matrix(field, *src)
+    md = field_mobius_matrix(field, *dst)
+    (a, b), (c, d) = ms
+    return linalg.mat_mul(field, md, [[d, -b], [-c, a]])
+
+
+def field_node_moved(field, ident):
+    mat = field_mobius_from_pairs(field, ident["map"])
+    node = field_point(field, ident["node"])
+    target = field_point(field, ident["nodeTarget"])
+    image = linalg.mat_vec(field, mat, node)
+    return bool(image[0] * target[1] - image[1] * target[0])
+
+
+def outcome(moved, *args):
+    try:
+        return moved(*args)
+    except ScenarioError as exc:
+        return str(exc)
+
+
+ID_POINTS = st.one_of(st.integers(-12, 12), st.just("inf"), st.integers(-12, 12).map(str),
+                      st.sampled_from(["x", "1/2", "", " 3 ", "inf ", "1e3", 10**30,
+                                       str(-10**30)]))
+
+
+@settings(max_examples=400)
+@given(st.sampled_from([0, 2, 3, 5, 7, 1000003]),
+       st.lists(st.lists(ID_POINTS, min_size=2, max_size=2), min_size=2, max_size=4),
+       ID_POINTS, ID_POINTS)
+def test_integer_mobius_maps_agree_with_field_arithmetic(p, pairs, node, target):
+    field = base_field(p)
+    ident = {"map": pairs, "node": node, "nodeTarget": target}
+    scen = GlueScenario(p, [building_block("c1", 2)], "C", identifications=[ident])
+
+    def moved():
+        return not node_matching_check(scen)[0]
+
+    assert outcome(moved) == outcome(field_node_moved, field, ident)
+    try:
+        want = field_mobius_from_pairs(field, pairs)
+    except ScenarioError:
+        return
+    got = [x for row in mobius_from_pairs(field, pairs) for x in row]
+    want = [x for row in want for x in row]
+    # the same projective map: the two matrices are proportional
+    assert any(got) and all(got[i] * want[j] == got[j] * want[i]
+                            for i in range(4) for j in range(4))
 
 
 # -- reports -----------------------------------------------------------

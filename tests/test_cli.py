@@ -12,7 +12,7 @@ import time
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dpglue import cli, cohomology, glue, scenarios
 from dpglue.cli import main
@@ -81,6 +81,21 @@ def test_json_parse_error_has_position(tmp_path):
 
 def test_run_corpus_exit_zero():
     assert main(["run", TAME, WILD]) == 0
+
+
+# The shipped corpora's reports, byte for byte; after a deliberate change
+# to a report, rewrite them with, for example,
+#   PYTHONPATH=src python -m dpglue.cli run src/dpglue/data/tame_families.json \
+#       --format json > tests/golden/tame_families.json
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+@pytest.mark.parametrize("corpus", ["tame_families", "wild_families"])
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+def test_run_output_matches_the_golden_file(capsys, corpus, fmt, suffix):
+    assert main(["run", data_path(f"{corpus}.json"), "--format", fmt]) == 0
+    with open(os.path.join(GOLDEN, f"{corpus}.{suffix}"), "rb") as fh:
+        assert capsys.readouterr().out.encode() == fh.read()
 
 
 def test_run_wild_corpus_values(capsys):
@@ -439,6 +454,31 @@ def test_catalog_json_round_trips(capsys):
     assert main(["catalog", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert {r["case"] for r in rows} >= {"a1", "b", "c1", "d1", "e"}
+
+
+# surrogates and control characters included
+JSON_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10**30, -10**30])
+    | JSON_TEXT,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=300)
+@given(JSON_VALUES)
+@example({"": {}, "a": [], "b": [{}, [[]], ()], "\x00\x1f\x7f": "\u00e9\u2028\U0001f600\ud800"})
+def test_json_writer_writes_the_text_of_json_dumps(value):
+    assert cli.to_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("args", [[], ["--degree12"], ["--degree12", "--characteristic", "3"]],
+                         ids=["blocks", "degree12", "degree12-char3"])
+def test_catalog_json_is_the_text_of_json_dumps(capsys, args):
+    assert main(["catalog", *args, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 def test_catalog_degree12(capsys):

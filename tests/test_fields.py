@@ -435,6 +435,23 @@ def test_residue_loops_match_coefficient_lists(p, data):
     assert f.coeffs == a and g.coeffs == b
 
 
+@pytest.mark.parametrize("p", [7, 1000003, 0])
+def test_gcd_with_a_nonzero_constant_is_one_at_once(p, monkeypatch):
+    from dpglue import polynomials
+
+    steps = []
+    for name in ("_reduce", "_reduce_residues"):
+        step = getattr(polynomials, name)
+        monkeypatch.setattr(polynomials, name,
+                            lambda *args, step=step: steps.append(1) or step(*args))
+    F = base_field(p)
+    f, c = Poly.from_ints(F, [3, 0, 2, 1]), Poly.from_ints(F, [5])
+    assert f.gcd(c).coeffs == [F.one] and not steps
+    # a constant over a polynomial: one step leaves the constant as the remainder
+    assert c.gcd(f).coeffs == [F.one] and len(steps) == 1
+    assert f.gcd(f * f + c).coeffs == [F.one]
+
+
 # -- orders at places --------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""The scenario-file schema walker: Draft 2020-12 verdicts, messages, imports."""
+"""The scenario-file schemas, compiled once: Draft 2020-12 verdicts, messages, imports."""
 
 import copy
 import json
@@ -94,6 +94,102 @@ def walker_accepts(doc, schema):
     return True
 
 
+IS_TYPE = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+
+
+def equal(a, b) -> bool:
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(equal(a[k], b[k]) for k in a)
+    return a == b
+
+
+def walk(doc, schema, path, errors):
+    """The schema walker that the compiled closures replaced, kept as their reference.
+
+    It re-dispatches on every keyword of ``schema`` for every node of
+    ``doc`` and appends (path, message) in schema order.
+    """
+    for key, want in schema.items():
+        message = None
+        if key == "type":
+            names = [want] if isinstance(want, str) else want
+            if not any(IS_TYPE[name](doc) for name in names):
+                message = f"{doc!r} is not of type {', '.join(map(repr, names))}"
+        elif key == "const":
+            if not equal(doc, want):
+                message = f"{want!r} was expected"
+        elif key == "enum":
+            if not any(equal(doc, w) for w in want):
+                message = f"{doc!r} is not one of {want!r}"
+        elif key == "minimum":
+            if isinstance(doc, (int, float)) and not isinstance(doc, bool) and doc < want:
+                message = f"{doc!r} is less than the minimum of {want!r}"
+        elif isinstance(doc, list):
+            if key == "items":
+                for i, item in enumerate(doc):
+                    walk(item, want, path + [i], errors)
+            elif key == "minItems" and len(doc) < want:
+                message = f"{doc!r} " + ("should be non-empty" if want == 1 else "is too short")
+            elif key == "maxItems" and len(doc) > want:
+                message = f"{doc!r} " + ("is expected to be empty" if want == 0 else "is too long")
+        elif isinstance(doc, dict):
+            if key == "required":
+                errors.extend((path, f"{name!r} is a required property")
+                              for name in want if name not in doc)
+            elif key == "properties":
+                for name, sub in want.items():
+                    if name in doc:
+                        walk(doc[name], sub, path + [name], errors)
+            elif key == "additionalProperties":
+                known = schema.get("properties", {})
+                extras = sorted((k for k in doc if k not in known), key=str)
+                if isinstance(want, dict):
+                    for name in extras:
+                        walk(doc[name], want, path + [name], errors)
+                elif not want and extras:
+                    verb = "was" if len(extras) == 1 else "were"
+                    message = (f"Additional properties are not allowed "
+                               f"({', '.join(map(repr, extras))} {verb} unexpected)")
+        if message is not None:
+            errors.append((path, message))
+
+
+def walker_outcome(doc, schema):
+    errors = []
+    walk(doc, schema, [], errors)
+    errors.sort(key=lambda e: e[0])
+    return "; ".join(f"{'/'.join(map(str, where)) or '<root>'}: {message}"
+                     for where, message in errors) or None
+
+
+def outcome(doc, schema):
+    try:
+        validate_document(doc, schema)
+    except ScenarioFileError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=500)
+@given(st.sampled_from(BASES), st.data())
+def test_compiled_schemas_word_errors_as_the_walker_did(base, data):
+    doc = mutate(base, data.draw)
+    for schema in (SCENARIO_FILE_SCHEMA, PARAM_FILE_SCHEMA):
+        assert outcome(doc, schema) == walker_outcome(doc, schema)
+
+
 @settings(max_examples=500)
 @given(st.sampled_from(BASES), st.data())
 def test_walker_agrees_with_jsonschema(base, data):
@@ -111,6 +207,7 @@ def test_walker_agrees_with_jsonschema(base, data):
 @pytest.mark.parametrize("doc", [True, False, 1, 1.0, 0, 2, "1", None, [1], [True],
                                  {"a": 0}, {"a": False}, [], {}])
 def test_equality_and_numbers_follow_the_draft(schema, doc):
+    assert outcome(doc, schema) == walker_outcome(doc, schema)
     jsonschema = pytest.importorskip("jsonschema")
     expected = jsonschema.Draft202012Validator(schema).is_valid(doc)
     assert walker_accepts(doc, schema) == expected
@@ -125,6 +222,13 @@ def rejection(doc, schema=SCENARIO_FILE_SCHEMA):
 def test_unknown_field_message():
     assert rejection(scenario(mystery=1)) == (
         "scenarios/0: Additional properties are not allowed ('mystery' was unexpected)")
+
+
+def test_unknown_fields_are_listed_sorted():
+    doc = scenario(zeta=1, mystery=2)
+    want = ("scenarios/0: Additional properties are not allowed "
+            "('mystery', 'zeta' were unexpected)")
+    assert rejection(doc) == walker_outcome(doc, SCENARIO_FILE_SCHEMA) == want
 
 
 def test_missing_required_key_message():
@@ -171,8 +275,8 @@ def test_substitution_values_are_walked_by_their_schema():
     {"type": "array", "items": False},
 ], ids=["keyword", "type-name", "boolean-items"])
 def test_walker_refuses_what_it_does_not_implement(schema):
-    with pytest.raises(TypeError, match="schema walker cannot check"):
-        scenarios._check_schema(schema)
+    with pytest.raises(TypeError, match="schema compiler cannot check"):
+        scenarios._compile(schema)
 
 
 def printed_after_import(expr):
