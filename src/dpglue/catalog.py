@@ -264,18 +264,6 @@ def mobius_from_pairs(field, pairs):
     return [[field.from_int(x) for x in row] for row in _mobius_ints(field, pairs)]
 
 
-def identification_points(field, ident):
-    """(Moebius matrix, node, node target) of one identification.
-
-    Raises ScenarioError on a point that is not an integer, an integer
-    string or 'inf', and on source or target points that coincide in
-    the field.
-    """
-    return (mobius_from_pairs(field, ident["map"]),
-            tuple(map(field.from_int, _proj_point(field, ident["node"]))),
-            tuple(map(field.from_int, _proj_point(field, ident["nodeTarget"]))))
-
-
 def node_matching_check(scenario: GlueScenario):
     """(ok, diagnostics): every identification must carry node to node.
 
@@ -353,7 +341,7 @@ def scenario_report(scenario: GlueScenario) -> dict:
                           wildPoints=None, chi=None, h1=None)
             return report
         report["n_delta_generic"] = (2 * data.r, data.r)
-        wild = bool(data.pole_divisor)
+        wild = cohomology.total_pole_order(data) > 0
         if case[0] == "D":
             tame = not wild
             singularity = (f"wild({r})" if wild else

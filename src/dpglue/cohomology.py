@@ -2,14 +2,14 @@
 
 Closed formulas: chi(O_X) = 1 - N(p-1) and h1(O_X) = N(p-1), where
 N = sum of deg P * n_P over the wild places P of the derivation datum,
-with pole order n_P p at P.  ``closed_form`` reads the square-free pole
-divisor of the a/b_i (``GenericGlueData.pole_divisor``), which gives
-each pole's order and the degree of its places without factoring, and
-returns the pointwise criterion's problems and h1; it factors only to
-name a failing pole, and words a pole it cannot name by its piece.
+with pole order n_P p at P.  ``closed_form`` reads the datum's poles
+(L, e) (``GenericGlueData.poles``) and returns the pointwise criterion's
+problems and h1 with no decomposition: over GF(p) the verdict is L' = 0
+and p | e, and N p = deg L + e.  It splits L square-free only to name a
+failing pole, and words a pole it cannot name by its piece.
 ``global_gorenstein``, ``wild_multiplicity``, ``chi_OX`` and ``h1_OX``
-each read one call of it, and ``total_pole_order`` and
-``delta_P_wild`` read the same divisor.
+each read one call of it, ``total_pole_order`` is deg L + e, and
+``delta_P_wild`` counts gaps over L's square-free pieces.
 
 These are cross-checked by a truncated two-chart section computation
 that treats O_D(n) as pairs (f, g_i) with a f' + sum b_i g_i = 0 inside
@@ -64,36 +64,39 @@ def d_plus_structure(r: int):
 
 
 class ClosedForm(NamedTuple):
-    """Verdict read off the pole divisor of the a/b_i."""
+    """Verdict read off the poles (L, e) of the a/b_i."""
 
     problems: list  # empty iff the pointwise criterion holds everywhere
     h1: int | None  # N(p-1), or None when the criterion fails
 
 
 def closed_form(data: GenericGlueData) -> ClosedForm:
-    """The pointwise criterion and h1 from the square-free pole divisor.
+    """The pointwise criterion and h1 from the poles (L, e).
 
     On the projective line: b_i/b_1 must be constant (unit everywhere)
     and every pole of a/b_1, including infinity, must be wild of order
     divisible by p.  With constant b_i/b_1 every a/b_i has the poles of
-    a/b_1, so the pole orders alone decide.
+    a/b_1, so the pole orders alone decide.  Over the perfect field
+    GF(p), every multiplicity in L is divisible by p exactly when L is
+    a p-th power, that is when L' = 0 (Modern Computer Algebra, 14.6).
     """
     problems = [f"b_{i}/b_1 is non-constant"
                 for i, ratio in enumerate(data.b_ratios, start=2) if not ratio.is_constant()]
     p = data.characteristic
-    poles = data.pole_divisor
-    if any(p == 0 or order % p for _, order in poles):
+    den, at_infinity = data.poles
+    # in characteristic 0 every pole breaks the criterion
+    if (den.derivative() or at_infinity % p) if p else (den.degree or at_infinity):
         named = data.wild_places
         if named is None:  # factoring over Q gave up: word each piece
-            named = [(piece if isinstance(piece, Place) else "the places of an unfactored "
-                      f"square-free piece of degree {piece.degree}", order)
-                     for piece, order in poles]
+            named = [("the places of an unfactored square-free piece of degree "
+                      f"{piece.degree}", order) for piece, order in den.squarefree()]
+            named += [(Place.infinity(), at_infinity)] * (at_infinity > 0)
         problems += [f"pole of order {order} at {place} is not allowed"
                      for place, order in named if p == 0 or order % p]
     h1 = None
     if not problems:
         # p divides every pole order, and there is no pole when p = 0
-        h1 = (p - 1) * sum(piece.degree * (order // p) for piece, order in poles)
+        h1 = (p - 1) * total_pole_order(data) // p if p else 0
     return ClosedForm(problems, h1)
 
 
@@ -133,16 +136,21 @@ def h1_OX(data: GenericGlueData) -> int:
 def delta_P_wild(data: GenericGlueData) -> int:
     """Sum of local delta invariants over wild points, via gap counts.
 
-    Each wild place counts once per geometric point, deg P times.
+    Each wild place counts once per geometric point, deg P times; the
+    places of one square-free piece of L share their pole order.
     """
-    p = data.characteristic
-    return sum(piece.degree * wild_cusp_ring(p, order // p).delta
-               for piece, order in data.pole_divisor)
+    def gaps(order):
+        return wild_cusp_ring(data.characteristic, order // data.characteristic).delta
+
+    den, at_infinity = data.poles
+    total = sum(piece.degree * gaps(order) for piece, order in den.squarefree())
+    return total + (gaps(at_infinity) if at_infinity else 0)
 
 
 def total_pole_order(data: GenericGlueData) -> int:
     """Degree of the wild pole divisor: sum of deg P * pole order."""
-    return sum(piece.degree * order for piece, order in data.pole_divisor)
+    den, at_infinity = data.poles
+    return den.degree + at_infinity
 
 
 # -- truncated Cech oracle --------------------------------------------

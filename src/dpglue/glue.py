@@ -12,11 +12,11 @@ ideal for every datum, so its table depends on (p, r) only and is built
 once, in closed form.  The trace pairing, the pointwise Gorenstein
 criterion, tameness scans, and the wild-cusp local rings all live here.
 
-A datum's poles are computed once, in ``pole_divisor``: the square-free
-pieces of the a/b_i denominators and infinity, with their pole orders,
-which is all a verdict needs.  ``wild_places`` factors those pieces to
-name the places, which only reports do; it is None when a piece over Q
-cannot be factored.
+A datum's poles are computed once, in ``poles``: the pair (L, e) of the
+monic lcm of the a/b_i denominators and the pole order at infinity,
+which is all a verdict needs.  ``wild_places`` splits L square-free and
+factors its pieces to name the places, which only reports do; it is
+None when a piece over Q cannot be factored.
 """
 
 from __future__ import annotations
@@ -72,40 +72,36 @@ class GenericGlueData:
         return self._ratios[i]
 
     @cached_property
-    def pole_divisor(self) -> tuple:
-        """((piece, order), ...): the poles of all a/b_i, without factoring.
+    def poles(self) -> tuple:
+        """(L, e): the monic lcm of the a/b_i denominators and the largest
+        pole order of an a/b_i at infinity (0 when there is none).
 
-        One entry per square-free piece of the lcm of the denominators,
-        whose places all have that pole order, and (Place.infinity(),
-        order) for a pole at infinity; ``piece.degree`` is the sum of
-        the degrees of its places.
+        Every place of L is a pole of some a/b_i, of its multiplicity in
+        L, so deg L + e is the degree of the pole divisor.
         """
         den, at_infinity = Poly.one(self.field.base), 0
         for c in self._ratios:
             if c:
                 den = den * (c.den // den.gcd(c.den))
                 at_infinity = max(at_infinity, c.num.degree - c.den.degree)
-        poles = den.squarefree() + [(Place.infinity(), at_infinity)] * (at_infinity > 0)
-        return tuple(poles)
+        return den, at_infinity
 
     @cached_property
     def wild_places(self) -> tuple | None:
-        """((Place, pole order), ...): ``pole_divisor`` named by factoring.
+        """((Place, pole order), ...): ``poles`` named by factoring.
 
-        Each piece is monic and square-free, so it is split once, with
-        no second square-free pass; each place appears once, sorted by
-        place.  None when factoring a piece over Q gives up; no verdict
-        needs the names.
+        L is split square-free once and each piece into irreducibles,
+        with no second square-free pass, and infinity is appended with
+        order e; each place appears once, sorted by place.  None when
+        factoring a piece over Q gives up; no verdict needs the names.
         """
-        wild = []
+        den, at_infinity = self.poles
         try:
-            for piece, order in self.pole_divisor:
-                if isinstance(piece, Place):
-                    wild.append((piece, order))
-                else:
-                    wild += [(Place(g), order) for g in split_squarefree(piece)]
+            wild = [(Place(g), order) for piece, order in den.squarefree()
+                    for g in split_squarefree(piece)]
         except NotImplementedError:
             return None
+        wild += [(Place.infinity(), at_infinity)] * (at_infinity > 0)
         return tuple(sorted(wild, key=lambda place_order: _place_key(place_order[0])))
 
 
@@ -355,7 +351,7 @@ def pole_places(f: RationalFunction):
     """All places where f has a pole, with pole orders.
 
     Nothing in the package calls it; ``bench/tracing.py`` profiles it by
-    name, and one datum's poles are read from ``pole_divisor``.
+    name, and one datum's poles are read from ``poles``.
     """
     out = []
     if f.is_zero():

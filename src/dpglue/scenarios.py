@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 
-from dpglue.catalog import GlueScenario, building_block, identification_points
+from dpglue.catalog import GlueScenario, _mobius_ints, _proj_point, building_block
 from dpglue.fields import base_field
 from dpglue.glue import glue_data
 
@@ -346,7 +346,9 @@ def scenario_from_dict(entry: dict):
     """
     field = base_field(entry["characteristic"])
     for ident in entry.get("identifications", []):
-        identification_points(field, ident)
+        _mobius_ints(field, ident["map"])
+        _proj_point(field, ident["node"])
+        _proj_point(field, ident["nodeTarget"])
     blocks = [building_block(b["case"], b.get("a")) for b in entry["blocks"]]
     derivation = None
     if "derivation" in entry:

@@ -287,7 +287,8 @@ def test_integral_floats_read_as_ints_in_either_order(tmp_path):
 
 # Each of these once took seconds, hung or went unnamed: a root search
 # linear in the constant term or in p, trial division by every candidate
-# factor, or over Q no recombination of the factors mod a prime.
+# factor, or over Q no recombination of the factors mod a prime.  The
+# last three pin the verdict at infinity and on mixed pole orders.
 @pytest.mark.parametrize("characteristic, a, gorenstein, wild, h1", [
     (0, "1/(x-300)^3", False, [["x - 300", 3]], None),
     (0, "1/(x-3000)^3", False, [["x - 3000", 3]], None),
@@ -302,8 +303,12 @@ def test_integral_floats_read_as_ints_in_either_order(tmp_path):
     # 16 quadratic factors mod 19, more subsets than recombination tries:
     # the pole goes unnamed, and over Q it breaks the criterion anyway
     (0, f"1/({swinnerton_dyer([2, 3, 5, 7, 11])})", False, None, None),
+    (3, "x^3", True, [["~oo", 3]], 2),
+    (3, "x^2", False, [["~oo", 2]], None),
+    (3, "1/(x^3*(x+1))", False, [["x", 3], ["x + 1", 1]], None),
 ], ids=["Q-x300", "Q-x3000", "GF1000003-quadratic", "GF7-octic", "GF2-x8000",
-        "Q-two-places", "Q-quartic", "Q-two-quadratics", "Q-root-at-0", "Q-sd32"])
+        "Q-two-places", "Q-quartic", "Q-two-quadratics", "Q-root-at-0", "Q-sd32",
+        "GF3-wild-oo", "GF3-tame-oo", "GF3-mixed-orders"])
 def test_pole_divisor_inputs_run_quickly(tmp_path, capsys, monkeypatch, characteristic,
                                          a, gorenstein, wild, h1):
     factored, split = [], []
@@ -331,8 +336,17 @@ def test_pole_divisor_inputs_run_quickly(tmp_path, capsys, monkeypatch, characte
     assert code == (0 if gorenstein else 1)
     assert report["gorenstein"] is gorenstein
     assert report["wildPoints"] == wild and report["h1"] == h1
-    # the one square-free piece is split once, with no second square-free pass
-    assert len(split) == 1 and not factored
+    # the errors name exactly the poles of an order p does not divide
+    if wild is None:
+        assert report["errors"] == ["pole of order 1 at the places of an unfactored "
+                                    "square-free piece of degree 32 is not allowed"]
+    else:
+        assert report["errors"] == [
+            f"pole of order {order} at Place({name.lstrip('~')}) is not allowed"
+            for name, order in wild if characteristic == 0 or order % characteristic]
+    # each square-free piece of L is split once, with no second square-free pass
+    L, _ = glue.glue_data(characteristic, a, ["1"]).poles
+    assert split == [piece for piece, _ in L.squarefree()] and not factored
 
 
 def test_power_past_the_degree_limit_exits_two_quickly(tmp_path, capsys):

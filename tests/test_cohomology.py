@@ -3,12 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpglue.cohomology import (LineSheafSum, chi_OX, d_plus_structure,
+from dpglue.cohomology import (LineSheafSum, chi_OX, closed_form, d_plus_structure,
                                delta_P_wild, global_gorenstein, h1_OX,
                                line_sheaf_chi, total_pole_order,
                                truncated_section_oracle, wild_multiplicity)
-from dpglue.glue import glue_data
-from dpglue.rational import RationalFunction
+from dpglue.glue import glue_data, gorenstein_at_point
+from dpglue.polynomials import Poly
+from dpglue.rational import Place, RationalFunction
 
 from conftest import IRREDUCIBLES, dense_rref
 
@@ -132,6 +133,70 @@ def test_tame_iff_chi_one():
                  glue_data(3, "1/x^3", ["1"]), glue_data(5, "1/x^5", ["1", "1"])):
         tame = not data.wild_places
         assert tame == (chi_OX(data) == 1)
+
+
+@st.composite
+def criterion_data(draw):
+    """A datum with poles at places of degree 1-3 and at infinity.
+
+    a = u x^e + 1/prod P^k has pole order e at infinity and k at P.  A
+    datum's orders are all tame, all multiples of p, or each either, so
+    p divides some of them and not others.  b_1 is 1, or else a place to
+    the power +-1, and each further b_i is b_1 times a unit or a place.
+    """
+    p = draw(st.sampled_from([0, 2, 3, 5, 7]))
+    places = [f for by_degree in IRREDUCIBLES[p] for f in by_degree]
+    tame = st.integers(1, 3)
+    if p:
+        wild = st.integers(1, 2).map(lambda n: n * p)
+        order = draw(st.sampled_from([tame, wild, st.one_of(tame, wild)]))
+    else:
+        order = tame
+    unit = st.integers(1, p - 1 if p else 3).map(str)
+    chosen = draw(st.lists(st.sampled_from(places), max_size=3, unique=True))
+    den = "*".join(f"({f})^{draw(order)}" for f in chosen) or "1"
+    at_infinity = draw(st.one_of(st.just(0), order))
+    a = f"{draw(unit)}*x^{at_infinity} + 1/({den})"
+    b1 = draw(st.one_of(st.just("1"), st.sampled_from(
+        [g for f in places for g in (f"({f})", f"1/({f})")])))
+    b = [b1] + [f"({draw(st.one_of(unit, st.sampled_from(places)))})*{b1}"
+                for _ in range(draw(st.integers(0, 2)))]
+    return glue_data(p, a, b)
+
+
+@given(criterion_data())
+@settings(max_examples=300)
+def test_closed_form_is_the_pointwise_criterion(data):
+    p = data.characteristic
+    problems, h1 = closed_form(data)
+    named = data.wild_places
+    pointwise = (all(ratio.is_constant() for ratio in data.b_ratios)
+                 and all(gorenstein_at_point(data, place) for place, _ in named)
+                 and gorenstein_at_point(data, Place.infinity()))
+    assert (problems == []) == pointwise
+    if pointwise:
+        assert h1 == (p - 1) * sum(place.degree * order // p for place, order in named)
+
+
+def test_closed_form_and_the_oracle_decompose_nothing(monkeypatch):
+    data = glue_data(3, "x^3 + 1/(x*(x^2+1))^3", ["1", "2"])
+    calls = []
+    squarefree = Poly.squarefree
+
+    def counting_squarefree(self):
+        calls.append(self)
+        return squarefree(self)
+
+    monkeypatch.setattr(Poly, "squarefree", counting_squarefree)
+    # N = 1 at infinity + 1 at x + 2 at x^2 + 1
+    assert closed_form(data) == ([], 8)
+    assert (chi_OX(data), h1_OX(data), total_pole_order(data)) == (-7, 8, 12)
+    assert truncated_section_oracle(data) == (1, 8)
+    assert not calls
+    # naming the places is what splits L
+    assert [(str(place), order) for place, order in data.wild_places] == [
+        ("Place(x)", 3), ("Place(x^2 + 1)", 3), ("Place(oo)", 3)]
+    assert calls
 
 
 # -- the truncated oracle ----------------------------------------------
