@@ -13,6 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 from dpglue.fields import base_field
 from dpglue.multipoly import MPoly, parse_mpoly
+from dpglue.rational import _tokenize
 
 
 # -- Picard lattice ----------------------------------------------------
@@ -368,51 +369,49 @@ def verify_parametrization(characteristic: int, hypersurface: str,
                            target_variables) -> bool:
     """Check that the composed polynomial vanishes identically.
 
-    ``substitution`` maps each hypersurface variable to an expression in
-    the target variables; entries may reference other substitution keys
-    (resolved by repeated substitution, cycles rejected).
+    ``substitution`` maps names to expressions in the target variables
+    and other keys.  Each value is parsed once, after the keys it names
+    (Kahn's topological sort), into an MPoly over the targets, so the
+    parser's limits hold on composed polynomials.  Inside a key's own
+    value its name means the target of that name, if there is one; any
+    other cycle raises ValueError.
     """
     field = base_field(characteristic)
-    variables = tuple(variables)
-    target_variables = tuple(target_variables)
-    all_names = tuple(dict.fromkeys(target_variables + tuple(substitution)))
-    exprs = {
-        k: parse_mpoly(field, all_names, v) for k, v in substitution.items()
-    }
-    for _ in range(len(substitution) + 1):
-        changed = False
-        for k, e in exprs.items():
-            used = [
-                name
-                for name, deg in zip(
-                    e.vars, [max((ex[i] for ex in e.terms), default=0)
-                             for i in range(len(e.vars))]
-                )
-                if deg and name in exprs and name != k
-            ]
-            if used:
-                exprs[k] = e.substitute({u: exprs[u] for u in used})
-                changed = True
-        if not changed:
-            break
-    else:
+    targets = tuple(target_variables)
+    waiting, users = {}, {k: [] for k in substitution}
+    for k, text in substitution.items():
+        waiting[k] = {v for kind, v in _tokenize(text) if kind == "name" and v in users
+                      and not (v == k and k in targets)}
+        for name in waiting[k]:
+            users[name].append(k)
+    resolved = {}
+
+    def value(name):
+        if name in resolved:
+            return resolved[name]
+        if name in targets:
+            return MPoly.var(field, targets, name)
+        raise ValueError(f"unknown variable {name!r}")
+
+    ready = [k for k, named in waiting.items() if not named]
+    for k in ready:  # grows as keys become ready
+        resolved[k] = parse_mpoly(field, targets, substitution[k], value)
+        for user in users[k]:
+            waiting[user].discard(k)
+            if not waiting[user]:
+                ready.append(user)
+    if len(resolved) < len(substitution):
         raise ValueError("cyclic substitution")
-    # project onto the target variables
-    final = {}
-    for k, e in exprs.items():
-        proj = MPoly(field, target_variables, {})
-        for exps, c in e.terms.items():
-            for name, deg in zip(e.vars, exps):
-                if deg and name not in target_variables:
-                    raise ValueError(f"unresolved name {name!r} in substitution")
-            slim = tuple(
-                exps[e.vars.index(t)] if t in e.vars else 0
-                for t in target_variables
-            )
-            proj = proj + MPoly(field, target_variables, {slim: c})
-        final[k] = proj
-    hyp = parse_mpoly(field, variables, hypersurface)
-    return hyp.substitute(final).is_zero()
+
+    def hypersurface_variable(name):
+        if name not in variables:
+            raise ValueError(f"unknown variable {name!r}")
+        if name not in resolved and name not in targets:
+            raise ValueError(f"variable {name!r} is neither substituted "
+                             "nor a target variable")
+        return value(name)
+
+    return parse_mpoly(field, targets, hypersurface, hypersurface_variable).is_zero()
 
 
 def monomial_relation_check(p: int, n: int, h0: int = 1) -> bool:

@@ -7,7 +7,12 @@ Terms are stored as a dict from exponent tuples to nonzero coefficients.
 
 from __future__ import annotations
 
-from dpglue.rational import _ExprParser
+from dpglue.rational import MAX_BITS, MAX_DEGREE, _coefficient_bits, _ExprParser
+
+# Most term pairs one product may multiply.  A dense power such as
+# (u+v+1)^8192 stays under MAX_DEGREE yet would take hours; the shipped
+# models multiply at most 6 pairs at a time.
+MAX_TERM_PAIRS = 2**16
 
 
 class MPoly:
@@ -35,6 +40,9 @@ class MPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def degree(self) -> int:
+        return max((sum(exps) for exps in self.terms), default=0)
 
     def __bool__(self):
         return bool(self.terms)
@@ -78,6 +86,18 @@ class MPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        # refuse before multiplying, in the parser's words
+        pairs = len(self.terms) * len(o.terms)
+        if pairs > MAX_TERM_PAIRS:
+            raise ValueError(f"a product of {pairs} term pairs exceeds the limit {MAX_TERM_PAIRS}")
+        degree = self.degree() + o.degree()
+        if degree > MAX_DEGREE:
+            raise ValueError(f"a product of degree {degree} exceeds the limit {MAX_DEGREE}")
+        if not self.field.characteristic:
+            bits = _coefficient_bits(self.terms.values()) + _coefficient_bits(o.terms.values())
+            if bits > MAX_BITS:
+                raise ValueError(f"a product with numbers up to 2^{bits} exceeds "
+                                 f"the limit 2^{MAX_BITS}")
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
@@ -95,8 +115,10 @@ class MPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            # no square past the last bit: it could pass the limits alone
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -107,30 +129,6 @@ class MPoly:
 
     def __hash__(self):
         return hash(frozenset((e, str(c)) for e, c in self.terms.items()))
-
-    def substitute(self, mapping: dict) -> "MPoly":
-        """Substitute MPolys (over a common variable set) for variables.
-
-        Unmapped variables must appear in the target variable set.
-        """
-        target_vars = None
-        for v in mapping.values():
-            target_vars = v.vars
-            break
-        if target_vars is None:
-            return self
-        out = MPoly(self.field, target_vars, {})
-        for exps, c in self.terms.items():
-            term = MPoly.const(self.field, target_vars, c)
-            for name, e in zip(self.vars, exps):
-                if not e:
-                    continue
-                if name in mapping:
-                    term = term * mapping[name] ** e
-                else:
-                    term = term * MPoly.var(self.field, target_vars, name) ** e
-            out = out + term
-        return out
 
     def __repr__(self):
         if not self.terms:
@@ -150,23 +148,21 @@ class MPoly:
         return " + ".join(parts)
 
 
-def parse_mpoly(field, variables, text: str) -> MPoly:
+def parse_mpoly(field, variables, text: str, variable=None) -> MPoly:
+    """Parse text over ``variables``; ``variable(name)``, if given, reads each name."""
     variables = tuple(variables)
 
     def constant(n):
         return MPoly.const(field, variables, field.from_int(n))
 
-    def variable(name):
+    def own_variable(name):
         if name not in variables:
             raise ValueError(f"unknown variable {name!r}")
         return MPoly.var(field, variables, name)
 
-    def degree(f):
-        return max((sum(exps) for exps in f.terms), default=0)
-
     def coefficients(f):
         return f.terms.values()
 
-    return _ExprParser(text, constant, variable, degree,
+    return _ExprParser(text, constant, variable or own_variable, MPoly.degree,
                        None if field.characteristic else coefficients,
                        allow_division=False).parse()

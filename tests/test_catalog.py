@@ -1,9 +1,14 @@
 """Building-block table, gluing classifier, explicit equations."""
 
+import re
+import time
+from collections import Counter
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpglue import linalg
+from dpglue import catalog, linalg
 from dpglue.catalog import (GlueScenario, PicardClass, ScenarioError,
                             block_table, building_block, canonical_class,
                             classify_gluing, degree12_catalog,
@@ -15,6 +20,7 @@ from dpglue.catalog import (GlueScenario, PicardClass, ScenarioError,
                             verify_parametrization, DEGREE1_SUBSTITUTIONS)
 from dpglue.fields import base_field
 from dpglue.glue import glue_data
+from dpglue.multipoly import MPoly, parse_mpoly
 
 
 IDENTITY_IDENT = {"map": [[0, 0], [1, 1], ["inf", "inf"]],
@@ -327,6 +333,231 @@ def test_parametrization_failure_detected():
 def test_cyclic_substitution_rejected():
     with pytest.raises(ValueError):
         verify_parametrization(0, "y", ("y",), {"y": "z", "z": "y"}, ())
+
+
+# The fixed-point substitution that parsing in dependency order replaced,
+# with MPoly.substitute, kept as their reference.  Products had no limits
+# then; patching MPoly.__mul__ with this one runs them as they ran.
+
+
+def unlimited_product(f, g):
+    terms = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            terms[e] = terms.get(e, f.field.zero) + c1 * c2
+    return MPoly(f.field, f.vars, terms)
+
+
+def fixed_point_substitute(poly, mapping):
+    target_vars = None
+    for v in mapping.values():
+        target_vars = v.vars
+        break
+    if target_vars is None:
+        return poly
+    out = MPoly(poly.field, target_vars, {})
+    for exps, c in poly.terms.items():
+        term = MPoly.const(poly.field, target_vars, c)
+        for name, e in zip(poly.vars, exps):
+            if not e:
+                continue
+            if name in mapping:
+                term = term * mapping[name] ** e
+            else:
+                term = term * MPoly.var(poly.field, target_vars, name) ** e
+        out = out + term
+    return out
+
+
+def fixed_point_verify(characteristic, hypersurface, variables, substitution,
+                       target_variables):
+    field = base_field(characteristic)
+    variables = tuple(variables)
+    target_variables = tuple(target_variables)
+    all_names = tuple(dict.fromkeys(target_variables + tuple(substitution)))
+    exprs = {
+        k: parse_mpoly(field, all_names, v) for k, v in substitution.items()
+    }
+    for _ in range(len(substitution) + 1):
+        changed = False
+        for k, e in exprs.items():
+            used = [
+                name
+                for name, deg in zip(
+                    e.vars, [max((ex[i] for ex in e.terms), default=0)
+                             for i in range(len(e.vars))]
+                )
+                if deg and name in exprs and name != k
+            ]
+            if used:
+                exprs[k] = fixed_point_substitute(e, {u: exprs[u] for u in used})
+                changed = True
+        if not changed:
+            break
+    else:
+        raise ValueError("cyclic substitution")
+    # project onto the target variables
+    final = {}
+    for k, e in exprs.items():
+        proj = MPoly(field, target_variables, {})
+        for exps, c in e.terms.items():
+            for name, deg in zip(e.vars, exps):
+                if deg and name not in target_variables:
+                    raise ValueError(f"unresolved name {name!r} in substitution")
+            slim = tuple(
+                exps[e.vars.index(t)] if t in e.vars else 0
+                for t in target_variables
+            )
+            proj = proj + MPoly(field, target_variables, {slim: c})
+        final[k] = proj
+    hyp = parse_mpoly(field, variables, hypersurface)
+    return fixed_point_substitute(hyp, final).is_zero()
+
+
+def verify_outcome(verify, *args):
+    try:
+        return verify(*args)
+    except ValueError as error:
+        return ValueError, str(error)
+
+
+@st.composite
+def polynomial_texts(draw, names, keys, p):
+    """A sum of distinct monomials of degree at most 2 with unit
+    coefficients, so that the expanded value names every name its text
+    names.  A monomial names at most one of ``keys``, once, so that the
+    reference's values grow slowly around a cycle."""
+    monomial = st.lists(st.sampled_from(names), max_size=2).filter(
+        lambda m: sum(n in keys for n in m) <= 1).map(lambda m: tuple(sorted(m)))
+    monomials = draw(st.dictionaries(monomial, st.integers(1, p - 1 if p else 4),
+                                     min_size=1, max_size=3))
+    text = " + ".join(
+        "*".join([str(c)] + [n if e == 1 else f"{n}^{e}" for n, e in Counter(m).items()])
+        for m, c in monomials.items())
+    if len(monomials) == 1 and not keys & set(*monomials) and draw(st.booleans()):
+        return f"({text})^2"
+    return text
+
+
+@st.composite
+def substitution_systems(draw):
+    p = draw(st.sampled_from([0, 2, 3, 5]))
+    targets = draw(st.lists(st.sampled_from("xyz"), min_size=1, max_size=3, unique=True))
+    keys = draw(st.lists(st.sampled_from("abcxy"), min_size=1, max_size=4, unique=True))
+    names = sorted(set(targets) | set(keys))
+    substitution = {k: draw(polynomial_texts(names, set(keys), p)) for k in keys}
+    if draw(st.booleans()):
+        # an identity: a polynomial in the keys minus its value written out
+        chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=2, unique=True))
+        hypersurface = " + ".join(f"({k})*({k})" for k in chosen) + " - (" + " + ".join(
+            f"({substitution[k]})*({substitution[k]})" for k in chosen) + ")"
+    else:
+        hypersurface = draw(polynomial_texts(names, set(), p))
+    return p, hypersurface, names, substitution, targets
+
+
+def names_in(text):
+    return set(re.findall(r"[a-z]\w*", text))
+
+
+def names_a_cycle(substitution, targets):
+    """Whether the keys named in the values, where a key's own name
+    counts only if no target has it, form a cycle."""
+    needs = {k: {n for n in names_in(v) if n in substitution and not (n == k and k in targets)}
+             for k, v in substitution.items()}
+    done = set()
+    while ready := {k for k, named in needs.items() if k not in done and named <= done}:
+        done |= ready
+    return len(done) < len(needs)
+
+
+@given(substitution_systems())
+@settings(max_examples=200)
+def test_dependency_order_matches_the_fixed_point(system):
+    *_, substitution, targets = system
+    want = verify_outcome(fixed_point_verify, *system)
+    got = verify_outcome(verify_parametrization, *system)
+    if names_a_cycle(substitution, targets):
+        # the fixed point sometimes met a cycle whose names cancelled
+        assert got == (ValueError, "cyclic substitution")
+    elif isinstance(want, bool) or isinstance(got, tuple):
+        assert (got if isinstance(got, bool) else ValueError) == (
+            want if isinstance(want, bool) else ValueError)
+    else:
+        # a key that names itself as a target, used in another key's value
+        assert any(k in targets and k in names_in(v) and any(
+            k in names_in(w) for u, w in substitution.items() if u != k)
+            for k, v in substitution.items())
+        assert want == (ValueError, "cyclic substitution")
+
+
+@pytest.mark.parametrize("args, old, new", [
+    # a key naming itself, where no target has its name
+    ((0, "a", ("a",), {"a": "a + x"}, ("x",)),
+     "unresolved name 'a' in substitution", "cyclic substitution"),
+    # a hypersurface variable that is neither a key nor a target
+    ((0, "w*y", ("w", "y"), {"y": "x"}, ("x",)),
+     "not in tuple",
+     "variable 'w' is neither substituted nor a target variable"),
+    # x means the target inside its own value and the key elsewhere
+    ((0, "y - x", ("x", "y"), {"x": "x + 1", "y": "x"}, ("x",)),
+     "cyclic substitution", True),
+    # over GF(2) the fixed point reads b = 1 + x + b, x = b as x = b = 1
+    ((2, "x + 1", ("x",), {"x": "b", "b": "1 + x + b"}, ("y",)),
+     True, "cyclic substitution"),
+], ids=["self-reference", "hypersurface-variable", "target-key-used",
+        "cancelled-cycle"])
+def test_intended_differences_from_the_fixed_point(args, old, new):
+    for verify, outcome in ((fixed_point_verify, old), (verify_parametrization, new)):
+        if isinstance(outcome, bool):
+            assert verify(*args) is outcome
+        else:
+            with pytest.raises(ValueError, match=outcome):
+                verify(*args)
+
+
+# The char-3 model composes u = x^3 into u^(3n+2), of degree 9n + 6; the
+# fixed point checked only the degree 3n + 2 written in the string.  In the
+# char-2 model u^(2n+1) + v^2 is y^2, and both refuse the string's own
+# (u^(2n+1) + v^2)^2 from n = 2048.
+@pytest.mark.parametrize("verify, first_refused, fixed_point_first_refused", [
+    (verify_char3_normalization, 910, 2731), (verify_char2_normalization, 2048, 2048)])
+def test_composed_powers_past_the_degree_limit_refused(verify, first_refused,
+                                                       fixed_point_first_refused):
+    assert verify(first_refused - 1)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        verify(first_refused)
+    with (patch.object(catalog, "verify_parametrization", fixed_point_verify),
+          patch.object(MPoly, "__mul__", unlimited_product)):
+        assert verify(fixed_point_first_refused - 1)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            verify(fixed_point_first_refused)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+def test_long_substitution_chain_runs_quickly(reverse):
+    chain = [(f"k{i}", f"k{i - 1} + 1" if i else "u") for i in range(5000)]
+    start = time.perf_counter()
+    assert verify_parametrization(0, "k4999 - u - 4999", ("k4999", "u"),
+                                  dict(reversed(chain) if reverse else chain), ("u",))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_each_value_parsed_once():
+    calls = []
+
+    def counting_parse(*args):
+        calls.append(args[2])
+        return parse_mpoly(*args)
+
+    substitution = {"z": "u2*q", "y": "q", "x2": "u3", "x1": "u1",
+                    "q": "u2^2 - u1*u3", "unused": "q^2"}
+    with patch.object(catalog, "parse_mpoly", counting_parse):
+        assert verify_parametrization(0, "z^2 - y^3 - x1*x2*y^2",
+                                      ("x1", "x2", "y", "z"), substitution,
+                                      ("u1", "u2", "u3"))
+    assert sorted(calls) == sorted([*substitution.values(), "z^2 - y^3 - x1*x2*y^2"])
 
 
 def test_degree12_catalog_complete():

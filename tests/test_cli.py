@@ -400,6 +400,35 @@ def test_deep_parentheses_exit_two(tmp_path, capsys, depth):
         assert f"nested deeper than the limit {MAX_NESTING}" in captured.err, command
 
 
+def squaring_chain(first, keys):
+    chain = {f"k{i}": f"k{i - 1}*k{i - 1}" for i in range(1, keys)}
+    return {"z": f"k{keys - 1}", "k0": first, **chain}
+
+
+# Each would run for minutes or exhaust memory if expanded: the limits
+# hold on the composed polynomial and on every product.
+@pytest.mark.parametrize("substitution", [
+    {"z": "(u+v+1)^8192"},
+    {"z": "q^200", "q": "w^200", "w": "u+v"},
+    squaring_chain("u+v+1", 15),
+    # 3^(2^k) passes 2^16 bits at k = 16
+    squaring_chain("3", 30),
+], ids=["dense-power", "nested-powers", "squaring-chain", "squaring-chain-Q"])
+def test_composed_substitution_past_the_limits_exits_two_quickly(tmp_path, capsys,
+                                                                 substitution):
+    check = {"name": "big", "characteristic": 0, "hypersurface": "z",
+             "variables": ["z"], "substitution": substitution,
+             "targetVariables": ["u", "v"]}
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps({"version": "1", "checks": [check]}))
+    start = time.perf_counter()
+    code = main(["verify-param", str(p)])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "exceeds the limit" in captured.err
+
+
 def test_parentheses_at_the_nesting_limit_run(tmp_path, capsys):
     nested = "(" * MAX_NESTING + "1/x^3" + ")" * MAX_NESTING
     scenario = {"name": "x", "characteristic": 3, "glueCase": "D",
