@@ -161,7 +161,7 @@ def kernel_basis(data: GenericGlueData) -> list:
     basis = [ring.algebra.unit]
     for i in range(1, data.r):
         eta = ring.nilpotent(i)
-        eta[1] = -(data.b[i] / data.b[0])
+        eta[1] = -data.b_ratios[i - 1]
         basis.append(eta)
     return basis
 
@@ -263,17 +263,22 @@ def regularity_constraint_rows(nums, den: Poly, place: Place):
 
     At a finite place P = (pi) a row holds one coefficient of every
     num mod pi^v_P(den); at infinity, one coefficient above deg den.
-    Returns the nonzero rows over the base field (an empty list means
-    no constraint).
+    Returns the nonzero rows over the base field as sparse rows
+    {j: nonzero coefficient of nums_j}, for ``linalg.echelon`` (an
+    empty list means no constraint).
     """
     if place.is_infinity():
-        top = max(n.degree for n in nums)
-        rows = [[n[k] for n in nums] for k in range(den.degree + 1, top + 1)]
+        low = den.degree + 1
     else:
         modulus = place.poly ** den.valuation(place.poly)
         nums = [n if n.degree < modulus.degree else n % modulus for n in nums]
-        rows = [[n[k] for n in nums] for k in range(modulus.degree)]
-    return [row for row in rows if any(row)]
+        low = 0
+    rows = {}
+    for j, n in enumerate(nums):
+        for k, c in enumerate(n.coeffs[low:], low):
+            if c:
+                rows.setdefault(k, {})[j] = c
+    return [rows[k] for k in sorted(rows)]
 
 
 def gorenstein_at_point_oracle(data: GenericGlueData, place: Place,
@@ -283,65 +288,75 @@ def gorenstein_at_point_oracle(data: GenericGlueData, place: Place,
     Looks for f_1 = sum c_kj x^k pi^j (k < deg P, j <= B) that is a unit
     at P, with (a f_1/b_1)' regular there, and then asks every
     (b_i/b_1) f_1 to be a unit; solved by linear algebra over the base
-    field.  B defaults to m + max(p, 1) + 2, where m is the pole order
-    of a/b_1 at P.  Any B >= m gives the same answer: the condition
-    reads f_1 only modulo pi^(m+1), and the x^k pi^j span every class
-    of O_P/pi^(B+1).
+    field (``local_unit_witness``).  Any B >= m, the pole order of a/b_1
+    at P, gives the same answer: the condition reads f_1 only modulo
+    pi^(m+1), and the x^k pi^j span every class of O_P/pi^(B+1).  With
+    no bound given, no column is cut.
+    """
+    if place.is_infinity():
+        # move to the standard coordinate at infinity, where the
+        # derivative of the proof's construction is the local one
+        data = GenericGlueData(
+            data.characteristic,
+            data.a.invert_variable(),
+            tuple(bi.invert_variable() for bi in data.b),
+        )
+        place = Place.finite(Poly.x(data.field.base))
+    f1 = local_unit_witness(data, place, degree_bound)
+    if f1 is None:
+        return False
+    f1 = RationalFunction.from_poly(f1)
+    # sanity: the found f_1 really solves (2)
+    deriv = (data.c(0) * f1).derivative()
+    if deriv and not deriv.is_regular_at(place):
+        raise AssertionError("oracle witness fails its own constraint")
+    for fi in (f1, *(ratio * f1 for ratio in data.b_ratios)):
+        if fi.order_at(place) != 0:
+            return False
+    return True
+
+
+def local_unit_witness(data: GenericGlueData, place: Place,
+                       degree_bound: int | None = None) -> Poly | None:
+    """The oracle's f_1 at a finite place, or None when no unit solves (2).
 
     With a/b_1 = N/D and D = pi^m E, E a unit at P, each
     (N w/D)' = (w A + w' N D)/D^2 with A = N'D - ND', so the rows are
     read off polynomial numerators over the one denominator D^2.  For
     j >= m, N w/D is regular at P and so is its derivative: those
-    numerators are 0 modulo pi^(2m) and are not computed.
+    numerators are 0 modulo pi^(2m), so their columns constrain nothing
+    and are left out: the system has the min(m, B + 1) * deg P columns
+    x^k pi^j with j < m.  f_1 is its first kernel vector, in column
+    order, that is a unit, i.e. has some x^k pi^0 coefficient nonzero.
+    A column left out has its unit vector as kernel vector, which is a
+    unit only for column 0; so f_1 = 1 when m = 0, and is None when no
+    kept column gives a unit.
     """
-    if place.is_infinity():
-        # move to the standard coordinate at infinity, where the
-        # derivative of the proof's construction is the local one
-        inv = GenericGlueData(
-            data.characteristic,
-            data.a.invert_variable(),
-            tuple(bi.invert_variable() for bi in data.b),
-        )
-        origin = Place.finite(Poly.x(data.field.base))
-        return gorenstein_at_point_oracle(inv, origin, degree_bound)
-    p = data.characteristic
     base = data.field.base
     pi, d = place.poly, place.poly.degree
     N, D = data.c(0).num, data.c(0).den
     m = D.valuation(pi)
-    if degree_bound is None:
-        degree_bound = m + max(p, 1) + 2
-    width = d * (degree_bound + 1)
+    if not m:
+        return Poly.one(base)
     A, ND, dpi = N.derivative() * D - N * D.derivative(), N * D, pi.derivative()
     nums = []
     power, dpower = Poly.one(base), Poly.zero(base)  # pi^j and (pi^j)'
-    for _ in range(min(m, degree_bound + 1)):
+    for _ in range(m if degree_bound is None else min(m, degree_bound + 1)):
         for k in range(d):
             dw = dpower.shift(k)
             if k:
                 dw = dw + power.shift(k - 1).scale(base.from_int(k))
             nums.append(power.shift(k) * A + dw * ND)
         power, dpower = power * pi, dpower * pi + power * dpi
-    nums += [Poly.zero(base)] * (width - len(nums))
     rows = regularity_constraint_rows(nums, D * D, place)
-    sols = linalg.nullspace(base, rows) if rows else linalg.identity(base, width)
-    # a unit at P: some x^k pi^0 coefficient is nonzero
-    witness = next((sol for sol in sols if any(sol[:d])), None)
+    witness = next((v for v in linalg.kernel_vectors(base, rows, len(nums)) if any(v[:d])),
+                   None)
     if witness is None:
-        return False
+        return None
     f1 = Poly.zero(base)
-    for j in reversed(range(degree_bound + 1)):
+    for j in reversed(range(len(nums) // d)):
         f1 = f1 * pi + Poly(base, witness[j * d:(j + 1) * d])
-    f1 = RationalFunction.from_poly(f1)
-    # sanity: the found f_1 really solves (2)
-    deriv = (data.a * f1 / data.b[0]).derivative()
-    if deriv and not deriv.is_regular_at(place):
-        raise AssertionError("oracle witness fails its own constraint")
-    for bi in data.b:
-        fi = (bi / data.b[0]) * f1
-        if fi.order_at(place) != 0:
-            return False
-    return True
+    return f1
 
 
 # -- tameness ---------------------------------------------------------
@@ -464,9 +479,7 @@ def gamma_local_sections(h: RationalFunction, place: Place, bound: int):
             power = power * pi
         den = D
     rows = regularity_constraint_rows(nums, den, place)
-    if not rows:
-        return linalg.identity(base, bound + 1)
-    return linalg.nullspace(base, rows)
+    return list(linalg.kernel_vectors(base, rows, bound + 1))
 
 
 def gamma_section_exponents(h: RationalFunction, place: Place, bound: int):

@@ -7,13 +7,16 @@ pivot rows before it at its leading column and never touches a zero
 entry, which matters because the matrices here are mostly zero and over
 k(x) every entry rewritten costs polynomial arithmetic.  Its pivots are
 those of the reduced row echelon form, so they also give the rank of
-every prefix of the columns.  ``rref`` is ``echelon`` plus
-back-substitution, on dense rows, and ``rank``, ``nullspace``,
-``solve_many``, ``solve``, ``in_span`` and ``row_space_basis`` read one
-of the two.
+every prefix of the columns.  ``kernel_vectors`` is ``echelon`` plus
+back-substitution of one kernel vector at a time, and ``rref`` is
+``echelon`` plus back-substitution of the rows, on dense rows;
+``rank``, ``nullspace``, ``solve_many``, ``solve``, ``in_span`` and
+``row_space_basis`` read one of the three.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 
 def zeros(field, rows: int, cols: int):
@@ -133,21 +136,40 @@ def rank(field, mat) -> int:
     return len(echelon(field, _sparse(mat)))
 
 
+def kernel_vectors(field, rows, cols: int):
+    """The right kernel of sparse rows over columns 0..cols-1, lazily.
+
+    Yields one dense vector per column without a pivot in ``echelon``,
+    in column order: 1 at its free column c, 0 at every other free
+    column, and at each pivot column below c, from the highest down,
+    the value its pivot row forces (back-substitution).  A pivot above
+    c gets 0, as its row holds only columns above c, all free and 0
+    or pivots already 0.  These are the vectors that the reduced row
+    echelon form gives, so a caller may stop at the first it needs.
+    """
+    basis = echelon(field, rows)
+    pivots = sorted(basis)
+    for c in range(cols):
+        if c in basis:
+            continue
+        v = [field.zero] * cols
+        v[c] = field.one
+        for p in reversed(pivots[:bisect_left(pivots, c)]):
+            row = basis[p]
+            acc = field.zero
+            for q, y in row.items():
+                if q != p and v[q]:
+                    acc = acc + y * v[q]
+            if acc:
+                v[p] = -acc / row[p]
+        yield v
+
+
 def nullspace(field, mat):
-    """Basis of the right kernel, as a list of vectors."""
+    """Basis of the right kernel of a dense matrix, as a list of vectors."""
     if not mat:
         return []
-    cols = len(mat[0])
-    red, pivots = rref(field, mat)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [field.zero] * cols
-        v[fc] = field.one
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
+    return list(kernel_vectors(field, _sparse(mat), len(mat[0])))
 
 
 def solve_many(field, mat, rhss):

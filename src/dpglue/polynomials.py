@@ -440,8 +440,17 @@ class Poly:
         return self.leading(), factors
 
     def is_irreducible(self) -> bool:
-        """True iff ``factor`` returns this polynomial, made monic, once."""
-        return bool(self) and self.factor()[1] == [(self.monic(), 1)]
+        """True iff ``factor`` would return this polynomial, made monic, once.
+
+        Over GF(p) with no factoring: f is square-free, and distinct-degree
+        factorisation finds no factor of degree below deg f.
+        """
+        if self.degree < 1:
+            return False
+        if isinstance(self.field, PrimeField):
+            f = self.monic()
+            return f.gcd(f.derivative()).degree == 0 and _distinct_degree(f) == [(f, f.degree)]
+        return self.factor()[1] == [(self.monic(), 1)]
 
 
 def split_squarefree(f: Poly) -> list:

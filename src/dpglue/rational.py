@@ -76,10 +76,10 @@ class RationalFunction:
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.coeffs
 
     def __bool__(self):
-        return not self.num.is_zero()
+        return bool(self.num.coeffs)
 
     def is_constant(self) -> bool:
         return self.num.degree <= 0 and self.den.degree == 0
@@ -114,8 +114,14 @@ class RationalFunction:
                 if g.degree >= 1:
                     t, b = t // g, b // g
             return RationalFunction._reduced(self.field, t, b)
-        g = b.gcd(den) if b.degree >= 1 and den.degree >= 1 else None
-        if g is None or g.degree == 0:
+        # den = 1 or b = 1: gcd(a + num b, b) = gcd(a, b) = 1, so the sum
+        # over the other denominator is reduced
+        if den.degree == 0:
+            return RationalFunction._reduced(self.field, a + num * b, b)
+        if b.degree == 0:
+            return RationalFunction._reduced(self.field, a * den + num, den)
+        g = b.gcd(den)
+        if g.degree == 0:
             # coprime denominators: the cross sum is already reduced
             return RationalFunction._reduced(self.field, a * den + num * b, b * den)
         # with b = g b', den = g d': t = a d' + num b' is prime to b' d',
@@ -175,6 +181,10 @@ class RationalFunction:
             g = num.gcd(b)
             if len(g.coeffs) > 1:
                 num, b = num // g, b // g
+        if len(b.coeffs) == 1:
+            return RationalFunction._reduced(self.field, a * num, den)
+        if len(den.coeffs) == 1:
+            return RationalFunction._reduced(self.field, a * num, b)
         return RationalFunction._reduced(self.field, a * num, b * den)
 
     def __mul__(self, other):
@@ -233,12 +243,29 @@ class RationalFunction:
     # -- calculus -----------------------------------------------------
 
     def derivative(self) -> "RationalFunction":
-        """Formal d/dx by the quotient rule."""
-        return RationalFunction(
-            self.field,
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
+        """Formal d/dx by the quotient rule, over d (d/g) for g = gcd(d, d').
+
+        (n/d)' = (n' (d/g) - n (d'/g)) / (d (d/g)).  At a place of order k
+        in d, g has order k - 1 and d'/g is a unit when p does not divide
+        k, so the numerator is a unit there too; only the places where p
+        divides k, whose order is k in g and in d (d/g), can cancel, and
+        one gcd with g takes them out (Modern Computer Algebra, 14.6).
+        """
+        n, d = self.num, self.den
+        if d.degree == 0:
+            return RationalFunction._reduced(self.field, n.derivative(), d)
+        dd = d.derivative()
+        g = d.gcd(dd)
+        dg = d // g
+        t = n.derivative() * dg - n * (dd // g)
+        if not t:
+            return RationalFunction._reduced(self.field, t, Poly.one(self.field))
+        den = d * dg
+        if self.field.characteristic and g.degree >= 1:
+            g = t.gcd(g)
+            if g.degree >= 1:
+                t, den = t // g, den // g
+        return RationalFunction._reduced(self.field, t, den)
 
     def order_at(self, place: "Place") -> int:
         """Valuation at a place; negative means a pole.  Rejects zero."""

@@ -80,6 +80,26 @@ def dense_rref(field, mat):
     return m, pivots
 
 
+def dense_nullspace(field, mat):
+    """Reference kernel: one vector per free column of ``dense_rref``, in order.
+
+    The vector of free column c is 1 at c, 0 at the other free columns,
+    and minus the reduced entry of column c at each pivot column.
+    """
+    red, pivots = dense_rref(field, mat)
+    cols = len(mat[0]) if mat else 0
+    out = []
+    for c in range(cols):
+        if c in pivots:
+            continue
+        v = [field.zero] * cols
+        v[c] = field.one
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[c]
+        out.append(v)
+    return out
+
+
 def swinnerton_dyer(primes) -> str:
     """prod (x ± √p_1 ± ... ± √p_k) over Q, as text.
 

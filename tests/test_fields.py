@@ -3,6 +3,7 @@
 import fractions
 import operator
 import time
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -606,3 +607,17 @@ def test_factorization_reassembles(rng, p):
             else:
                 assert {format_poly(g): m for g, m in factors} == dict.fromkeys(names, 1)
                 assert not f.is_irreducible()
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.lists(st.integers(0, 6), max_size=7),
+       st.integers(1, 3))
+@settings(max_examples=200)
+def test_irreducibility_over_gf_p_needs_no_factoring(p, coeffs, power):
+    """Over GF(p), a square-free check and distinct-degree factorisation
+    give the answer of the full factorisation, with no call to it; powers
+    and products of irreducibles come in through ``power``."""
+    field = base_field(p)
+    f = Poly.from_ints(field, coeffs) ** power
+    want = bool(f) and f.factor()[1] == [(f.monic(), 1)]
+    with patch.object(Poly, "factor", side_effect=AssertionError("factored")):
+        assert f.is_irreducible() == want

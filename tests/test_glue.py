@@ -2,6 +2,7 @@
 tameness, wild cusps."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpglue import cohomology, glue, linalg
 from dpglue.artinian import FiniteAlgebra, make_subalgebra
@@ -16,7 +17,8 @@ from dpglue.glue import (KernelElement, change_of_basis, delta,
 from dpglue.polynomials import Poly
 from dpglue.rational import Place, RationalFunction, parse_rational
 
-from conftest import CHARACTERISTICS, IRREDUCIBLES, ff, rand_poly, rand_ratfunc
+from conftest import (CHARACTERISTICS, IRREDUCIBLES, dense_nullspace, ff, rand_poly,
+                      rand_ratfunc)
 
 
 def rand_data(rng, p, r=None, max_deg=2):
@@ -370,7 +372,7 @@ def test_oracle_answer_is_stable_past_the_bound(rng, p):
     """The oracle's degree bound B is a truncation: it looks for f_1 only
     among x^k pi^j with j <= B.  Its docstring argues that any B at or
     above the pole order m of a/b_1 gives the same answer; this test
-    checks it at the default B = m + p + 2 against B + p, at places of
+    checks it with no bound against B = m + 2p + 2, at places of
     degree 1, 2 and 3 and at infinity.
     """
     field = base_field(p)
@@ -390,6 +392,128 @@ def test_oracle_answer_is_stable_past_the_bound(rng, p):
             assert gorenstein_at_point_oracle(data, place, m + p + 2 + p) == answer
             answers.add(answer)
     assert answers == {True, False}
+
+
+# -- the pointwise oracle against its dense form -------------------------
+
+
+def at_origin(data):
+    """The datum in the coordinate 1/x, where infinity is the place (x)."""
+    return glue.GenericGlueData(data.characteristic, data.a.invert_variable(),
+                                tuple(bi.invert_variable() for bi in data.b))
+
+
+def dense_regularity_rows(nums, den, place):
+    """``regularity_constraint_rows`` as dense rows, at a finite place."""
+    modulus = place.poly ** den.valuation(place.poly)
+    nums = [n if n.degree < modulus.degree else n % modulus for n in nums]
+    rows = [[n[k] for n in nums] for k in range(modulus.degree)]
+    return [row for row in rows if any(row)]
+
+
+def dense_oracle(data, place, degree_bound=None):
+    """Frozen reference: the pointwise oracle on dense rows over all
+    deg P * (B + 1) columns x^k pi^j, j <= B, padded with zero
+    numerators, as ``gorenstein_at_point_oracle`` was before it read
+    sparse rows.  Returns (answer, f_1), f_1 a Poly in the coordinate
+    of ``at_origin`` at infinity, or None when no unit solves (2).
+    """
+    if place.is_infinity():
+        data, place = at_origin(data), origin(data.characteristic)
+    p = data.characteristic
+    base = data.field.base
+    pi, d = place.poly, place.poly.degree
+    N, D = data.c(0).num, data.c(0).den
+    m = D.valuation(pi)
+    if degree_bound is None:
+        degree_bound = m + max(p, 1) + 2
+    width = d * (degree_bound + 1)
+    A, ND, dpi = N.derivative() * D - N * D.derivative(), N * D, pi.derivative()
+    nums = []
+    power, dpower = Poly.one(base), Poly.zero(base)
+    for _ in range(min(m, degree_bound + 1)):
+        for k in range(d):
+            dw = dpower.shift(k)
+            if k:
+                dw = dw + power.shift(k - 1).scale(base.from_int(k))
+            nums.append(power.shift(k) * A + dw * ND)
+        power, dpower = power * pi, dpower * pi + power * dpi
+    nums += [Poly.zero(base)] * (width - len(nums))
+    rows = dense_regularity_rows(nums, D * D, place)
+    sols = dense_nullspace(base, rows) if rows else linalg.identity(base, width)
+    witness = next((sol for sol in sols if any(sol[:d])), None)
+    if witness is None:
+        return False, None
+    f1 = Poly.zero(base)
+    for j in reversed(range(degree_bound + 1)):
+        f1 = f1 * pi + Poly(base, witness[j * d:(j + 1) * d])
+    unit = RationalFunction.from_poly(f1)
+    answer = all(((bi / data.b[0]) * unit).order_at(place) == 0 for bi in data.b)
+    return answer, f1
+
+
+@st.composite
+def point_checks(draw):
+    """(datum, place): places of degree 1-3 and infinity, pole orders around p."""
+    p = draw(st.sampled_from([0, 2, 3, 5, 7]))
+    field = base_field(p)
+    names = [name for by_degree in IRREDUCIBLES[p] for name in by_degree]
+    name = draw(st.sampled_from(names + [None]))
+    place = (Place.infinity() if name is None
+             else Place.finite(parse_rational(ff(p), name).num))
+    q = max(p, 1)
+    k = draw(st.sampled_from(sorted({0, 1, 2, q, q + 1, 2 * q})))
+    poly = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(
+        lambda cs: Poly.from_ints(field, cs)).filter(bool)
+    ratfunc = st.builds(lambda n, dn: RationalFunction(field, n, dn), poly, poly)
+    a = pole_at(draw(ratfunc), place, k)
+    b1 = draw(ratfunc)
+    b = [b1]
+    for _ in range(draw(st.integers(0, 2))):
+        # a unit ratio b_i/b_1 (a nonzero constant) or any b_i
+        b.append(b1 * field.from_int(draw(st.integers(1, p - 1 if p else 3))) if draw(st.booleans())
+                 else draw(ratfunc))
+    return glue_data(p, a, b), place
+
+
+@given(point_checks(), st.data())
+@settings(max_examples=150)
+def test_oracle_matches_its_dense_form(case, data):
+    """The same answer and the same f_1 as the frozen dense oracle, at the
+    default bound and at a bound B < m that truncates the columns."""
+    datum, place = case
+    local, at = (at_origin(datum), origin(datum.characteristic)) if place.is_infinity() \
+        else (datum, place)
+    m = local.c(0).den.valuation(at.poly)
+    bounds = [None] + ([data.draw(st.integers(0, m - 1))] if m else [])
+    for bound in bounds:
+        answer, f1 = dense_oracle(datum, place, bound)
+        assert gorenstein_at_point_oracle(datum, place, bound) == answer
+        assert glue.local_unit_witness(local, at, bound) == f1
+
+
+@pytest.mark.parametrize("p, a, place, bound, columns", [
+    (3, "(x+1)/(x^2+1)^4", [1, 0, 1], None, 8),     # m = 4, deg P = 2: 8 of 20
+    (3, "(x+1)/(x^2+1)^4", [1, 0, 1], 1, 4),        # B = 1 < m
+    (7, "1/(x^2+1)^8", [1, 0, 1], None, 16),        # 16 of 36
+    (5, "x^7+1", None, None, 7),                    # a pole of order 7 at infinity
+    (2, "(x+1)/(x^3+x+1)^2", [1, 1, 0, 1], None, 6),
+])
+def test_oracle_eliminates_over_the_pole_columns_only(p, a, place, bound, columns,
+                                                      monkeypatch):
+    seen = []
+    kernel_vectors = linalg.kernel_vectors
+
+    def counted(field, rows, cols):
+        seen.append((cols, max((c for row in rows for c in row), default=-1)))
+        return kernel_vectors(field, rows, cols)
+
+    monkeypatch.setattr(linalg, "kernel_vectors", counted)
+    data = glue_data(p, a, ["1"])
+    where = Place.infinity() if place is None else place_of(p, place)
+    answer = gorenstein_at_point_oracle(data, where, bound)
+    assert seen and all(cols == columns and top < cols for cols, top in seen)
+    assert answer == dense_oracle(data, where, bound)[0]
 
 
 def parse_rational_pow(p, k):
@@ -532,13 +656,13 @@ def product_cleared_rows(funcs, place):
             if other is not t:
                 n = n * other.den
         nums.append(n % piM)
-    rows = [[n[k] for n in nums] for k in range(piM.degree)]
-    return [row for row in rows if any(bool(c) for c in row)]
+    rows = [{j: n[k] for j, n in enumerate(nums) if n[k]} for k in range(piM.degree)]
+    return [row for row in rows if row]
 
 
 def solution_space(field, rows, n):
-    basis = linalg.nullspace(field, rows) if rows else linalg.identity(field, n)
-    return linalg.row_space_basis(field, basis)
+    """Echelonized basis of the kernel of sparse rows over n columns."""
+    return linalg.row_space_basis(field, list(linalg.kernel_vectors(field, rows, n)))
 
 
 # places of degree 1, 2 and 3, and infinity (None), as coefficient lists

@@ -7,7 +7,7 @@ from dpglue.fields import base_field
 from dpglue.polynomials import Poly
 from dpglue.rational import FunctionField, RationalFunction
 
-from conftest import dense_rref
+from conftest import dense_nullspace, dense_rref
 
 
 @st.composite
@@ -65,8 +65,8 @@ def test_in_span_of_nothing_is_only_zero():
 
 @st.composite
 def sparse_matrices(draw):
-    """Mostly-zero matrices over Q, GF(3) or (size <= 4) k(x) with k = GF(3)."""
-    kind = draw(st.sampled_from(["Q", "GF(3)", "k(x)"]))
+    """Mostly-zero matrices over Q, GF(2), GF(3), GF(7) or (size <= 4) k(x), k = GF(3)."""
+    kind = draw(st.sampled_from(["Q", "GF(3)", "k(x)", "GF(2)", "GF(7)"]))
     limit = 4 if kind == "k(x)" else 7
     rows = draw(st.integers(1, limit))
     cols = draw(st.integers(1, limit))
@@ -78,7 +78,7 @@ def sparse_matrices(draw):
         value = st.builds(lambda n, d: RationalFunction(base, Poly(base, n), d),
                           small, nonzero_den)
     else:
-        field = base_field(0 if kind == "Q" else 3)
+        field = base_field(0 if kind == "Q" else int(kind[3:-1]))
         value = st.integers(-3, 3).map(field.from_int)
     entry = st.one_of(st.just(field.zero), st.just(field.zero), value)
     mat = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
@@ -124,3 +124,24 @@ def test_echelon_pivots_do_not_depend_on_row_order(case, data):
     shuffled = data.draw(st.permutations(rows))
     assert set(linalg.echelon(field, shuffled)) == set(linalg.echelon(field, rows))
     assert rows == sparse(mat)  # the input rows are left as they were
+
+
+@given(sparse_matrices(), st.integers(0, 2))
+@settings(max_examples=150)
+def test_kernel_vectors_are_the_rref_nullspace(case, extra):
+    """Back-substitution of one vector at a time gives the rref's kernel
+    vectors, in free-column order, also with columns no row touches."""
+    field, mat = case
+    want = dense_nullspace(field, [row + [field.zero] * extra for row in mat])
+    cols = len(mat[0]) + extra
+    assert list(linalg.kernel_vectors(field, sparse(mat), cols)) == want
+    if not extra:
+        assert linalg.nullspace(field, mat) == want
+    for v in want:
+        assert not any(linalg.mat_vec(field, mat, v[:len(mat[0])]))
+
+
+def test_kernel_vectors_of_no_rows_are_the_unit_vectors():
+    F = base_field(5)
+    assert list(linalg.kernel_vectors(F, [], 3)) == linalg.identity(F, 3)
+    assert linalg.nullspace(F, []) == []

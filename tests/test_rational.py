@@ -14,6 +14,8 @@ from dpglue.polynomials import Poly
 from dpglue.rational import (MAX_BITS, MAX_DEGREE, FunctionField, RationalFunction,
                              _coefficient_bits, _tokenize, parse_rational)
 
+from conftest import IRREDUCIBLES
+
 
 def polys(field, max_deg=3, nonzero=False):
     coeffs = st.lists(st.integers(-3, 3).map(field.from_int),
@@ -162,6 +164,41 @@ def test_derivative_and_powers_match_normalised_form(pair, n):
     want = (RationalFunction(field, a**n, b**n) if n >= 0
             else RationalFunction(field, b**-n, a**-n))
     assert_same(f ** n, want)
+
+
+@st.composite
+def repeated_denominators(draw):
+    """(field, n/d) with d a product of places to the powers 1, p, p + 1
+    and 2p (2, 3 and 4 over Q), or a p-th power."""
+    p = draw(st.sampled_from([0, 2, 3, 5, 7]))
+    field = base_field(p)
+    q = p or 2
+    places = [parse_rational(FunctionField(field), name).num
+              for by_degree in IRREDUCIBLES[p] for name in by_degree]
+    den = Poly.one(field)
+    for g in draw(st.lists(st.sampled_from(places), min_size=1, max_size=3, unique=True)):
+        den = den * g ** draw(st.sampled_from([1, q, q + 1, 2 * q]))
+    if p and draw(st.booleans()):
+        den = draw(polys(field, 2, nonzero=True)) ** p
+    num = draw(polys(field, 4, nonzero=True))
+    return field, RationalFunction(field, num, den)
+
+
+@given(repeated_denominators())
+@settings(max_examples=120)
+def test_derivative_over_gcd_matches_the_quotient_rule(case):
+    field, f = case
+    n, d = f.num, f.den
+    want = RationalFunction(field, n.derivative() * d - n * d.derivative(), d * d)
+    assert_same(f.derivative(), want)
+
+
+def test_mpoly_is_not_hashable():
+    """MPoly equals an int it coerces, so it has no hash that could agree."""
+    three = MPoly.const(base_field(0), ("x",), base_field(0).from_int(3))
+    assert three == 3
+    with pytest.raises(TypeError):
+        hash(three)
 
 
 @pytest.mark.parametrize("p", [0, 2, 3, 5])
