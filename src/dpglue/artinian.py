@@ -168,13 +168,13 @@ class FiniteModule:
         if len(self.action) != A.dim:
             raise ValueError("one action matrix required per algebra basis vector")
         unit_mat = self.action_of(A.unit)
-        if not linalg.mat_eq(unit_mat, linalg.identity(self.field, self.dim)):
+        if unit_mat != linalg.identity(self.field, self.dim):
             raise ValueError("unit does not act as identity")
         for i in range(A.dim):
             for j in range(A.dim):
                 prod = linalg.mat_mul(self.field, self.action[i], self.action[j])
                 expected = self.action_of(A.table[i][j])
-                if not linalg.mat_eq(prod, expected):
+                if prod != expected:
                     raise ValueError(f"action incompatible with product ({i},{j})")
 
     def action_of(self, a):

@@ -268,11 +268,14 @@ def regularity_constraint_rows(nums, den: Poly, place: Place):
     empty list means no constraint).
     """
     if place.is_infinity():
-        low = den.degree + 1
-    else:
-        modulus = place.poly ** den.valuation(place.poly)
-        nums = [n if n.degree < modulus.degree else n % modulus for n in nums]
-        low = 0
+        return _coefficient_rows(nums, den.degree + 1)
+    modulus = place.poly ** den.valuation(place.poly)
+    return _coefficient_rows([n % modulus for n in nums], 0)
+
+
+def _coefficient_rows(nums, low: int):
+    """Sparse rows {j: coefficient of x^k in nums_j}, one for each k >= low
+    with a nonzero entry, in increasing k."""
     rows = {}
     for j, n in enumerate(nums):
         for k, c in enumerate(n.coeffs[low:], low):
@@ -281,17 +284,15 @@ def regularity_constraint_rows(nums, den: Poly, place: Place):
     return [rows[k] for k in sorted(rows)]
 
 
-def gorenstein_at_point_oracle(data: GenericGlueData, place: Place,
-                               degree_bound: int | None = None) -> bool:
+def gorenstein_at_point_oracle(data: GenericGlueData, place: Place) -> bool:
     """Search for a local generator of ker Tr at the place.
 
-    Looks for f_1 = sum c_kj x^k pi^j (k < deg P, j <= B) that is a unit
-    at P, with (a f_1/b_1)' regular there, and then asks every
-    (b_i/b_1) f_1 to be a unit; solved by linear algebra over the base
-    field (``local_unit_witness``).  Any B >= m, the pole order of a/b_1
-    at P, gives the same answer: the condition reads f_1 only modulo
-    pi^(m+1), and the x^k pi^j span every class of O_P/pi^(B+1).  With
-    no bound given, no column is cut.
+    Looks for f_1 = sum c_kj x^k pi^j (k < deg P) that is a unit at P,
+    with (a f_1/b_1)' regular there, and then asks every (b_i/b_1) f_1
+    to be a unit; solved by linear algebra over the base field
+    (``local_unit_witness``).  The condition reads f_1 only modulo
+    pi^m, m the pole order of a/b_1 at P, and the x^k pi^j with j < m
+    span every class of O_P/pi^m, so the search is complete.
     """
     if place.is_infinity():
         # move to the standard coordinate at infinity, where the
@@ -301,8 +302,8 @@ def gorenstein_at_point_oracle(data: GenericGlueData, place: Place,
             data.a.invert_variable(),
             tuple(bi.invert_variable() for bi in data.b),
         )
-        place = Place.finite(Poly.x(data.field.base))
-    f1 = local_unit_witness(data, place, degree_bound)
+        place = Place(Poly.x(data.field.base))
+    f1 = local_unit_witness(data, place)
     if f1 is None:
         return False
     f1 = RationalFunction.from_poly(f1)
@@ -316,21 +317,18 @@ def gorenstein_at_point_oracle(data: GenericGlueData, place: Place,
     return True
 
 
-def local_unit_witness(data: GenericGlueData, place: Place,
-                       degree_bound: int | None = None) -> Poly | None:
+def local_unit_witness(data: GenericGlueData, place: Place) -> Poly | None:
     """The oracle's f_1 at a finite place, or None when no unit solves (2).
 
     With a/b_1 = N/D and D = pi^m E, E a unit at P, each
     (N w/D)' = (w A + w' N D)/D^2 with A = N'D - ND', so the rows are
-    read off polynomial numerators over the one denominator D^2.  For
-    j >= m, N w/D is regular at P and so is its derivative: those
-    numerators are 0 modulo pi^(2m), so their columns constrain nothing
-    and are left out: the system has the min(m, B + 1) * deg P columns
-    x^k pi^j with j < m.  f_1 is its first kernel vector, in column
-    order, that is a unit, i.e. has some x^k pi^0 coefficient nonzero.
-    A column left out has its unit vector as kernel vector, which is a
-    unit only for column 0; so f_1 = 1 when m = 0, and is None when no
-    kept column gives a unit.
+    the coefficients of polynomial numerators modulo pi^(2m), the part
+    of D^2 at P.  For j >= m, N w/D is regular at P and so is its
+    derivative: those numerators are 0 modulo pi^(2m) and constrain
+    nothing, so the system has the m * deg P columns x^k pi^j with
+    j < m.  f_1 is its first kernel vector, in column order, that is a
+    unit, i.e. has some x^k pi^0 coefficient nonzero; f_1 = 1 when
+    m = 0, and is None when no kernel vector is a unit.
     """
     base = data.field.base
     pi, d = place.poly, place.poly.degree
@@ -341,20 +339,21 @@ def local_unit_witness(data: GenericGlueData, place: Place,
     A, ND, dpi = N.derivative() * D - N * D.derivative(), N * D, pi.derivative()
     nums = []
     power, dpower = Poly.one(base), Poly.zero(base)  # pi^j and (pi^j)'
-    for _ in range(m if degree_bound is None else min(m, degree_bound + 1)):
+    for _ in range(m):
         for k in range(d):
             dw = dpower.shift(k)
             if k:
                 dw = dw + power.shift(k - 1).scale(base.from_int(k))
             nums.append(power.shift(k) * A + dw * ND)
         power, dpower = power * pi, dpower * pi + power * dpi
-    rows = regularity_constraint_rows(nums, D * D, place)
+    modulus = power * power  # pi^(2m)
+    rows = _coefficient_rows([n % modulus for n in nums], 0)
     witness = next((v for v in linalg.kernel_vectors(base, rows, len(nums)) if any(v[:d])),
                    None)
     if witness is None:
         return None
     f1 = Poly.zero(base)
-    for j in reversed(range(len(nums) // d)):
+    for j in reversed(range(m)):
         f1 = f1 * pi + Poly(base, witness[j * d:(j + 1) * d])
     return f1
 
@@ -464,6 +463,21 @@ def gamma_local_sections(h: RationalFunction, place: Place, bound: int):
     Returned as coefficient vectors in the local-parameter powers; pi is
     1/x at infinity, and f' is d/dx throughout.
     """
+    return list(linalg.kernel_vectors(h.field, _gamma_rows(h, place, bound), bound + 1))
+
+
+def gamma_section_exponents(h: RationalFunction, place: Place, bound: int):
+    """Exponents j with pi^j a section (for monomial-diagonal cases).
+
+    pi^j is a section exactly when column j is empty in every
+    constraint row.
+    """
+    used = {j for row in _gamma_rows(h, place, bound) for j in row}
+    return [j for j in range(bound + 1) if j not in used]
+
+
+def _gamma_rows(h: RationalFunction, place: Place, bound: int):
+    """The regularity constraints on the coefficients of pi^0..pi^bound."""
     base = h.field
     N, D = h.num, h.den
     if place.is_infinity():
@@ -478,13 +492,4 @@ def gamma_local_sections(h: RationalFunction, place: Place, bound: int):
             nums.append(power.scale(base.from_int(j)))
             power = power * pi
         den = D
-    rows = regularity_constraint_rows(nums, den, place)
-    return list(linalg.kernel_vectors(base, rows, bound + 1))
-
-
-def gamma_section_exponents(h: RationalFunction, place: Place, bound: int):
-    """Exponents j with pi^j a section (for monomial-diagonal cases)."""
-    basis = gamma_local_sections(h, place, bound)
-    probes = linalg.identity(h.field, bound + 1)
-    inside = linalg.in_span(h.field, basis, probes)
-    return [j for j in range(bound + 1) if inside[j]]
+    return regularity_constraint_rows(nums, den, place)

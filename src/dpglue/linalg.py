@@ -60,10 +60,6 @@ def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
-def mat_eq(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def echelon(field, rows) -> dict:
     """Echelon basis of the span of sparse rows, as {pivot column: row}.
 

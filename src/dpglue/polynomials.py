@@ -319,12 +319,6 @@ class Poly:
             [self.coeffs[i] * self.field.from_int(i) for i in range(1, len(self.coeffs))],
         )
 
-    def evaluate(self, v):
-        acc = Poly.zero(v.field) if isinstance(v, Poly) else self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
-
     def monic(self) -> "Poly":
         if not self.coeffs or self.coeffs[-1] == self.field.one:
             return self

@@ -279,14 +279,6 @@ class RationalFunction:
     def is_regular_at(self, place: "Place") -> bool:
         return self.is_zero() or self.order_at(place) >= 0
 
-    def evaluate(self, v):
-        """Substitute v (an element, Poly or RationalFunction) for x."""
-        top = self.num.evaluate(v)
-        bot = self.den.evaluate(v)
-        if isinstance(top, Poly):
-            return RationalFunction(self.field, top, bot)
-        return top / bot
-
     def invert_variable(self) -> "RationalFunction":
         """The function f(1/x); turns the place at infinity into (x)."""
         d = max(self.num.degree, self.den.degree)

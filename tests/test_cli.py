@@ -14,6 +14,7 @@ from importlib import resources
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import dpglue
 from dpglue import cli, cohomology, glue, scenarios
 from dpglue.cli import main
 from dpglue.polynomials import Poly, split_squarefree
@@ -30,11 +31,16 @@ TAME = data_path("tame_families.json")
 WILD = data_path("wild_families.json")
 PARAMS = data_path("parametrizations.json")
 
+# child processes import the same dpglue as this one
+SRC = os.path.dirname(os.path.dirname(dpglue.__file__))
+ENV = dict(os.environ,
+           PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
 
 def run_cli(args):
     proc = subprocess.run(
         [sys.executable, "-m", "dpglue.cli", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=ENV,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -275,7 +281,7 @@ def test_integral_floats_read_as_ints_in_either_order(tmp_path):
                   "    for fmt in ('text', 'json'):\n"
                   "        main(['run', path, '--format', fmt])\n")
         proc = subprocess.run([sys.executable, "-c", script, *paths],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=ENV)
         assert proc.returncode == 0 and proc.stderr == ""
         return proc.stdout
 
@@ -448,7 +454,7 @@ def test_closed_stdout_exits_one_without_traceback(corpus):
     # fails whatever the pipe buffer holds
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "dpglue.cli", "run", corpus, "--format", "json"],

@@ -367,33 +367,6 @@ def test_oracle_witness_over_the_residue_field(p, a, b, place):
     assert gorenstein_at_point_oracle(data, place)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_oracle_answer_is_stable_past_the_bound(rng, p):
-    """The oracle's degree bound B is a truncation: it looks for f_1 only
-    among x^k pi^j with j <= B.  Its docstring argues that any B at or
-    above the pole order m of a/b_1 gives the same answer; this test
-    checks it with no bound against B = m + 2p + 2, at places of
-    degree 1, 2 and 3 and at infinity.
-    """
-    field = base_field(p)
-    places = [Place.finite(parse_rational(ff(p), names[0]).num)
-              for names in IRREDUCIBLES[p]] + [Place.infinity()]
-    answers = set()
-    for place in places:
-        for k in (0, 1, p, p + 1, 2 * p):
-            num = rand_ratfunc(rng, p, 1, nonzero=True)
-            b1 = rand_ratfunc(rng, p, 1, nonzero=True)
-            b = [b1] + [b1 * field.from_int(rng.randrange(1, max(p, 2)))
-                        for _ in range(rng.randint(0, 2))]
-            data = glue_data(p, pole_at(num, place, k), b)
-            c1 = data.c(0)
-            m = 0 if c1.is_regular_at(place) else -c1.order_at(place)
-            answer = gorenstein_at_point_oracle(data, place)
-            assert gorenstein_at_point_oracle(data, place, m + p + 2 + p) == answer
-            answers.add(answer)
-    assert answers == {True, False}
-
-
 # -- the pointwise oracle against its dense form -------------------------
 
 
@@ -476,31 +449,25 @@ def point_checks(draw):
     return glue_data(p, a, b), place
 
 
-@given(point_checks(), st.data())
+@given(point_checks())
 @settings(max_examples=150)
-def test_oracle_matches_its_dense_form(case, data):
-    """The same answer and the same f_1 as the frozen dense oracle, at the
-    default bound and at a bound B < m that truncates the columns."""
+def test_oracle_matches_its_dense_form(case):
+    """The same answer and the same f_1 as the frozen dense oracle."""
     datum, place = case
     local, at = (at_origin(datum), origin(datum.characteristic)) if place.is_infinity() \
         else (datum, place)
-    m = local.c(0).den.valuation(at.poly)
-    bounds = [None] + ([data.draw(st.integers(0, m - 1))] if m else [])
-    for bound in bounds:
-        answer, f1 = dense_oracle(datum, place, bound)
-        assert gorenstein_at_point_oracle(datum, place, bound) == answer
-        assert glue.local_unit_witness(local, at, bound) == f1
+    answer, f1 = dense_oracle(datum, place)
+    assert gorenstein_at_point_oracle(datum, place) == answer
+    assert glue.local_unit_witness(local, at) == f1
 
 
-@pytest.mark.parametrize("p, a, place, bound, columns", [
-    (3, "(x+1)/(x^2+1)^4", [1, 0, 1], None, 8),     # m = 4, deg P = 2: 8 of 20
-    (3, "(x+1)/(x^2+1)^4", [1, 0, 1], 1, 4),        # B = 1 < m
-    (7, "1/(x^2+1)^8", [1, 0, 1], None, 16),        # 16 of 36
-    (5, "x^7+1", None, None, 7),                    # a pole of order 7 at infinity
-    (2, "(x+1)/(x^3+x+1)^2", [1, 1, 0, 1], None, 6),
+@pytest.mark.parametrize("p, a, place, columns", [
+    (3, "(x+1)/(x^2+1)^4", [1, 0, 1], 8),       # m = 4, deg P = 2: 8 of 20
+    (7, "1/(x^2+1)^8", [1, 0, 1], 16),          # 16 of 36
+    (5, "x^7+1", None, 7),                      # a pole of order 7 at infinity
+    (2, "(x+1)/(x^3+x+1)^2", [1, 1, 0, 1], 6),
 ])
-def test_oracle_eliminates_over_the_pole_columns_only(p, a, place, bound, columns,
-                                                      monkeypatch):
+def test_oracle_eliminates_over_the_pole_columns_only(p, a, place, columns, monkeypatch):
     seen = []
     kernel_vectors = linalg.kernel_vectors
 
@@ -511,9 +478,32 @@ def test_oracle_eliminates_over_the_pole_columns_only(p, a, place, bound, column
     monkeypatch.setattr(linalg, "kernel_vectors", counted)
     data = glue_data(p, a, ["1"])
     where = Place.infinity() if place is None else place_of(p, place)
-    answer = gorenstein_at_point_oracle(data, where, bound)
+    answer = gorenstein_at_point_oracle(data, where)
     assert seen and all(cols == columns and top < cols for cols, top in seen)
-    assert answer == dense_oracle(data, where, bound)[0]
+    assert answer == dense_oracle(data, where)[0]
+
+
+@pytest.mark.parametrize("p, a, place", [
+    (3, "(x+1)/(x^2+1)^4", [1, 0, 1]),
+    (0, "1/x^3", [0, 1]),
+    (5, "(x+1)/(x^2+2)^5", [2, 0, 1]),
+])
+def test_witness_reads_the_pole_order_once(p, a, place, monkeypatch):
+    """m is found by one valuation; the modulus pi^(2m) is then pi^m
+    squared, with no second valuation of D^2."""
+    data, at = glue_data(p, a, ["1"]), place_of(p, place)
+    calls = []
+    valuation = Poly.valuation
+
+    def counted(self, pi):
+        calls.append(pi)
+        return valuation(self, pi)
+
+    monkeypatch.setattr(Poly, "valuation", counted)
+    f1 = glue.local_unit_witness(data, at)
+    assert calls == [at.poly]
+    monkeypatch.undo()
+    assert f1 == dense_oracle(data, at)[1]
 
 
 def parse_rational_pow(p, k):
@@ -632,6 +622,31 @@ def test_gamma_sections_char0_simple_pole():
     h = parse_rational_pow(0, -1)
     exps = gamma_section_exponents(h, origin(0), 6)
     assert exps == [0, 2, 3, 4, 5, 6]
+
+
+@st.composite
+def gamma_cases(draw):
+    """(h, place, bound): places of degree 1-3 and infinity, pole orders around p."""
+    p = draw(st.sampled_from(CHARACTERISTICS))
+    field = base_field(p)
+    place = place_of(p, draw(st.sampled_from(PLACES[p])))
+    q = max(p, 1)
+    k = draw(st.sampled_from(sorted({0, 1, 2, q, q + 1, 2 * q})))
+    poly = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(
+        lambda cs: Poly.from_ints(field, cs))
+    h = RationalFunction(field, draw(poly), draw(poly.filter(bool)))
+    return pole_at(h, place, k), place, draw(st.integers(0, 2 * q + 2))
+
+
+@given(gamma_cases())
+@settings(max_examples=100)
+def test_gamma_exponents_are_the_unit_vectors_in_the_sections(case):
+    h, place, bound = case
+    field = h.field
+    inside = linalg.in_span(field, glue.gamma_local_sections(h, place, bound),
+                            linalg.identity(field, bound + 1))
+    assert gamma_section_exponents(h, place, bound) == [j for j in range(bound + 1)
+                                                        if inside[j]]
 
 
 # -- regularity constraints ----------------------------------------------
