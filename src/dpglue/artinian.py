@@ -92,17 +92,17 @@ class FiniteAlgebra:
     def minimal_polynomial(self, u) -> Poly:
         """The monic polynomial of least degree that kills u.
 
-        One elimination of the columns 1, u, ..., u^dim.  Once u^k lies
-        in the span of the powers before it, so does every later power;
-        so the pivots are the columns 0..k-1, and column k holds the
-        coordinates of u^k on 1, ..., u^(k-1).
+        The first kernel vector of the columns 1, u, ..., u^dim.  Once
+        u^k lies in the span of the powers before it, so does every
+        later power; so the pivots are the columns 0..k-1, and the
+        vector of the first free column k is 1 at u^k, minus the
+        coordinates of u^k on 1, ..., u^(k-1), and 0 above k.
         """
         powers = [self.unit]
         for _ in range(self.dim):
             powers.append(self.mul(u, powers[-1]))
-        red, pivots = linalg.rref(self.field, linalg.transpose(powers))
-        k = len(pivots)
-        return Poly(self.field, [-red[r][k] for r in range(k)] + [self.field.one])
+        rows = [{j: v[i] for j, v in enumerate(powers) if v[i]} for i in range(self.dim)]
+        return Poly(self.field, next(linalg.kernel_vectors(self.field, rows, self.dim + 1)))
 
     # -- locality -----------------------------------------------------
 

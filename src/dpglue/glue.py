@@ -258,27 +258,12 @@ def gorenstein_at_point(data: GenericGlueData, place: Place) -> bool:
     return True
 
 
-def regularity_constraint_rows(nums, den: Poly, place: Place):
-    """Linear constraints on c_j making sum c_j nums_j / den regular at the place.
-
-    At a finite place P = (pi) a row holds one coefficient of every
-    num mod pi^v_P(den); at infinity, one coefficient above deg den.
-    Returns the nonzero rows over the base field as sparse rows
-    {j: nonzero coefficient of nums_j}, for ``linalg.echelon`` (an
-    empty list means no constraint).
-    """
-    if place.is_infinity():
-        return _coefficient_rows(nums, den.degree + 1)
-    modulus = place.poly ** den.valuation(place.poly)
-    return _coefficient_rows([n % modulus for n in nums], 0)
-
-
-def _coefficient_rows(nums, low: int):
-    """Sparse rows {j: coefficient of x^k in nums_j}, one for each k >= low
-    with a nonzero entry, in increasing k."""
+def _coefficient_rows(nums):
+    """Sparse rows {j: coefficient of x^k in nums_j}, one for each k with
+    a nonzero entry, in increasing k."""
     rows = {}
     for j, n in enumerate(nums):
-        for k, c in enumerate(n.coeffs[low:], low):
+        for k, c in enumerate(n.coeffs):
             if c:
                 rows.setdefault(k, {})[j] = c
     return [rows[k] for k in sorted(rows)]
@@ -347,7 +332,7 @@ def local_unit_witness(data: GenericGlueData, place: Place) -> Poly | None:
             nums.append(power.shift(k) * A + dw * ND)
         power, dpower = power * pi, dpower * pi + power * dpi
     modulus = power * power  # pi^(2m)
-    rows = _coefficient_rows([n % modulus for n in nums], 0)
+    rows = _coefficient_rows([n % modulus for n in nums])
     witness = next((v for v in linalg.kernel_vectors(base, rows, len(nums)) if any(v[:d])),
                    None)
     if witness is None:
@@ -456,40 +441,3 @@ def tangent_dims(p: int, n: int):
     dim_curve = len(semigroup_generators(members))
     return (dim_curve, 3)
 
-
-def gamma_local_sections(h: RationalFunction, place: Place, bound: int):
-    """Basis of {f in span(pi^0..pi^bound) : h f' regular at the place}.
-
-    Returned as coefficient vectors in the local-parameter powers; pi is
-    1/x at infinity, and f' is d/dx throughout.
-    """
-    return list(linalg.kernel_vectors(h.field, _gamma_rows(h, place, bound), bound + 1))
-
-
-def gamma_section_exponents(h: RationalFunction, place: Place, bound: int):
-    """Exponents j with pi^j a section (for monomial-diagonal cases).
-
-    pi^j is a section exactly when column j is empty in every
-    constraint row.
-    """
-    used = {j for row in _gamma_rows(h, place, bound) for j in row}
-    return [j for j in range(bound + 1) if j not in used]
-
-
-def _gamma_rows(h: RationalFunction, place: Place, bound: int):
-    """The regularity constraints on the coefficients of pi^0..pi^bound."""
-    base = h.field
-    N, D = h.num, h.den
-    if place.is_infinity():
-        # h (x^-j)' = -j N x^(bound-j) / (D x^(bound+1))
-        nums = [N.shift(bound - j).scale(base.from_int(-j)) for j in range(bound + 1)]
-        den = D.shift(bound + 1)
-    else:
-        # h (pi^j)' = j N pi' pi^(j-1) / D
-        pi = place.poly
-        nums, power = [Poly.zero(base)], N * pi.derivative()
-        for j in range(1, bound + 1):
-            nums.append(power.scale(base.from_int(j)))
-            power = power * pi
-        den = D
-    return regularity_constraint_rows(nums, den, place)

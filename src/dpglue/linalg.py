@@ -7,16 +7,14 @@ pivot rows before it at its leading column and never touches a zero
 entry, which matters because the matrices here are mostly zero and over
 k(x) every entry rewritten costs polynomial arithmetic.  Its pivots are
 those of the reduced row echelon form, so they also give the rank of
-every prefix of the columns.  ``kernel_vectors`` is ``echelon`` plus
-back-substitution of one kernel vector at a time, and ``rref`` is
-``echelon`` plus back-substitution of the rows, on dense rows;
-``rank``, ``nullspace``, ``solve_many``, ``solve``, ``in_span`` and
-``row_space_basis`` read one of the three.
+every prefix of the columns.  There is one back-substitution,
+``_reduced``, which turns ``echelon``'s rows into the rows of the
+reduced row echelon form; ``rref``, ``kernel_vectors`` and
+``solve_many`` read it, and ``rank``, ``nullspace``, ``solve``,
+``in_span`` and ``row_space_basis`` read one of those or ``echelon``.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left
 
 
 def zeros(field, rows: int, cols: int):
@@ -102,28 +100,37 @@ def _sparse(mat):
     return [{j: x for j, x in enumerate(row) if x} for row in mat]
 
 
-def rref(field, mat):
-    """Reduced row echelon form; returns (matrix, pivot column list).
+def _reduced(field, basis) -> dict:
+    """``echelon``'s rows {pivot column: row} in reduced row echelon form.
 
-    ``echelon``, then back-substitution from the highest pivot down:
-    each pivot row is scaled to 1 at its pivot and cleared at every
-    later pivot column by the row already reduced there.  The zero rows
-    come last.
+    From the highest pivot down, each row is scaled to 1 at its pivot
+    and cleared at every later pivot column by the row already reduced
+    there, so a reduced row is 1 at its pivot, holds otherwise only
+    columns without a pivot, all above it, and is the same row whatever
+    order ``echelon`` saw.
     """
-    cols = len(mat[0]) if mat else 0
-    basis = echelon(field, _sparse(mat))
-    pivots = sorted(basis)
-    reduced = {}
-    for p in reversed(pivots):
+    out = {}
+    for p in sorted(basis, reverse=True):
         row = basis[p]
         inv = field.one / row[p]
         row = {c: inv * y for c, y in row.items()}
-        for q in [c for c in row if c in reduced]:
-            _add_multiple(row, -row[q], reduced[q])
-        reduced[p] = row
+        for q in [c for c in row if c in out]:
+            _add_multiple(row, -row[q], out[q])
+        out[p] = row
+    return out
+
+
+def rref(field, mat):
+    """Reduced row echelon form; returns (matrix, pivot column list).
+
+    The rows of ``_reduced`` in pivot order, dense, then the zero rows.
+    """
+    cols = len(mat[0]) if mat else 0
+    rows = _reduced(field, echelon(field, _sparse(mat)))
+    pivots = sorted(rows)
     out = [[field.zero] * cols for _ in mat]
     for dense, p in zip(out, pivots):
-        for c, y in reduced[p].items():
+        for c, y in rows[p].items():
             dense[c] = y
     return out, pivots
 
@@ -133,31 +140,23 @@ def rank(field, mat) -> int:
 
 
 def kernel_vectors(field, rows, cols: int):
-    """The right kernel of sparse rows over columns 0..cols-1, lazily.
+    """The right kernel of sparse rows over columns 0..cols-1.
 
-    Yields one dense vector per column without a pivot in ``echelon``,
-    in column order: 1 at its free column c, 0 at every other free
-    column, and at each pivot column below c, from the highest down,
-    the value its pivot row forces (back-substitution).  A pivot above
-    c gets 0, as its row holds only columns above c, all free and 0
-    or pivots already 0.  These are the vectors that the reduced row
-    echelon form gives, so a caller may stop at the first it needs.
+    Yields one dense vector per column c without a pivot, in column
+    order: 1 at c, 0 at every other column without a pivot, and minus
+    the entry of column c in the ``_reduced`` row of each pivot.  This is
+    the kernel basis of the reduced row echelon form, so a caller may
+    stop at the first vector it needs.
     """
-    basis = echelon(field, rows)
-    pivots = sorted(basis)
+    basis = _reduced(field, echelon(field, rows))
     for c in range(cols):
         if c in basis:
             continue
         v = [field.zero] * cols
         v[c] = field.one
-        for p in reversed(pivots[:bisect_left(pivots, c)]):
-            row = basis[p]
-            acc = field.zero
-            for q, y in row.items():
-                if q != p and v[q]:
-                    acc = acc + y * v[q]
-            if acc:
-                v[p] = -acc / row[p]
+        for p, row in basis.items():
+            if c in row:
+                v[p] = -row[c]
         yield v
 
 
@@ -171,29 +170,22 @@ def nullspace(field, mat):
 def solve_many(field, mat, rhss):
     """Solve mat @ x = b for every b in rhss by one elimination.
 
-    Row-reduces [mat | b_1 ... b_k].  Returns (solutions, rank of mat);
-    a solution is None when its system is inconsistent, i.e. when its
-    column is nonzero below the rows that hold the pivots of mat.  A
-    pivot in a right-hand-side column lies in one of those rows, which
-    are zero in every consistent column, so it leaves their solutions
-    as they are.
+    Reduces the sparse rows of [mat | b_1 ... b_k].  Returns (solutions,
+    rank of mat); a solution is None when its system is inconsistent,
+    i.e. when its column holds an entry of a ``_reduced`` row whose pivot
+    lies past mat's columns.  Otherwise its column is 0 on those rows,
+    and x reads it off the rows of mat's pivots.
     """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    aug = [list(mat[i]) + [b[i] for b in rhss] for i in range(rows)]
-    red, pivots = rref(field, aug)
-    pivots = [c for c in pivots if c < cols]
-    rank = len(pivots)
-    solutions = []
-    for j in range(cols, cols + len(rhss)):
-        if any(red[i][j] for i in range(rank, rows)):
-            solutions.append(None)
-            continue
-        x = [field.zero] * cols
-        for r, pc in enumerate(pivots):
-            x[pc] = red[r][j]
-        solutions.append(x)
-    return solutions, rank
+    cols = len(mat[0]) if mat else 0
+    aug = [{j: x for j, x in enumerate(row) if x}
+           | {j: b[i] for j, b in enumerate(rhss, cols) if b[i]} for i, row in enumerate(mat)]
+    basis = _reduced(field, echelon(field, aug))
+    inconsistent = {c for p, row in basis.items() if p >= cols for c in row}
+    solutions = [None if j in inconsistent
+                 else [basis[c].get(j, field.zero) if c in basis else field.zero
+                       for c in range(cols)]
+                 for j in range(cols, cols + len(rhss))]
+    return solutions, sum(p < cols for p in basis)
 
 
 def solve(field, mat, rhs):

@@ -415,8 +415,8 @@ def check_expectations(report: dict, expect: dict | None):
     out = []
     for key, want in expect.items():
         got = report.get(key)
-        if key == "wildPoints":
-            got = [list(x) for x in (got or [])]
+        if key == "wildPoints" and isinstance(got, list):
+            got = [list(x) for x in got]
         if got != want:
             out.append(f"{key}: expected {want!r}, got {got!r}")
     return out

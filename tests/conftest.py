@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import settings
 
+from dpglue.artinian import FiniteAlgebra, FiniteModule
 from dpglue.fields import base_field
 from dpglue.polynomials import Poly
 from dpglue.rational import FunctionField, RationalFunction
@@ -117,3 +118,48 @@ def swinnerton_dyer(primes) -> str:
             a, b = a * x + b * p + c, a + b * x
         f = a * a - b * b * p
     return " + ".join(f"({c})*x^{i}" for i, c in enumerate(f.coeffs) if c)
+
+
+def parse_rational_pow(p, k):
+    """x^k in k(x) over the prime field of characteristic p, k any integer."""
+    F = ff(p)
+    if k >= 0:
+        return F.x ** k
+    return (F.one / F.x) ** (-k)
+
+
+def truncated_algebra(field, n):
+    """k[t]/(t^n) with basis 1, t, ..., t^(n-1)."""
+    zero, one = field.zero, field.one
+    table = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            v = [zero] * n
+            if i + j < n:
+                v[i + j] = one
+            row.append(v)
+        table.append(row)
+    unit = [one] + [zero] * (n - 1)
+    return FiniteAlgebra(field, table, unit)
+
+
+def jordan_module(algebra, sizes):
+    """Direct sum of k[t]/(t^j) as a module over k[t]/(t^n), j <= n."""
+    field = algebra.field
+    dim = sum(sizes)
+    nilpotent = [[field.zero] * dim for _ in range(dim)]
+    off = 0
+    for j in sizes:
+        for k in range(j - 1):
+            nilpotent[off + k + 1][off + k] = field.one
+        off += j
+    action = []
+    for i in range(algebra.dim):  # t^i acts by N^i
+        mat = [[field.one if r == c else field.zero for c in range(dim)]
+               for r in range(dim)]
+        for _ in range(i):
+            mat = [[sum((nilpotent[r][k] * mat[k][c] for k in range(dim)),
+                        field.zero) for c in range(dim)] for r in range(dim)]
+        action.append(mat)
+    return FiniteModule(algebra, dim, action)

@@ -29,9 +29,8 @@ from dpglue.glue import (KernelElement, glue_data, gorenstein_at_point,
 from dpglue.polynomials import Poly
 from dpglue.rational import FunctionField, Place
 
-from conftest import CHARACTERISTICS, rand_ratfunc
-from test_duality import jordan_module, truncated_algebra
-from test_glue import parse_rational_pow
+from conftest import (CHARACTERISTICS, jordan_module, parse_rational_pow, rand_ratfunc,
+                      truncated_algebra)
 
 
 def corpus(name):

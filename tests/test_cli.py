@@ -131,6 +131,20 @@ def test_expectation_mismatch_exits_one(tmp_path):
     assert main(["run", str(p)]) == 1
 
 
+def test_unnamed_wild_points_do_not_meet_an_empty_expectation(tmp_path, capsys):
+    # the pole is an irreducible piece too costly to factor: wildPoints is null
+    doc = {"version": "1", "scenarios": [
+        {"name": "x", "characteristic": 0, "glueCase": "D", "blocks": [{"case": "c2", "a": 2}],
+         "derivation": {"a": f"1/({swinnerton_dyer([2, 3, 5, 7, 11])})", "b": ["1"]},
+         "expect": {"wildPoints": []}}]}
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", str(p), "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)["scenarios"][0]
+    assert report["wildPoints"] is None
+    assert report["expectationMismatches"] == ["wildPoints: expected [], got None"]
+
+
 def test_malformed_file_exits_two(tmp_path):
     p = tmp_path / "s.json"
     p.write_text("not json")

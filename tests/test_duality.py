@@ -2,10 +2,10 @@
 
 import pytest
 
-from dpglue.artinian import (FiniteAlgebra, FiniteModule, annihilator,
-                             dual_module, is_faithful, is_free_rank_one,
-                             length, make_subalgebra, matrix_counterexample,
-                             quotient_module, restriction_trace, socle)
+from dpglue.artinian import (FiniteAlgebra, annihilator, dual_module, is_faithful,
+                             is_free_rank_one, length, make_subalgebra,
+                             matrix_counterexample, quotient_module, restriction_trace,
+                             socle)
 from dpglue import linalg
 from dpglue.fields import base_field
 from dpglue.filling import (BranchSpec, _close_under_multiplication,
@@ -14,23 +14,7 @@ from dpglue.filling import (BranchSpec, _close_under_multiplication,
 from dpglue.polynomials import Poly
 from dpglue.rational import parse_rational
 
-from conftest import CHARACTERISTICS, IRREDUCIBLES, ff
-
-
-def truncated_algebra(field, n):
-    """k[t]/(t^n) with basis 1, t, ..., t^(n-1)."""
-    zero, one = field.zero, field.one
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = [zero] * n
-            if i + j < n:
-                v[i + j] = one
-            row.append(v)
-        table.append(row)
-    unit = [one] + [zero] * (n - 1)
-    return FiniteAlgebra(field, table, unit)
+from conftest import CHARACTERISTICS, IRREDUCIBLES, ff, jordan_module, truncated_algebra
 
 
 def product_field_algebra(field, r):
@@ -46,27 +30,6 @@ def product_field_algebra(field, r):
             row.append(v)
         table.append(row)
     return FiniteAlgebra(field, table, [one] * r)
-
-
-def jordan_module(algebra, sizes):
-    """Direct sum of k[t]/(t^j) as a module over k[t]/(t^n), j <= n."""
-    field = algebra.field
-    dim = sum(sizes)
-    nilpotent = [[field.zero] * dim for _ in range(dim)]
-    off = 0
-    for j in sizes:
-        for k in range(j - 1):
-            nilpotent[off + k + 1][off + k] = field.one
-        off += j
-    action = []
-    for i in range(algebra.dim):  # t^i acts by N^i
-        mat = [[field.one if r == c else field.zero for c in range(dim)]
-               for r in range(dim)]
-        for _ in range(i):
-            mat = [[sum((nilpotent[r][k] * mat[k][c] for k in range(dim)),
-                        field.zero) for c in range(dim)] for r in range(dim)]
-        action.append(mat)
-    return FiniteModule(algebra, dim, action)
 
 
 # -- length ------------------------------------------------------------

@@ -8,8 +8,7 @@ from dpglue import cohomology, glue, linalg
 from dpglue.artinian import FiniteAlgebra, make_subalgebra
 from dpglue.fields import base_field
 from dpglue.glue import (KernelElement, change_of_basis, delta,
-                         functional_vector, gamma_section_exponents,
-                         glue_data, gorenstein_at_point,
+                         functional_vector, glue_data, gorenstein_at_point,
                          gorenstein_at_point_oracle,
                          ker_trace_closed_form, ker_trace_oracle,
                          kernel_dimension, kxi_engine, tangent_dims,
@@ -17,8 +16,7 @@ from dpglue.glue import (KernelElement, change_of_basis, delta,
 from dpglue.polynomials import Poly
 from dpglue.rational import Place, RationalFunction, parse_rational
 
-from conftest import (CHARACTERISTICS, IRREDUCIBLES, dense_nullspace, ff, rand_poly,
-                      rand_ratfunc)
+from conftest import CHARACTERISTICS, IRREDUCIBLES, dense_nullspace, ff, rand_ratfunc
 
 
 def rand_data(rng, p, r=None, max_deg=2):
@@ -320,6 +318,15 @@ def test_oracle_regular_case():
     assert gorenstein_at_point_oracle(data, origin(0))
 
 
+# places of degree 1, 2 and 3, and infinity (None), as coefficient lists
+PLACES = {
+    0: [[-1, 1], [1, 0, 1], [-2, 0, 0, 1], None],
+    2: [[1, 1], [1, 1, 1], [1, 1, 0, 1], None],
+    3: [[0, 1], [1, 0, 1], [1, 2, 0, 1], None],
+    5: [[2, 1], [2, 0, 1], [1, 1, 0, 1], None],
+}
+
+
 def place_of(p, coeffs):
     """The place of a coefficient list of ``PLACES``; None is infinity."""
     if coeffs is None:
@@ -377,7 +384,8 @@ def at_origin(data):
 
 
 def dense_regularity_rows(nums, den, place):
-    """``regularity_constraint_rows`` as dense rows, at a finite place."""
+    """One dense row per coefficient of every num mod pi^v_P(den), at a
+    finite place, with the zero rows dropped."""
     modulus = place.poly ** den.valuation(place.poly)
     nums = [n if n.degree < modulus.degree else n % modulus for n in nums]
     rows = [[n[k] for n in nums] for k in range(modulus.degree)]
@@ -506,16 +514,6 @@ def test_witness_reads_the_pole_order_once(p, a, place, monkeypatch):
     assert f1 == dense_oracle(data, at)[1]
 
 
-def parse_rational_pow(p, k):
-    from dpglue.rational import FunctionField, RationalFunction
-
-    F = FunctionField(base_field(p))
-    x = F.x
-    if k >= 0:
-        return x ** k
-    return (F.one / x) ** (-k)
-
-
 # -- tameness ----------------------------------------------------------
 
 
@@ -602,121 +600,17 @@ def test_tangent_dims(p, expected):
     assert tangent_dims(p, 2) == expected
 
 
-# -- local sections of the image curve ---------------------------------
+# -- the wild points of Gamma --------------------------------------------
 
 
-def test_gamma_sections_regular_h():
-    F = parse_rational_pow(0, 0).field
-    h = parse_rational_pow(0, 1)  # h = x, regular at the origin
-    exps = gamma_section_exponents(h, origin(0), 6)
-    assert exps == list(range(7))
-
-
-def test_gamma_sections_wild_char3():
-    h = parse_rational_pow(3, -3)
-    exps = gamma_section_exponents(h, origin(3), 7)
-    assert exps == [0, 3, 4, 5, 6, 7]
-
-
-def test_gamma_sections_char0_simple_pole():
-    h = parse_rational_pow(0, -1)
-    exps = gamma_section_exponents(h, origin(0), 6)
-    assert exps == [0, 2, 3, 4, 5, 6]
-
-
-@st.composite
-def gamma_cases(draw):
-    """(h, place, bound): places of degree 1-3 and infinity, pole orders around p."""
-    p = draw(st.sampled_from(CHARACTERISTICS))
-    field = base_field(p)
-    place = place_of(p, draw(st.sampled_from(PLACES[p])))
-    q = max(p, 1)
-    k = draw(st.sampled_from(sorted({0, 1, 2, q, q + 1, 2 * q})))
-    poly = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(
-        lambda cs: Poly.from_ints(field, cs))
-    h = RationalFunction(field, draw(poly), draw(poly.filter(bool)))
-    return pole_at(h, place, k), place, draw(st.integers(0, 2 * q + 2))
-
-
-@given(gamma_cases())
-@settings(max_examples=100)
-def test_gamma_exponents_are_the_unit_vectors_in_the_sections(case):
-    h, place, bound = case
-    field = h.field
-    inside = linalg.in_span(field, glue.gamma_local_sections(h, place, bound),
-                            linalg.identity(field, bound + 1))
-    assert gamma_section_exponents(h, place, bound) == [j for j in range(bound + 1)
-                                                        if inside[j]]
-
-
-# -- regularity constraints ----------------------------------------------
-
-
-def product_cleared_rows(funcs, place):
-    """Reference: clear each numerator by every other function's denominator."""
-    base = funcs[0].field
-    if place.is_infinity():
-        funcs = [h.invert_variable() for h in funcs]
-        place = Place.finite(Poly.x(base))
-    pi = place.poly
-    M = max([-h.order_at(place) for h in funcs if h] + [0])
-    if M == 0:
-        return []
-    piM = pi**M
-    shifted = [h * RationalFunction.from_poly(piM) for h in funcs]
-    nums = []
-    for t in shifted:
-        n = t.num
-        for other in shifted:
-            if other is not t:
-                n = n * other.den
-        nums.append(n % piM)
-    rows = [{j: n[k] for j, n in enumerate(nums) if n[k]} for k in range(piM.degree)]
-    return [row for row in rows if row]
-
-
-def solution_space(field, rows, n):
-    """Echelonized basis of the kernel of sparse rows over n columns."""
-    return linalg.row_space_basis(field, list(linalg.kernel_vectors(field, rows, n)))
-
-
-# places of degree 1, 2 and 3, and infinity (None), as coefficient lists
-PLACES = {
-    0: [[-1, 1], [1, 0, 1], [-2, 0, 0, 1], None],
-    2: [[1, 1], [1, 1, 1], [1, 1, 0, 1], None],
-    3: [[0, 1], [1, 0, 1], [1, 2, 0, 1], None],
-    5: [[2, 1], [2, 0, 1], [1, 1, 0, 1], None],
-}
-
-
-@pytest.mark.parametrize("p", CHARACTERISTICS)
-@pytest.mark.parametrize("place_index", range(4), ids=["deg1", "deg2", "deg3", "oo"])
-def test_regularity_rows_keep_the_solution_space(rng, p, place_index):
-    field = base_field(p)
-    coeffs = PLACES[p][place_index]
-    place = (Place.infinity() if coeffs is None
-             else Place.finite(Poly.from_ints(field, coeffs)))
-    local = Poly.x(field) if coeffs is None else place.poly
-    max_order = 3 * max(p, 1)
-    for _ in range(6):
-        funcs = []
-        for _ in range(rng.randint(1, 5)):
-            h = rand_ratfunc(rng, p, 2)
-            e = rng.randint(0, max_order)
-            if coeffs is None:
-                h = h * RationalFunction.from_poly(local**e)
-            else:
-                h = h / RationalFunction.from_poly(local**e)
-            funcs.append(h)
-        # a combination that is regular at the place, so the space is not 0
-        regular = (rand_ratfunc(rng, p, 0) if coeffs is None
-                   else RationalFunction.from_poly(rand_poly(rng, field, 2)))
-        funcs.append(funcs[0] - funcs[-1] + regular)
-        den = Poly.one(field)
-        for h in funcs:
-            den = den * (h.den // den.gcd(h.den))
-        nums = [h.num * (den // h.den) for h in funcs]
-        got = glue.regularity_constraint_rows(nums, den, place)
-        want = product_cleared_rows(funcs, place)
-        assert (solution_space(field, got, len(funcs))
-                == solution_space(field, want, len(funcs)))
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_wild_cusp_ring_is_where_the_derivative_is_regular(p, n):
+    """x^j lies in the wild cusp ring exactly when p | j or
+    x^(-np) (x^j)' is regular at x = 0: the sections of Gamma."""
+    F, at = ff(p), origin(p)
+    h = F.one / F.x ** (n * p)
+    ring = wild_cusp_ring(p, n)
+    for j in range(2 * n * p + 3):
+        want = j % p == 0 or (h * (F.x ** j).derivative()).order_at(at) >= 0
+        assert ring.contains(j) == want

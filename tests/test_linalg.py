@@ -129,8 +129,9 @@ def test_echelon_pivots_do_not_depend_on_row_order(case, data):
 @given(sparse_matrices(), st.integers(0, 2))
 @settings(max_examples=150)
 def test_kernel_vectors_are_the_rref_nullspace(case, extra):
-    """Back-substitution of one vector at a time gives the rref's kernel
-    vectors, in free-column order, also with columns no row touches."""
+    """Reading each free column off the reduced rows gives the rref's
+    kernel vectors, in free-column order, also with columns no row
+    touches."""
     field, mat = case
     want = dense_nullspace(field, [row + [field.zero] * extra for row in mat])
     cols = len(mat[0]) + extra
