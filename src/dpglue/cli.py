@@ -125,6 +125,10 @@ def cmd_run(args) -> int:
     return 1 if failed else 0
 
 
+# the largest --a-max; its block table prints in about 0.1 s (2-core x86-64)
+A_MAX_LIMIT = 1000
+
+
 def cmd_catalog(args) -> int:
     if args.degree12:
         try:
@@ -155,6 +159,9 @@ def cmd_catalog(args) -> int:
                 print(f"deg {r['degree']}  case {r['case']:<13} "
                       f"{r['equation']:<40} {v}")
         return 1 if bad else 0
+    if not 0 <= args.a_max <= A_MAX_LIMIT:
+        print(f"error: --a-max: {args.a_max} is outside 0..{A_MAX_LIMIT}", file=sys.stderr)
+        return 2
     rows = catalog.block_table(args.a_max)
     bad = False
     out = []

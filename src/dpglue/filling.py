@@ -338,59 +338,3 @@ def trace_shape_detect(result: FillingResult, ring: ConductorRing) -> bool:
         return False
     return all(psi[0])
 
-
-# -- random generation for property tests -----------------------------
-
-
-def random_part_filling(rng, field, max_branches: int = 3, max_n: int = 2,
-                        tries: int = 40):
-    """Sample a random part-filling; returns (ring, FillingResult) or None.
-
-    Random branch configuration, then a random subspace containing 1,
-    closed under multiplication, retried until the checks pass.
-    """
-    branches = [
-        BranchSpec(rng.randint(1, max_n))
-        for _ in range(rng.randint(1, max_branches))
-    ]
-    ring = build_conductor_ring(field, branches)
-    A = ring.algebra
-    # sampling inside K·1 + nilradical keeps the residue image diagonal,
-    # so only closure and faithfulness can fail
-    nil_idx = []
-    for e, br in enumerate(ring.branches):
-        d = br.residue_degree
-        nil_idx.extend(range(ring.offsets[e] + d, ring.offsets[e] + d * br.n))
-    for _ in range(tries):
-        gens = [A.unit]
-        for _ in range(rng.randint(0, max(0, len(nil_idx)))):
-            v = [field.zero] * ring.dim
-            for k in nil_idx:
-                v[k] = field.random(rng)
-            gens.append(v)
-        basis = _close_under_multiplication(A, gens)
-        if len(basis) >= ring.dim:
-            continue
-        try:
-            res = is_part_filling(basis, ring)
-        except (ValueError, AssertionError):
-            continue
-        if res.ok:
-            return ring, res
-    return None
-
-
-def _close_under_multiplication(A: FiniteAlgebra, gens):
-    field = A.field
-    basis = linalg.row_space_basis(field, gens)
-    while True:
-        new = list(basis)
-        for u in basis:
-            for v in basis:
-                w = A.mul(u, v)
-                if not linalg.in_span(field, new, [w])[0]:
-                    new.append(w)
-        new = linalg.row_space_basis(field, new)
-        if len(new) == len(basis):
-            return new
-        basis = new

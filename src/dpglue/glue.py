@@ -199,11 +199,15 @@ def kxi_engine(data: GenericGlueData) -> Subalgebra:
 
 
 def ker_trace_closed_form(data: GenericGlueData, s: KernelElement) -> bool:
-    """Membership in ker Tr via f_i/b_i = f_1/b_1 and (af_1/b_1)' = -sum g_i."""
-    f1b1 = s.f[0] / data.b[0]
-    if any(fi / bi != f1b1 for fi, bi in zip(s.f[1:], data.b[1:])):
+    """Membership in ker Tr via f_i = (b_i/b_1) f_1 and (a f_1/b_1)' = -sum g_i.
+
+    f_i = (b_i/b_1) f_1 is f_i/b_i = f_1/b_1, since every b_i is nonzero,
+    with no division per branch: the ratios are the cached ``b_ratios``.
+    """
+    f1 = s.f[0]
+    if any(fi != ratio * f1 for fi, ratio in zip(s.f[1:], data.b_ratios)):
         return False
-    return (data.a * f1b1).derivative() == -sum(s.g, data.field.zero)
+    return (data.a * f1 / data.b[0]).derivative() == -sum(s.g, data.field.zero)
 
 
 def change_of_basis(data: GenericGlueData, s: KernelElement):
@@ -211,11 +215,14 @@ def change_of_basis(data: GenericGlueData, s: KernelElement):
 
     Works in the nilpotent pair model u + v y_1: substitute
     x_1 = xi + (a/b_1) y_1 and multiply by the Jacobian factor
-    1 + (a/b_1)' y_1 on the first branch.
+    1 + (a/b_1)' y_1 on the first branch.  With c = a/b_1 that adds
+    c f_1' + c' f_1 = (c f_1)' to g_1 (Leibniz): one derivative, of a
+    product that cancels first, since every kernel member has c f_1 = H
+    with H' = -sum g_i.
     """
     c, f1 = data.c(0), s.f[0]
     # f(x_1) = f(xi) + c f'(xi) y_1, then times (1 + c' y_1)
-    first = (f1, c * f1.derivative() + s.g[0] + c.derivative() * f1)
+    first = (f1, (c * f1).derivative() + s.g[0])
     return [first] + list(zip(s.f[1:], s.g[1:]))
 
 
@@ -232,11 +239,6 @@ def ker_trace_oracle(data: GenericGlueData, s: KernelElement) -> bool:
     """Evaluate the functional of s on the O_D basis and test vanishing."""
     vec = functional_vector(data, s)
     return not any(linalg.mat_vec(data.field, kxi_engine(data).basis, vec))
-
-
-def kernel_dimension(data: GenericGlueData) -> int:
-    """dim over k(xi) of {functionals on O_C vanishing on O_D}."""
-    return len(linalg.nullspace(data.field, kxi_engine(data).basis))
 
 
 # -- pointwise Gorenstein criterion -----------------------------------

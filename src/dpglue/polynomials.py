@@ -147,9 +147,6 @@ class Poly:
             return self.coeffs[i]
         return self.field.zero
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.leading() == self.field.one
-
     # -- arithmetic ---------------------------------------------------
     # A sum of unequal lengths, a product, a negation and a quotient keep
     # a nonzero leading coefficient; only equal-length sums and

@@ -4,8 +4,10 @@ import random
 import pytest
 from hypothesis import settings
 
+from dpglue import linalg
 from dpglue.artinian import FiniteAlgebra, FiniteModule
 from dpglue.fields import base_field
+from dpglue.filling import BranchSpec, build_conductor_ring, is_part_filling
 from dpglue.polynomials import Poly
 from dpglue.rational import FunctionField, RationalFunction
 
@@ -163,3 +165,57 @@ def jordan_module(algebra, sizes):
                         field.zero) for c in range(dim)] for r in range(dim)]
         action.append(mat)
     return FiniteModule(algebra, dim, action)
+
+
+def random_part_filling(rng, field, max_branches=3, max_n=2, tries=40):
+    """Sample a random part-filling; returns (ring, FillingResult) or None.
+
+    Random branch configuration, then a random subspace containing 1,
+    closed under multiplication, retried until the checks pass.
+    """
+    branches = [
+        BranchSpec(rng.randint(1, max_n))
+        for _ in range(rng.randint(1, max_branches))
+    ]
+    ring = build_conductor_ring(field, branches)
+    A = ring.algebra
+    # sampling inside K·1 + nilradical keeps the residue image diagonal,
+    # so only closure and faithfulness can fail
+    nil_idx = []
+    for e, br in enumerate(ring.branches):
+        d = br.residue_degree
+        nil_idx.extend(range(ring.offsets[e] + d, ring.offsets[e] + d * br.n))
+    for _ in range(tries):
+        gens = [A.unit]
+        for _ in range(rng.randint(0, max(0, len(nil_idx)))):
+            v = [field.zero] * ring.dim
+            for k in nil_idx:
+                v[k] = field.random(rng)
+            gens.append(v)
+        basis = close_under_multiplication(A, gens)
+        if len(basis) >= ring.dim:
+            continue
+        try:
+            res = is_part_filling(basis, ring)
+        except (ValueError, AssertionError):
+            continue
+        if res.ok:
+            return ring, res
+    return None
+
+
+def close_under_multiplication(A, gens):
+    """The span of gens closed under the product of A."""
+    field = A.field
+    basis = linalg.row_space_basis(field, gens)
+    while True:
+        new = list(basis)
+        for u in basis:
+            for v in basis:
+                w = A.mul(u, v)
+                if not linalg.in_span(field, new, [w])[0]:
+                    new.append(w)
+        new = linalg.row_space_basis(field, new)
+        if len(new) == len(basis):
+            return new
+        basis = new

@@ -22,15 +22,15 @@ from dpglue.cohomology import (chi_OX, h1_OX, truncated_section_oracle)
 from dpglue.fields import base_field
 from dpglue.filling import (BranchSpec, build_conductor_ring, classify_codim1,
                             is_half_filling, is_part_filling,
-                            random_part_filling, serre_invariants)
+                            serre_invariants)
 from dpglue.glue import (KernelElement, glue_data, gorenstein_at_point,
                          gorenstein_at_point_oracle, ker_trace_closed_form,
                          ker_trace_oracle, tangent_dims, wild_cusp_ring)
 from dpglue.polynomials import Poly
 from dpglue.rational import FunctionField, Place
 
-from conftest import (CHARACTERISTICS, jordan_module, parse_rational_pow, rand_ratfunc,
-                      truncated_algebra)
+from conftest import (CHARACTERISTICS, jordan_module, parse_rational_pow,
+                      random_part_filling, rand_ratfunc, truncated_algebra)
 
 
 def corpus(name):

@@ -513,6 +513,21 @@ def test_catalog_blocks(capsys):
     assert "LATTICE FAIL" not in out
 
 
+@pytest.mark.parametrize("a_max, code", [(cli.A_MAX_LIMIT, 0), (cli.A_MAX_LIMIT + 1, 2),
+                                          (-1, 2)], ids=["limit", "limit+1", "negative"])
+def test_catalog_a_max_range(capsys, a_max, code):
+    start = time.perf_counter()
+    assert main(["catalog", "--a-max", str(a_max)]) == code
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert captured.err == f"error: --a-max: {a_max} is outside 0..{cli.A_MAX_LIMIT}\n"
+    else:
+        assert captured.err == ""
+        assert f"a={a_max} " in captured.out
+
+
 def test_catalog_json_round_trips(capsys):
     assert main(["catalog", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)

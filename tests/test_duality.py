@@ -8,13 +8,12 @@ from dpglue.artinian import (FiniteAlgebra, annihilator, dual_module, is_faithfu
                              socle)
 from dpglue import linalg
 from dpglue.fields import base_field
-from dpglue.filling import (BranchSpec, _close_under_multiplication,
-                            _diagonal_image_ok, build_conductor_ring,
-                            random_part_filling)
+from dpglue.filling import BranchSpec, _diagonal_image_ok, build_conductor_ring
 from dpglue.polynomials import Poly
 from dpglue.rational import parse_rational
 
-from conftest import CHARACTERISTICS, IRREDUCIBLES, ff, jordan_module, truncated_algebra
+from conftest import (CHARACTERISTICS, IRREDUCIBLES, close_under_multiplication, ff,
+                      jordan_module, random_part_filling, truncated_algebra)
 
 
 def product_field_algebra(field, r):
@@ -102,7 +101,7 @@ def test_double_duality_and_invariants(rng, p):
 def assert_minimal_polynomial(A, u):
     """mu(u) = 0, and 1, u, ..., u^(deg mu - 1) are independent."""
     mu = A.minimal_polynomial(u)
-    assert mu.is_monic()
+    assert mu.leading() == mu.field.one
     powers = [A.unit]
     for _ in range(mu.degree):
         powers.append(A.mul(u, powers[-1]))
@@ -130,7 +129,7 @@ def test_locality_from_minimal_polynomials(rng):
                 gens = [A.unit] + [[field.random(rng) if rng.random() < 0.4
                                     else field.zero for _ in range(A.dim)]
                                    for _ in range(rng.randint(1, 2))]
-                candidates.append(_close_under_multiplication(A, gens))
+                candidates.append(close_under_multiplication(A, gens))
             for basis in candidates:
                 B = make_subalgebra(A, basis).algebra
                 for i in range(B.dim):

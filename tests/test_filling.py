@@ -7,13 +7,13 @@ from dpglue.catalog import GlueScenario, building_block, scenario_report
 from dpglue.fields import base_field
 from dpglue.filling import (BranchSpec, build_conductor_ring, classify_codim1,
                             derivation_kernel, is_half_filling,
-                            is_part_filling, random_part_filling,
-                            serre_invariants, trace_shape_detect)
+                            is_part_filling, serre_invariants,
+                            trace_shape_detect)
 from dpglue.glue import glue_data
 from dpglue.polynomials import Poly
 from dpglue.rational import FunctionField
 
-from conftest import CHARACTERISTICS
+from conftest import CHARACTERISTICS, random_part_filling
 
 Q = base_field(0)
 

@@ -11,8 +11,7 @@ from dpglue.glue import (KernelElement, change_of_basis, delta,
                          functional_vector, glue_data, gorenstein_at_point,
                          gorenstein_at_point_oracle,
                          ker_trace_closed_form, ker_trace_oracle,
-                         kernel_dimension, kxi_engine, tangent_dims,
-                         wild_cusp_ring)
+                         kxi_engine, tangent_dims, wild_cusp_ring)
 from dpglue.polynomials import Poly
 from dpglue.rational import Place, RationalFunction, parse_rational
 
@@ -201,8 +200,7 @@ def test_tacnode_kernel_boundary():
     assert not ker_trace_oracle(data, KernelElement([F.zero, F.zero], [F.one, F.one]))
 
 
-def test_change_of_basis_trivial_when_a_zero(rng):
-    data = rand_data(rng, 0, r=3)
+def test_change_of_basis_trivial_when_a_zero():
     data = glue_data(0, 0, ["1", "2", "3"])
     F = data.field
     s = KernelElement([F.x, F.one, F.zero],
@@ -240,32 +238,106 @@ def test_pairing_with_unit(rng, p):
         assert total == expect
 
 
+def rand_member(rng, data):
+    """A kernel element f_i = b_i h, sum g_i = -(a h)', drawn at random."""
+    p = data.characteristic
+    h = rand_ratfunc(rng, p)
+    fs = [data.b[i] * h for i in range(data.r)]
+    gs = [rand_ratfunc(rng, p) for _ in range(data.r)]
+    gs[0] = -(data.a * h).derivative()
+    for i in range(1, data.r):
+        gs[0] = gs[0] - gs[i]
+    return KernelElement(fs, gs)
+
+
+def rand_probe(rng, data):
+    p = data.characteristic
+    return KernelElement([rand_ratfunc(rng, p) for _ in range(data.r)],
+                         [rand_ratfunc(rng, p) for _ in range(data.r)])
+
+
 @pytest.mark.parametrize("p", CHARACTERISTICS)
 def test_closed_form_equals_oracle(rng, p):
     for _ in range(30):
         data = rand_data(rng, p)
-        F = data.field
         # random element, plus a guaranteed kernel element
-        h = rand_ratfunc(rng, p)
-        fs = [data.b[i] * h for i in range(data.r)]
-        gs = [rand_ratfunc(rng, p) for _ in range(data.r)]
-        gs[0] = -(data.a * h).derivative()
-        for i in range(1, data.r):
-            gs[0] = gs[0] - gs[i]
-        member = KernelElement(fs, gs)
+        member = rand_member(rng, data)
         assert ker_trace_closed_form(data, member)
         assert ker_trace_oracle(data, member)
-        probe = KernelElement(
-            [rand_ratfunc(rng, p) for _ in range(data.r)],
-            [rand_ratfunc(rng, p) for _ in range(data.r)],
-        )
+        probe = rand_probe(rng, data)
         assert ker_trace_closed_form(data, probe) == ker_trace_oracle(data, probe)
 
 
 def test_kernel_dimension_is_r(rng):
     for p in CHARACTERISTICS:
         data = rand_data(rng, p)
-        assert kernel_dimension(data) == data.r
+        assert len(linalg.nullspace(data.field, kxi_engine(data).basis)) == data.r
+
+
+def three_term_change_of_basis(data, s):
+    """Frozen reference: the first pair with g_1 + c f_1' + c' f_1, c = a/b_1."""
+    c, f1 = data.c(0), s.f[0]
+    first = (f1, c * f1.derivative() + s.g[0] + c.derivative() * f1)
+    return [first] + list(zip(s.f[1:], s.g[1:]))
+
+
+def per_branch_closed_form(data, s):
+    """Frozen reference: membership by f_i/b_i = f_1/b_1, divided per branch."""
+    f1b1 = s.f[0] / data.b[0]
+    if any(fi / bi != f1b1 for fi, bi in zip(s.f[1:], data.b[1:])):
+        return False
+    return (data.a * f1b1).derivative() == -sum(s.g, data.field.zero)
+
+
+@pytest.mark.parametrize("p", CHARACTERISTICS)
+def test_trace_kernel_pair_matches_its_frozen_forms(rng, p):
+    """(c f_1)' + g_1 is the three-term pair, and f_i = (b_i/b_1) f_1 the
+    per-branch division, on members, members off by one f_i or by the
+    g-sum, and random probes."""
+    verdicts = set()
+    for _ in range(30):
+        data = rand_data(rng, p)
+        F = data.field
+        member = rand_member(rng, data)
+        off_g = KernelElement(member.f, [member.g[0] + F.one] + member.g[1:])
+        off_f = KernelElement(member.f[:-1] + [member.f[-1] + F.one], member.g)
+        for s in (member, off_g, off_f, rand_probe(rng, data)):
+            assert change_of_basis(data, s) == three_term_change_of_basis(data, s)
+            verdict = ker_trace_closed_form(data, s)
+            assert verdict == per_branch_closed_form(data, s)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def count_calls(monkeypatch, name):
+    """A list that grows by one at each call of RationalFunction.<name>."""
+    calls, method = [], getattr(RationalFunction, name)
+
+    def counting(*args):
+        calls.append(1)
+        return method(*args)
+
+    monkeypatch.setattr(RationalFunction, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("p", CHARACTERISTICS)
+def test_trace_oracle_differentiates_once(rng, p, monkeypatch):
+    data = rand_data(rng, p, r=3)
+    s = rand_member(rng, data)
+    calls = count_calls(monkeypatch, "derivative")
+    assert ker_trace_oracle(data, s)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p", CHARACTERISTICS)
+def test_closed_form_divides_once(rng, p, monkeypatch):
+    data = rand_data(rng, p, r=4)
+    s = rand_member(rng, data)
+    assert len(data.b_ratios) == 3  # divided, and cached, before counting
+    calls = count_calls(monkeypatch, "__truediv__")
+    assert ker_trace_closed_form(data, s)
+    assert len(calls) == 1
 
 
 # -- the pointwise criterion -------------------------------------------
