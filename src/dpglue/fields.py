@@ -192,9 +192,6 @@ class RationalField:
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
 
-    def random(self, rng) -> Fraction:
-        return Fraction(rng.randint(-5, 5), rng.choice([1, 1, 1, 2, 3]))
-
     def pth_root(self, e):
         raise ArithmeticError("characteristic zero field has no Frobenius")
 
@@ -232,9 +229,6 @@ class PrimeField:
 
     def from_int(self, n: int) -> FpElement:
         return self.zero._make(n)
-
-    def random(self, rng) -> FpElement:
-        return self.zero._make(rng.randrange(self.p))
 
     def pth_root(self, e: FpElement) -> FpElement:
         # Frobenius is the identity on the prime field.

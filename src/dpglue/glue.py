@@ -57,9 +57,14 @@ class GenericGlueData:
         return _function_field(self.characteristic)
 
     @cached_property
+    def _c1(self) -> RationalFunction:
+        """a/b_1, divided alone: the trace-kernel pair reads no other a/b_i."""
+        return self.a / self.b[0]
+
+    @cached_property
     def _ratios(self) -> tuple:
         """(a/b_1, ..., a/b_r), each divided once."""
-        return tuple(self.a / bi for bi in self.b)
+        return (self._c1, *(self.a / bi for bi in self.b[1:]))
 
     @cached_property
     def b_ratios(self) -> tuple:
@@ -69,7 +74,7 @@ class GenericGlueData:
 
     def c(self, i: int) -> RationalFunction:
         """The ratio a/b_i."""
-        return self._ratios[i]
+        return self._ratios[i] if i else self._c1
 
     @cached_property
     def poles(self) -> tuple:
@@ -155,6 +160,17 @@ def conductor_ring(characteristic: int, r: int) -> ConductorRing:
     return build_conductor_ring(_function_field(characteristic), [BranchSpec(2)] * r)
 
 
+@lru_cache
+def nilpotents_square_to_zero(characteristic: int, r: int) -> bool:
+    """Whether y_i y_j = 0 in the cached O_C for all i <= j, checked once per (p, r).
+
+    Then any two vectors with every e_i coordinate 0 multiply to 0.
+    """
+    ring = conductor_ring(characteristic, r)
+    ys = [ring.nilpotent(i) for i in range(r)]
+    return not any(any(ring.algebra.mul(y, z)) for i, y in enumerate(ys) for z in ys[i:])
+
+
 def kernel_basis(data: GenericGlueData) -> list:
     """[1, eta_2, ..., eta_r] in the coordinates of the cached O_C."""
     ring = conductor_ring(data.characteristic, data.r)
@@ -176,23 +192,26 @@ def kxi_engine(data: GenericGlueData) -> Subalgebra:
     """O_D = span{1, eta_2, ..., eta_r} in the cached O_C, on a fixed table.
 
     y_i y_j = 0, so eta_i eta_j = 0 whatever b is, and the table is the
-    cached ``kernel_algebra``.  The basis is checked with no elimination:
-    it starts with the unit, eta_i has coordinate 1 on y_i and 0 on the
-    other y_j, j >= 2 (so it is independent), and eta_i eta_j = 0.
+    cached ``kernel_algebra``.  The basis is checked with no elimination
+    and no product: it starts with the unit, eta_i has coordinate 1 on
+    y_i and 0 on the other y_j, j >= 2 (so it is independent), and
+    eta_i lies in the y-span, which squares to 0 (checked once per
+    (p, r) by ``nilpotents_square_to_zero``).
     """
-    ring = conductor_ring(data.characteristic, data.r)
-    OC, F = ring.algebra, data.field
+    p, r = data.characteristic, data.r
+    OC, one = conductor_ring(p, r).algebra, data.field.one
     basis = kernel_basis(data)
     if basis[0] != OC.unit:
         raise AssertionError("the kernel basis does not start with the unit")
     etas = basis[1:]
     for i, eta in enumerate(etas, start=1):
-        if any(eta[2 * j + 1] != (F.one if j == i else F.zero) for j in range(1, data.r)):
+        y = eta[3::2]  # the coordinates on y_2, ..., y_r
+        if y[i - 1] != one or any(y[:i - 1]) or any(y[i:]):
             raise AssertionError(f"eta_{i + 1} is not triangular on y_2, ..., y_r")
-    for i, eta in enumerate(etas):
-        if any(any(OC.mul(eta, other)) for other in etas[i:]):
-            raise AssertionError("the kernel basis is not closed under multiplication")
-    return Subalgebra(OC, basis, kernel_algebra(data.characteristic, data.r))
+    # the coordinates on e_1, ..., e_r are the even ones
+    if not nilpotents_square_to_zero(p, r) or any(any(eta[0::2]) for eta in etas):
+        raise AssertionError("the kernel basis is not closed under multiplication")
+    return Subalgebra(OC, basis, kernel_algebra(p, r))
 
 
 # -- trace kernel -----------------------------------------------------
@@ -202,12 +221,13 @@ def ker_trace_closed_form(data: GenericGlueData, s: KernelElement) -> bool:
     """Membership in ker Tr via f_i = (b_i/b_1) f_1 and (a f_1/b_1)' = -sum g_i.
 
     f_i = (b_i/b_1) f_1 is f_i/b_i = f_1/b_1, since every b_i is nonzero,
-    with no division per branch: the ratios are the cached ``b_ratios``.
+    with no division per branch: the ratios are the cached ``b_ratios``,
+    and a/b_1 is the cached ``c(0)`` that ``change_of_basis`` reads too.
     """
     f1 = s.f[0]
     if any(fi != ratio * f1 for fi, ratio in zip(s.f[1:], data.b_ratios)):
         return False
-    return (data.a * f1 / data.b[0]).derivative() == -sum(s.g, data.field.zero)
+    return (data.c(0) * f1).derivative() == -sum(s.g, data.field.zero)
 
 
 def change_of_basis(data: GenericGlueData, s: KernelElement):
@@ -236,9 +256,14 @@ def functional_vector(data: GenericGlueData, s: KernelElement):
 
 
 def ker_trace_oracle(data: GenericGlueData, s: KernelElement) -> bool:
-    """Evaluate the functional of s on the O_D basis and test vanishing."""
-    vec = functional_vector(data, s)
-    return not any(linalg.mat_vec(data.field, kxi_engine(data).basis, vec))
+    """Evaluate the functional of s on the O_D basis and test vanishing.
+
+    Each basis vector is read at its nonzero entries only: r of them in
+    the unit, two in each eta_i.
+    """
+    vec, zero = functional_vector(data, s), data.field.zero
+    return not any(sum((c * vec[k] for k, c in enumerate(row) if c), zero)
+                   for row in kxi_engine(data).basis)
 
 
 # -- pointwise Gorenstein criterion -----------------------------------
@@ -253,10 +278,10 @@ def gorenstein_at_point(data: GenericGlueData, place: Place) -> bool:
             return False
     for i in range(data.r):
         ci = data.c(i)
-        if ci.is_zero() or ci.is_regular_at(place):
-            continue
-        if p == 0 or (-ci.order_at(place)) % p:
-            return False
+        if ci:
+            order = ci.order_at(place)  # read once: a pole is order < 0
+            if order < 0 and (p == 0 or order % p):
+                return False
     return True
 
 
@@ -323,7 +348,10 @@ def local_unit_witness(data: GenericGlueData, place: Place) -> Poly | None:
     m = D.valuation(pi)
     if not m:
         return Poly.one(base)
-    A, ND, dpi = N.derivative() * D - N * D.derivative(), N * D, pi.derivative()
+    # the rows read each numerator mod pi^(2m): reduce A and N D first
+    modulus = pi ** (2 * m)
+    A = (N.derivative() * D - N * D.derivative()) % modulus
+    ND, dpi = N * D % modulus, pi.derivative()
     nums = []
     power, dpower = Poly.one(base), Poly.zero(base)  # pi^j and (pi^j)'
     for _ in range(m):
@@ -333,7 +361,6 @@ def local_unit_witness(data: GenericGlueData, place: Place) -> Poly | None:
                 dw = dw + power.shift(k - 1).scale(base.from_int(k))
             nums.append(power.shift(k) * A + dw * ND)
         power, dpower = power * pi, dpower * pi + power * dpi
-    modulus = power * power  # pi^(2m)
     rows = _coefficient_rows([n % modulus for n in nums])
     witness = next((v for v in linalg.kernel_vectors(base, rows, len(nums)) if any(v[:d])),
                    None)

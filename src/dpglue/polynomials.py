@@ -5,10 +5,10 @@ the zero polynomial has an empty list.  All operations are exact and
 work over any field object from :mod:`dpglue.fields` (including function
 fields, which makes towers like K(x)[t] available for free).  Over a
 field with a ``table`` (GF(p) below ``fields.SHARED_BELOW``), +, -, *,
-``scale``, ``divmod`` and ``gcd`` of two polynomials over that same
-field object run on the coefficients' int residues and look each result
-coefficient up in the table once; every other field takes the generic
-loops.
+``scale``, ``divmod``, ``gcd`` and ``valuation`` of two polynomials over
+that same field object run on the coefficients' int residues and look
+each result coefficient up in the table once; every other field takes
+the generic loops.
 
 ``squarefree`` splits a polynomial by multiplicity into pairwise coprime
 square-free pieces without factoring.  ``factor`` splits those pieces
@@ -349,14 +349,24 @@ class Poly:
         """Multiplicity of the irreducible factor p; self must be nonzero."""
         if self.is_zero():
             raise ValueError("valuation of zero polynomial")
+        if p.degree < 1:
+            # every division by a nonzero constant is exact
+            raise ValueError("valuation at a constant")
+        field = self.field
+        if field.table is not None and p.field is field:
+            # the loop on residues, converted once, as in ``gcd``
+            a, b, zero = [x.value for x in self.coeffs], [y.value for y in p.coeffs], 0
+            reduce, arg = _reduce_residues, field.p
+        else:
+            a, b, zero = list(self.coeffs), p.coeffs, field.zero
+            reduce, arg = _reduce, field.one / p.coeffs[-1]
         count = 0
-        cur = self
-        while True:
-            q, r = divmod(cur, p)
-            if not r.is_zero():
+        while len(a) >= len(b):  # a's top is nonzero, and so is each quotient's
+            q = [zero] * (len(a) - len(b) + 1)
+            if reduce(a, b, arg, q):
                 return count
-            cur = q
-            count += 1
+            a, count = q, count + 1
+        return count
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x^k (k >= 0)."""

@@ -363,13 +363,6 @@ class FunctionField:
     def x(self) -> RationalFunction:
         return RationalFunction.x(self.base)
 
-    def random(self, rng, max_degree: int = 2) -> RationalFunction:
-        num = Poly(self.base, [self.base.random(rng) for _ in range(max_degree + 1)])
-        den = Poly.zero(self.base)
-        while den.is_zero():
-            den = Poly(self.base, [self.base.random(rng) for _ in range(max_degree + 1)])
-        return RationalFunction(self.base, num, den)
-
     def pth_root(self, e: RationalFunction) -> RationalFunction:
         """p-th root if it exists, else raise; base must be GF(p)."""
         return RationalFunction(self.base, e.num.pth_root(), e.den.pth_root())

@@ -1,5 +1,6 @@
 import os
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import settings
@@ -35,6 +36,21 @@ def seed():
 @pytest.fixture
 def rng():
     return random.Random(seed())
+
+
+def random_element(rng, field):
+    """A random element of Q (a small fraction), of GF(p), or of k(x) (a
+    quotient of polynomials of degree <= 2)."""
+    if isinstance(field, FunctionField):
+        base = field.base
+        num = Poly(base, [random_element(rng, base) for _ in range(3)])
+        den = Poly.zero(base)
+        while not den:
+            den = Poly(base, [random_element(rng, base) for _ in range(3)])
+        return RationalFunction(base, num, den)
+    if field.characteristic == 0:
+        return Fraction(rng.randint(-5, 5), rng.choice([1, 1, 1, 2, 3]))
+    return field.from_int(rng.randrange(field.p))
 
 
 def rand_poly(rng, field, max_deg=3, nonzero=False):
@@ -190,7 +206,7 @@ def random_part_filling(rng, field, max_branches=3, max_n=2, tries=40):
         for _ in range(rng.randint(0, max(0, len(nil_idx)))):
             v = [field.zero] * ring.dim
             for k in nil_idx:
-                v[k] = field.random(rng)
+                v[k] = random_element(rng, field)
             gens.append(v)
         basis = close_under_multiplication(A, gens)
         if len(basis) >= ring.dim:

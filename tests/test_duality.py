@@ -13,7 +13,8 @@ from dpglue.polynomials import Poly
 from dpglue.rational import parse_rational
 
 from conftest import (CHARACTERISTICS, IRREDUCIBLES, close_under_multiplication, ff,
-                      jordan_module, random_part_filling, truncated_algebra)
+                      jordan_module, random_element, random_part_filling,
+                      truncated_algebra)
 
 
 def product_field_algebra(field, r):
@@ -126,7 +127,7 @@ def test_locality_from_minimal_polynomials(rng):
             A = ring.algebra
             candidates = [[A.basis_vector(i) for i in range(A.dim)]]
             for _ in range(3):
-                gens = [A.unit] + [[field.random(rng) if rng.random() < 0.4
+                gens = [A.unit] + [[random_element(rng, field) if rng.random() < 0.4
                                     else field.zero for _ in range(A.dim)]
                                    for _ in range(rng.randint(1, 2))]
                 candidates.append(close_under_multiplication(A, gens))
@@ -232,7 +233,7 @@ def test_mul_matches_dense_reference(rng, p):
                  for i in range(A.dim) for j in range(A.dim)]
         for _ in range(4):
             u, v = ([c if rng.random() < 0.6 else A.field.zero
-                     for c in (A.field.random(rng) for _ in range(A.dim))]
+                     for c in (random_element(rng, A.field) for _ in range(A.dim))]
                     for _ in range(2))
             pairs.append((u, v))
         for u, v in pairs:

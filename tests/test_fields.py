@@ -476,6 +476,58 @@ def test_valuation_additive(rng, p):
             assert (f * g).order_at(place) == f.order_at(place) + g.order_at(place)
 
 
+@pytest.mark.parametrize("p", [5, 1000003, 0])
+@pytest.mark.parametrize("c", [2, 0])
+def test_valuation_at_a_constant_is_refused(p, c):
+    """Every division by a nonzero constant is exact, so a count of them
+    would never end; on the residue loop (GF(5)) and the generic one."""
+    field = base_field(p)
+    with pytest.raises(ValueError):
+        Poly.from_ints(field, [1, 1]).valuation(Poly.from_ints(field, [c]))
+
+
+def divmod_valuation(f, pi):
+    """Frozen reference: the multiplicity of pi in f by repeated ``divmod``."""
+    count = 0
+    while True:
+        q, r = divmod(f, pi)
+        if r:
+            return count
+        f, count = q, count + 1
+
+
+@st.composite
+def valuation_cases(draw):
+    """(f, pi, m, kind): f = pi^m * cofactor, pi irreducible and maybe not
+    monic, the cofactor prime to pi, a multiple of pi, or drawn freely."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 1031, 0]))
+    field = base_field(p)
+    # GF(1031) has no table; of the names over Q, x, x-2 and x^2+1 stay
+    # irreducible there
+    names = [n for by_degree in IRREDUCIBLES[0 if p == 1031 else p] for n in by_degree]
+    pi = parse_rational(ff(p), draw(st.sampled_from(names))).num
+    if not pi.is_irreducible():
+        pi = Poly.x(field)
+    pi = pi.scale(field.from_int(draw(st.integers(1, p - 1 if p else 3))))
+    m = draw(st.integers(0, 2 * p + 1 if p in (2, 3, 5, 7) else 15))
+    g = Poly.from_ints(field, draw(st.lists(st.integers(-9, 9), min_size=1, max_size=5)))
+    kind = draw(st.sampled_from(["prime", "shares", "free"]))
+    if kind == "prime" or not g:
+        kind, cofactor = "prime", g * pi + 1
+    else:
+        cofactor = g * pi if kind == "shares" else g
+    return pi ** m * cofactor, pi, m, kind
+
+
+@given(valuation_cases())
+@settings(max_examples=300)
+def test_valuation_matches_the_divmod_loop(case):
+    f, pi, m, kind = case
+    v = f.valuation(pi)
+    assert v == divmod_valuation(f, pi)
+    assert v == m if kind == "prime" else v >= m + (kind == "shares")
+
+
 @pytest.mark.parametrize("p", [0, 3])
 def test_place_finite_rejects_reducible_and_zero(p):
     field = base_field(p)

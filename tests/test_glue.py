@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dpglue import cohomology, glue, linalg
 from dpglue.artinian import FiniteAlgebra, make_subalgebra
 from dpglue.fields import base_field
+from dpglue.filling import BranchSpec, build_conductor_ring
 from dpglue.glue import (KernelElement, change_of_basis, delta,
                          functional_vector, glue_data, gorenstein_at_point,
                          gorenstein_at_point_oracle,
@@ -120,6 +121,32 @@ def test_engine_runs_no_elimination(rng, monkeypatch):
     for datum in data + [rand_data(rng, p, r) for p in CHARACTERISTICS for r in range(1, 7)]:
         kxi_engine(datum)
     assert eliminations == []
+
+
+@pytest.mark.parametrize("p", CHARACTERISTICS)
+def test_engine_multiplies_nothing_on_a_cached_shape(rng, p, monkeypatch):
+    """y_i y_j = 0 is checked once per (p, r); a second datum of that shape
+    is checked on its coordinates alone."""
+    kxi_engine(rand_data(rng, p, r=3))
+    products = []
+    mul = FiniteAlgebra.mul
+
+    def counting_mul(self, u, v):
+        products.append(1)
+        return mul(self, u, v)
+
+    monkeypatch.setattr(FiniteAlgebra, "mul", counting_mul)
+    kxi_engine(rand_data(rng, p, r=3))
+    assert products == []
+
+
+def test_nilpotent_check_refuses_a_ring_with_y_squared_nonzero(monkeypatch):
+    """In k(x)[t]/(t^3), t^2 is not 0: the once-per-shape check says so."""
+    check = glue.nilpotents_square_to_zero.__wrapped__
+    assert check(3, 2)
+    monkeypatch.setattr(glue, "conductor_ring", lambda p, r: build_conductor_ring(
+        glue._function_field(p), [BranchSpec(3)] * r))
+    assert not check(3, 2)
 
 
 def test_conductor_algebra_built_once_per_shape(monkeypatch):
@@ -340,6 +367,19 @@ def test_closed_form_divides_once(rng, p, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("p", CHARACTERISTICS)
+def test_trace_oracle_divides_a_by_b1_alone(rng, p, monkeypatch):
+    """The trace-kernel pair reads a/b_1 and no other a/b_i."""
+    data = rand_data(rng, p, r=4)
+    s = rand_member(rng, data)
+    assert len(data.b_ratios) == 3  # divided, and cached, before counting
+    calls = count_calls(monkeypatch, "__truediv__")
+    assert ker_trace_oracle(data, s)
+    assert len(calls) == 1
+    assert ker_trace_closed_form(data, s)
+    assert len(calls) == 1
+
+
 # -- the pointwise criterion -------------------------------------------
 
 
@@ -378,6 +418,20 @@ def test_b_ratios_are_divided_once_per_datum(a, b, gorenstein, monkeypatch):
     assert ("b_3/b_1 is non-constant" in first.problems) != gorenstein
     assert gorenstein_at_point(data, origin(3)) == gorenstein
     assert gorenstein_at_point(data, Place.infinity()) == gorenstein
+
+
+@pytest.mark.parametrize("p, a, b, place", [
+    (3, "1/x^3", ["1", "2", "x+1"], [0, 1]),   # wild poles of order 3
+    (3, "x^3", ["1", "2"], None),                # the same at infinity
+    (5, "0", ["1", "3", "x+1"], [0, 1]),         # a = 0: no a/b_i is read
+])
+def test_criterion_reads_each_order_once(p, a, b, place, monkeypatch):
+    data, at = glue_data(p, a, b), place_of(p, place)
+    nonzero = sum(1 for i in range(data.r) if data.c(i))
+    assert len(data.b_ratios) == data.r - 1  # divided before counting
+    calls = count_calls(monkeypatch, "order_at")
+    assert gorenstein_at_point(data, at)
+    assert len(calls) == data.r - 1 + nonzero
 
 
 def test_oracle_simple_pole_char0():
@@ -569,8 +623,8 @@ def test_oracle_eliminates_over_the_pole_columns_only(p, a, place, columns, monk
     (5, "(x+1)/(x^2+2)^5", [2, 0, 1]),
 ])
 def test_witness_reads_the_pole_order_once(p, a, place, monkeypatch):
-    """m is found by one valuation; the modulus pi^(2m) is then pi^m
-    squared, with no second valuation of D^2."""
+    """m is found by one valuation; the modulus pi^(2m) is then a power
+    of pi, with no second valuation of D^2."""
     data, at = glue_data(p, a, ["1"]), place_of(p, place)
     calls = []
     valuation = Poly.valuation
