@@ -248,7 +248,7 @@ def _mobius_matrix(field, p1, p2, p3):
 
 
 def _mobius_ints(field, pairs):
-    """``mobius_from_pairs`` as a 2x2 int matrix, up to a nonzero scale."""
+    """The Moebius map of three point pairs, a 2x2 int matrix up to scale."""
     if len(pairs) != 3:
         raise ScenarioError("a Moebius identification needs three point pairs")
     src = [_proj_point(field, s) for s, _ in pairs]
@@ -257,12 +257,6 @@ def _mobius_ints(field, pairs):
     (e, f), (g, h) = _mobius_matrix(field, *dst)
     # md o ms^{-1}, up to scale: the adjugate of ms inverts it projectively
     return ((e * d - f * c, f * a - e * b), (g * d - h * c, h * a - g * b))
-
-
-def mobius_from_pairs(field, pairs):
-    """The Moebius map sending three source points to three targets,
-    as a 2x2 matrix acting on projective pairs."""
-    return [[field.from_int(x) for x in row] for row in _mobius_ints(field, pairs)]
 
 
 def node_matching_check(scenario: GlueScenario):
@@ -372,7 +366,7 @@ def verify_parametrization(characteristic: int, hypersurface: str,
     ``substitution`` maps names to expressions in the target variables
     and other keys.  Each value is parsed once, after the keys it names
     (Kahn's topological sort), into an MPoly over the targets, so the
-    parser's limits hold on composed polynomials.  Inside a key's own
+    parser's size budget holds on composed polynomials.  Inside a key's own
     value its name means the target of that name, if there is one; any
     other cycle raises ValueError.
     """

@@ -63,12 +63,6 @@ class ConductorRing:
     def dim(self) -> int:
         return self.algebra.dim
 
-    def idempotent(self, e: int):
-        """The unit e_E of branch e."""
-        v = [self.field.zero] * self.dim
-        v[self.offsets[e]] = self.field.one
-        return v
-
     def nilpotent(self, e: int):
         """The class of t_E."""
         br = self.branches[e]

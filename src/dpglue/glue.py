@@ -306,31 +306,29 @@ def gorenstein_at_point_oracle(data: GenericGlueData, place: Place) -> bool:
     pi^m, m the pole order of a/b_1 at P, and the x^k pi^j with j < m
     span every class of O_P/pi^m, so the search is complete.
     """
+    c, ratios = data.c(0), data.b_ratios
     if place.is_infinity():
-        # move to the standard coordinate at infinity, where the
-        # derivative of the proof's construction is the local one
-        data = GenericGlueData(
-            data.characteristic,
-            data.a.invert_variable(),
-            tuple(bi.invert_variable() for bi in data.b),
-        )
-        place = Place(Poly.x(data.field.base))
-    f1 = local_unit_witness(data, place)
+        # the coordinate 1/x, where the proof's derivative is the local one;
+        # x -> 1/x is a field map, so it takes a/b_1 and b_i/b_1 there
+        c = c.invert_variable()
+        ratios = tuple(ratio.invert_variable() for ratio in ratios)
+        place = Place(Poly.x(c.field))
+    f1 = local_unit_witness(c, place)
     if f1 is None:
         return False
     f1 = RationalFunction.from_poly(f1)
     # sanity: the found f_1 really solves (2)
-    deriv = (data.c(0) * f1).derivative()
-    if deriv and not deriv.is_regular_at(place):
+    deriv = (c * f1).derivative()
+    if deriv and deriv.order_at(place) < 0:
         raise AssertionError("oracle witness fails its own constraint")
-    for fi in (f1, *(ratio * f1 for ratio in data.b_ratios)):
+    for fi in (f1, *(ratio * f1 for ratio in ratios)):
         if fi.order_at(place) != 0:
             return False
     return True
 
 
-def local_unit_witness(data: GenericGlueData, place: Place) -> Poly | None:
-    """The oracle's f_1 at a finite place, or None when no unit solves (2).
+def local_unit_witness(c: RationalFunction, place: Place) -> Poly | None:
+    """The oracle's f_1 for c = a/b_1 at a finite place, or None when no unit solves (2).
 
     With a/b_1 = N/D and D = pi^m E, E a unit at P, each
     (N w/D)' = (w A + w' N D)/D^2 with A = N'D - ND', so the rows are
@@ -342,9 +340,9 @@ def local_unit_witness(data: GenericGlueData, place: Place) -> Poly | None:
     unit, i.e. has some x^k pi^0 coefficient nonzero; f_1 = 1 when
     m = 0, and is None when no kernel vector is a unit.
     """
-    base = data.field.base
+    base = c.field
     pi, d = place.poly, place.poly.degree
-    N, D = data.c(0).num, data.c(0).den
+    N, D = c.num, c.den
     m = D.valuation(pi)
     if not m:
         return Poly.one(base)

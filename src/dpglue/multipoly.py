@@ -7,12 +7,7 @@ Terms are stored as a dict from exponent tuples to nonzero coefficients.
 
 from __future__ import annotations
 
-from dpglue.rational import MAX_BITS, MAX_DEGREE, _coefficient_bits, _ExprParser
-
-# Most term pairs one product may multiply.  A dense power such as
-# (u+v+1)^8192 stays under MAX_DEGREE yet would take hours; the shipped
-# models multiply at most 6 pairs at a time.
-MAX_TERM_PAIRS = 2**16
+from dpglue.rational import _ExprParser
 
 
 class MPoly:
@@ -40,9 +35,6 @@ class MPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self) -> int:
-        return max((sum(exps) for exps in self.terms), default=0)
 
     def __bool__(self):
         return bool(self.terms)
@@ -86,18 +78,6 @@ class MPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # refuse before multiplying, in the parser's words
-        pairs = len(self.terms) * len(o.terms)
-        if pairs > MAX_TERM_PAIRS:
-            raise ValueError(f"a product of {pairs} term pairs exceeds the limit {MAX_TERM_PAIRS}")
-        degree = self.degree() + o.degree()
-        if degree > MAX_DEGREE:
-            raise ValueError(f"a product of degree {degree} exceeds the limit {MAX_DEGREE}")
-        if not self.field.characteristic:
-            bits = _coefficient_bits(self.terms.values()) + _coefficient_bits(o.terms.values())
-            if bits > MAX_BITS:
-                raise ValueError(f"a product with numbers up to 2^{bits} exceeds "
-                                 f"the limit 2^{MAX_BITS}")
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
@@ -116,7 +96,7 @@ class MPoly:
             if n & 1:
                 result = result * base
             n >>= 1
-            # no square past the last bit: it could pass the limits alone
+            # no square past the last bit: the parser bounds the halves' product
             if n:
                 base = base * base
         return result
@@ -157,9 +137,6 @@ def parse_mpoly(field, variables, text: str, variable=None) -> MPoly:
             raise ValueError(f"unknown variable {name!r}")
         return MPoly.var(field, variables, name)
 
-    def coefficients(f):
-        return f.terms.values()
-
-    return _ExprParser(text, constant, variable or own_variable, MPoly.degree,
-                       None if field.characteristic else coefficients,
-                       allow_division=False).parse()
+    return _ExprParser(text, constant, variable or own_variable,
+                       lambda f: (f.terms.values(), ()), field.characteristic,
+                       sparse=True).parse()

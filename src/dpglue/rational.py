@@ -11,10 +11,12 @@ scenario files and the CLI.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 
 from dpglue.polynomials import Poly, _is_element
 
@@ -273,11 +275,9 @@ class RationalFunction:
             raise ValueError("order_at is undefined for the zero function")
         if place.is_infinity():
             return self.den.degree - self.num.degree
-        pi = place.poly
-        return self.num.valuation(pi) - self.den.valuation(pi)
-
-    def is_regular_at(self, place: "Place") -> bool:
-        return self.is_zero() or self.order_at(place) >= 0
+        # num and den are coprime, so at a pole num is a unit there
+        pole = self.den.valuation(place.poly)
+        return -pole if pole else self.num.valuation(place.poly)
 
     def invert_variable(self) -> "RationalFunction":
         """The function f(1/x); turns the place at infinity into (x)."""
@@ -404,43 +404,92 @@ def _tokenize(text: str):
     return tokens
 
 
-# Largest degree that a power in the expression grammar may expand to.
-# An exponent of a few digits would otherwise build a dense polynomial
-# with that many coefficients; GF(2) 1/x^8000 (h1 = 4000) stays inside.
-MAX_DEGREE = 8192
-
-# A power over Q may give numerators and denominators up to 2^MAX_BITS.
-# A constant has degree 0 and passes MAX_DEGREE, so 2^n would otherwise
-# cost time and memory linear in n.  Over GF(p) every coefficient stays
-# below p, and a power takes about log2 n products.
-MAX_BITS = 2**16
+# The one size budget of the expression grammar, in bits: slots times bits
+# per slot, predicted by ``_check_size`` before each + - * / ^ runs.  A
+# dense product or power costs about the square of its slots, so this is
+# the least budget that GF(2) 1/x^8000 (8,002 two-bit slots) fits in, with
+# a little room; the README has the largest power each field accepts.
+SIZE_BUDGET = 16_100
 
 # Deepest nesting of parentheses the expression grammar accepts.  Each
 # level takes three frames (expr, term, factor), so the parser stays
 # well inside the interpreter's default recursion limit of 1000.
 MAX_NESTING = 100
 
+_NAMES = {"+": "sum", "-": "difference", "*": "product", "/": "quotient", "^": "power"}
 
-def _coefficient_bits(coeffs) -> int:
-    """Least k with every numerator and denominator in coeffs at most 2^k.
 
-    Then c^n stays within 2^(k*n) for a constant c.
+def _height(*parts) -> int:
+    """Least h with L and each part's 1-norm times L at most 2^h, for L the
+    lcm of the denominators of all the parts' ``Fraction``s.  1-norms are
+    submultiplicative, so the heights of a product's factors add."""
+    lcm = math.lcm(*(c.denominator for part in parts for c in part))
+    return (max(lcm, *(sum(abs(c.numerator) * (lcm // c.denominator) for c in part)
+                       for part in parts)) - 1).bit_length()
+
+
+def _power_terms(terms: int, e: int):
+    """C(e + terms - 1, terms - 1), the most terms of a power; inf past the
+    budget.  C(n, i) grows with i up to min(e, terms - 1) <= n / 2, so
+    the loop passes the budget within about log2(SIZE_BUDGET) steps."""
+    n, count = e + terms - 1, 1
+    for i in range(1, min(e, terms - 1) + 1):
+        count = count * (n - i + 1) // i
+        if count > SIZE_BUDGET:
+            return math.inf
+    return count
+
+
+def _check_size(op: str, x, y, slot_bits: int, sparse: bool) -> tuple:
+    """Refuse x op y, before it runs, if its predicted size passes ``SIZE_BUDGET``.
+
+    x, and y unless it is the exponent of a power, are coefficient
+    collections from the grammar's adapter: (numerator, denominator) of
+    an element of k(x), or (terms, ()) of a sparse MPoly.  A value takes
+    len(numerator), at least 1, plus len(denominator) slots.  A slot
+    costs slot_bits, p's bit length, over GF(p), where only lengths are
+    read, and over Q, where slot_bits is 0, the ``_height``, at least 8.
+    The prediction bounds the result before any gcd cancels, and for an
+    MPoly, whose products cost per pair of terms, the pairs of its
+    largest product.  Returns the predicted slots and height.
     """
-    return max(((max(abs(c.numerator), c.denominator) - 1).bit_length()
-                for c in coeffs), default=0)
+    n, d = len(x[0]) or 1, len(x[1])
+    if op == "^":
+        e = abs(y)
+        if sparse:
+            # the product of a power's two halves has at least its terms
+            n = _power_terms(n, e // 2) * _power_terms(n, e - e // 2)
+        else:
+            n, d = e * (n - 1) + 1, e * (d - 1) + 1
+    else:
+        n2, d2 = len(y[0]) or 1, len(y[1])
+        if sparse:
+            n = n * n2 if op == "*" else n + n2
+        elif op == "*" or op == "/":
+            # a quotient crosses the lengths, which leaves their sum alone
+            n, d = n + n2 - 1, d + d2 - 1
+        else:
+            n, d = (n + d2 if n + d2 > n2 + d else n2 + d) - 1, d + d2 - 1
+    # heights add under a product, and a sum of two cross products may carry
+    h = 0 if slot_bits else (_height(*x) * abs(y) if op == "^"
+                             else _height(*x) + _height(*y) + (op == "+" or op == "-"))
+    bits = (n + d) * (slot_bits or max(h, 8))
+    if bits > SIZE_BUDGET:
+        shown = bits if bits < math.inf else f"more than {SIZE_BUDGET}"
+        raise ValueError(f"a {_NAMES[op]} of {shown} bits exceeds the limit {SIZE_BUDGET}")
+    return n + d, h
 
 
 class _ExprParser:
     """Recursive-descent parser over an algebra adapter.
 
-    The adapter provides constant(int), variable(name) and degree(value),
-    and its values support +, -, *, / and integer **; coefficients(value)
-    gives the ``Fraction``s of a value over Q and is None over GF(p),
-    whose numbers stay below p.  A power whose degree would exceed
-    ``MAX_DEGREE``, or whose numbers would exceed ``MAX_BITS`` by
-    ``_coefficient_bits``, and parentheses nested deeper than
-    ``MAX_NESTING`` raise ``ValueError`` before anything is expanded.
-    The grammar, over the token list that ``pos`` indexes:
+    The adapter provides constant(int), variable(name) and parts(value),
+    the coefficient collections that ``_check_size`` reads, and its
+    values support +, -, *, / and integer **.  Each + - * / ^ whose
+    predicted size passes ``SIZE_BUDGET``, and parentheses nested deeper
+    than ``MAX_NESTING``, raise ``ValueError`` before anything is
+    expanded.  p is the characteristic; a sparse grammar (MPoly) has no
+    division.  The grammar, over the token list that ``pos`` indexes:
 
         expr   := ["+" | "-"] term (("+" | "-") term)*
         term   := factor (("*" | "/") factor)*
@@ -450,16 +499,15 @@ class _ExprParser:
     2*x^2, while a leading minus of an expr negates its whole first term.
     """
 
-    def __init__(self, text: str, constant, variable, degree, coefficients,
-                 allow_division=True):
+    def __init__(self, text: str, constant, variable, parts, p: int, sparse=False):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
         self.constant = constant
         self.variable = variable
-        self.degree = degree
-        self.coefficients = coefficients
-        self.allow_division = allow_division
+        self.parts = parts
+        self.slot_bits = p.bit_length()
+        self.sparse = sparse
 
     def parse(self):
         v = self.expr()
@@ -478,6 +526,7 @@ class _ExprParser:
         while (op := tokens[self.pos][0]) == "+" or op == "-":
             self.pos += 1
             rhs = self.term()
+            _check_size(op, self.parts(v), self.parts(rhs), self.slot_bits, self.sparse)
             v = v + rhs if op == "+" else v - rhs
         return v
 
@@ -488,12 +537,10 @@ class _ExprParser:
             self.pos += 1
             # the right operand is parsed, and may raise, before the check
             rhs = self.factor()
-            if op == "*":
-                v = v * rhs
-            elif not self.allow_division:
+            if op == "/" and self.sparse:
                 raise ValueError("division not allowed in this context")
-            else:
-                v = v / rhs
+            _check_size(op, self.parts(v), self.parts(rhs), self.slot_bits, self.sparse)
+            v = v * rhs if op == "*" else v / rhs
         return v
 
     def factor(self):
@@ -531,15 +578,9 @@ class _ExprParser:
         self.pos = pos + 1
         if kind != "int":
             raise ValueError("exponent must be an integer")
-        if self.degree(v) * val > MAX_DEGREE:
-            raise ValueError(f"a power of degree {self.degree(v) * val} exceeds "
-                             f"the limit {MAX_DEGREE}")
-        if self.coefficients is not None:
-            bits = _coefficient_bits(self.coefficients(v)) * val
-            if bits > MAX_BITS:
-                raise ValueError(f"a power with numbers up to 2^{bits} exceeds "
-                                 f"the limit 2^{MAX_BITS}")
-        return v ** (-val if neg else val)
+        val = -val if neg else val
+        _check_size("^", self.parts(v), val, self.slot_bits, self.sparse)
+        return v ** val
 
 
 def parse_rational(field: FunctionField, text: str) -> RationalFunction:
@@ -550,14 +591,8 @@ def parse_rational(field: FunctionField, text: str) -> RationalFunction:
             raise ValueError(f"unknown variable {name!r}; expected 'x'")
         return field.x
 
-    def degree(f):
-        return max(f.num.degree, f.den.degree)
-
-    def coefficients(f):
-        return f.num.coeffs + f.den.coeffs
-
-    return _ExprParser(text, field.from_int, variable, degree,
-                       None if field.characteristic else coefficients).parse()
+    parts = attrgetter("num.coeffs", "den.coeffs")
+    return _ExprParser(text, field.from_int, variable, parts, field.characteristic).parse()
 
 
 def format_poly(p: Poly, var: str = "x") -> str:

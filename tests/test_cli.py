@@ -399,6 +399,36 @@ def test_constant_power_past_the_bit_limit_exits_two_quickly(tmp_path, capsys):
     assert captured.err.count("\n") == 1 and "exceeds the limit" in captured.err
 
 
+# Each is refused by the size budget before the operation named runs.  The
+# first seven passed the degree and bit limits, which bounded neither
+# products nor sums nor the growth of coefficients under a power.
+@pytest.mark.parametrize("characteristic, a, refused", [
+    (7, "(x^2+1)^4096*(x^2+1)^4096", "a power"),
+    (7, "1/(x^2+1)^4096+1/(x^2+2)^4096", "a power"),
+    (7, "(x^2+1)^4096/(x^2+2)^4096", "a power"),
+    (0, "(x+128)^1024", "a power"),
+    (0, "(x^2+1)^4096", "a power"),
+    (10**18 + 9, "(x^2+1)^4096", "a power"),
+    (1000003, "1/(x^2+1)^4096", "a power"),
+    (7, "(x^2+1)^1400*(x^2+x+1)^1400", "a product"),
+    (7, "1/(x^2+1)^1400+1/(x^2+2)^1400", "a sum"),
+    (7, "(x^2+1)^1400/(x^2+2)^1400", "a quotient"),
+])
+def test_oversize_expressions_exit_two_quickly(tmp_path, capsys, characteristic, a, refused):
+    scenario = {"name": "x", "characteristic": characteristic, "glueCase": "D",
+                "blocks": [{"case": "c2", "a": 2}],
+                "derivation": {"a": a, "b": ["1"]}}
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps({"version": "1", "scenarios": [scenario]}))
+    start = time.perf_counter()
+    code = main(["run", str(p)])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "exceeds the limit" in captured.err
+    assert refused in captured.err
+
+
 @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 1000, 5000])
 def test_deep_parentheses_exit_two(tmp_path, capsys, depth):
     # each level would take three frames of the recursive-descent parser
@@ -425,13 +455,13 @@ def squaring_chain(first, keys):
     return {"z": f"k{keys - 1}", "k0": first, **chain}
 
 
-# Each would run for minutes or exhaust memory if expanded: the limits
-# hold on the composed polynomial and on every product.
+# Each would run for minutes or exhaust memory if expanded: the size
+# budget holds on the composed polynomial, at every operation.
 @pytest.mark.parametrize("substitution", [
     {"z": "(u+v+1)^8192"},
     {"z": "q^200", "q": "w^200", "w": "u+v"},
     squaring_chain("u+v+1", 15),
-    # 3^(2^k) passes 2^16 bits at k = 16
+    # 3^(2^k) passes the size budget at k = 14
     squaring_chain("3", 30),
 ], ids=["dense-power", "nested-powers", "squaring-chain", "squaring-chain-Q"])
 def test_composed_substitution_past_the_limits_exits_two_quickly(tmp_path, capsys,

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from dpglue.fields import PRIME_LIMIT, SHARED_BELOW, FpElement, PrimeField, base_field, is_prime
 from dpglue.multipoly import parse_mpoly
 from dpglue.polynomials import Poly
-from dpglue.rational import (MAX_BITS, MAX_DEGREE, FunctionField, Place, RationalFunction,
-                             format_poly, parse_rational)
+from dpglue.rational import (SIZE_BUDGET, FunctionField, Place, RationalFunction, format_poly,
+                             parse_rational)
 
 from conftest import (CHARACTERISTICS, IRREDUCIBLES, ff, rand_poly, rand_ratfunc,
                       swinnerton_dyer)
@@ -570,36 +570,52 @@ def test_poly_identity_char3_coefficient():
     assert parse_mpoly(F3, ("x",), "3*x").is_zero()
 
 
-def test_powers_past_the_degree_limit_are_refused_before_expanding():
-    F = ff(2)
-    assert parse_rational(F, f"1/x^{MAX_DEGREE}").den.degree == MAX_DEGREE
-    for text in (f"x^{MAX_DEGREE + 1}", f"1/(x^2+1)^{MAX_DEGREE // 2 + 1}",
-                 "(x^3)^5000", f"(x+1)^-{MAX_DEGREE + 1}"):
-        with pytest.raises(ValueError, match="exceeds the limit"):
+def test_powers_past_the_size_budget_are_refused_before_expanding():
+    # a GF(2) slot costs 2 bits, and a polynomial's denominator 1 one slot
+    F, slots = ff(2), SIZE_BUDGET // 2
+    assert parse_rational(F, f"1/x^{slots - 2}").den.degree == slots - 2
+    for text in (f"x^{slots - 1}", f"1/(x^2+1)^{slots // 2}", "(x^3)^5000",
+                 f"(x+1)^-{slots - 1}", f"x^{slots // 2}*x^{slots // 2}"):
+        with pytest.raises(ValueError, match=f"exceeds the limit {SIZE_BUDGET}"):
             parse_rational(F, text)
+    # an MPoly slot is a term, and a power's size is the term pairs of its
+    # halves' product: (u+v)^177 multiplies 89 * 90 of them, (u+v)^178 90 * 90
     names = ("u", "v")
-    parse_mpoly(F.base, names, f"u^{MAX_DEGREE}")
-    with pytest.raises(ValueError, match="exceeds the limit"):
-        parse_mpoly(F.base, names, f"(u*v)^{MAX_DEGREE // 2 + 1}")
-    # a constant has degree 0: over Q its numbers are bounded instead,
-    # at each power of a nested one; over GF(p) they stay below p
-    Q = ff(0)
-    too_big = f"exceeds the limit 2\\^{MAX_BITS}"
-    assert parse_rational(Q, f"2^{MAX_BITS}") == 2 ** MAX_BITS
-    assert parse_rational(Q, f"(2^{MAX_BITS // 4})^-4") == Q.one / 2 ** MAX_BITS
-    assert parse_rational(Q, f"(1/3)^{MAX_BITS // 2}") == Q.one / 3 ** (MAX_BITS // 2)
-    assert parse_rational(Q, f"1^{MAX_BITS + 1}") == 1
-    for text in (f"2^{MAX_BITS + 1}", f"(2^{MAX_BITS // 4})^5", f"(1/3)^{MAX_BITS // 2 + 1}",
-                 f"(x+2^{MAX_BITS // 4})^5", "2^10000000000"):
+    assert parse_mpoly(F.base, names, "(u*v)^10000000000").terms == {(10**10, 10**10): F.base.one}
+    parse_mpoly(F.base, names, "(u+v)^177")
+    with pytest.raises(ValueError, match=f"a power of 16200 bits exceeds the limit {SIZE_BUDGET}"):
+        parse_mpoly(F.base, names, "(u+v)^178")
+    # over Q a constant's slot costs its height: 2^n takes n bits, in two
+    # slots for k(x) and one term for an MPoly; over GF(p) it stays below p
+    Q, half = ff(0), SIZE_BUDGET // 2
+    too_big = f"exceeds the limit {SIZE_BUDGET}"
+    assert parse_rational(Q, f"2^{half}") == 2 ** half
+    assert parse_rational(Q, f"(2^{half // 4})^-4") == Q.one / 2 ** (half // 4 * 4)
+    # 1/3 cleared is 1/3 with height 2
+    assert parse_rational(Q, f"(1/3)^{half // 2}") == Q.one / 3 ** (half // 2)
+    assert parse_rational(Q, f"1^{SIZE_BUDGET + 1}") == 1
+    for text in (f"2^{half + 1}", f"(2^{half // 4})^5", f"(1/3)^{half // 2 + 1}",
+                 f"(x+2^{half // 4})^5", "2^10000000000"):
         with pytest.raises(ValueError, match=too_big):
             parse_rational(Q, text)
-    parse_mpoly(Q.base, names, f"2^{MAX_BITS}*u")
-    for text in (f"(2^{MAX_BITS // 4}*u)^5", f"2^{MAX_BITS + 1}"):
+    parse_mpoly(Q.base, names, f"2^{SIZE_BUDGET}*u")
+    for text in (f"(2^{SIZE_BUDGET // 4}*u)^5", f"2^{SIZE_BUDGET + 1}"):
         with pytest.raises(ValueError, match=too_big):
             parse_mpoly(Q.base, names, text)
     G = ff(7)
-    assert parse_rational(G, f"3^{MAX_BITS + 1}") == pow(3, MAX_BITS + 1, 7)
+    assert parse_rational(G, f"3^{SIZE_BUDGET + 1}") == pow(3, SIZE_BUDGET + 1, 7)
     assert parse_rational(G, "2^10000000000") == pow(2, 10**10, 7)
+
+
+# The README's calibration table: the largest power of x^2+x+1 that each
+# field accepts, and the first it refuses.
+@pytest.mark.parametrize("p, largest", [(2, 4024), (7, 2682), (1021, 804), (1031, 730),
+                                        (1000003, 401), (10**18 + 9, 133), (0, 62)])
+def test_calibration_rows(p, largest):
+    F = ff(p)
+    assert parse_rational(F, f"(x^2+x+1)^{largest}").num.degree == 2 * largest
+    with pytest.raises(ValueError, match=f"a power of .* exceeds the limit {SIZE_BUDGET}"):
+        parse_rational(F, f"(x^2+x+1)^{largest + 1}")
 
 
 # -- polynomial factorization (used by the tameness scan) --------------

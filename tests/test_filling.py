@@ -70,7 +70,7 @@ def test_node_is_part_filling():
 
 def test_full_ring_rejected():
     ring = ring_node()
-    res = is_part_filling([ring.idempotent(0), ring.idempotent(1)], ring)
+    res = is_part_filling([ring.monomial(0, 0, 0), ring.monomial(1, 0, 0)], ring)
     assert not res.ok
 
 

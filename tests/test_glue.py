@@ -95,7 +95,7 @@ def test_engine_rejects_a_bad_kernel_basis(monkeypatch, bad):
     unit, eta2, eta3 = glue.kernel_basis(data)
     if bad == "not-closed":
         # (eta_2 + e_1)^2 = e_1 - 2 (b_2/b_1) y_1 lies outside the span
-        e1 = ring.idempotent(0)
+        e1 = ring.monomial(0, 0, 0)
         basis, message = [unit, [a + b for a, b in zip(eta2, e1)], eta3], "not closed"
     else:
         basis, message = [unit, eta2, eta2], "not triangular"
@@ -592,7 +592,25 @@ def test_oracle_matches_its_dense_form(case):
         else (datum, place)
     answer, f1 = dense_oracle(datum, place)
     assert gorenstein_at_point_oracle(datum, place) == answer
-    assert glue.local_unit_witness(local, at) == f1
+    assert glue.local_unit_witness(local.c(0), at) == f1
+
+
+@pytest.mark.parametrize("p, a, b", [
+    (5, "x^7+1", ["1", "x", "x^2+1"]),
+    (3, "(x^4+x)/(x+1)", ["x^2+1", "2*x^2+2"]),
+    (0, "x^3", ["1", "x^-1"]),
+])
+def test_oracle_at_infinity_divides_nothing(p, a, b, monkeypatch):
+    """At infinity the oracle inverts the cached a/b_1 and b_i/b_1, with no
+    datum rebuilt to divide them again."""
+    data = glue_data(p, a, b)
+    # divided, and cached, before counting
+    assert data.c(0) and len(data.b_ratios) == len(b) - 1
+    calls = count_calls(monkeypatch, "__truediv__")
+    answer = gorenstein_at_point_oracle(data, Place.infinity())
+    assert calls == []
+    monkeypatch.undo()
+    assert answer == dense_oracle(data, Place.infinity())[0]
 
 
 @pytest.mark.parametrize("p, a, place, columns", [
@@ -626,6 +644,7 @@ def test_witness_reads_the_pole_order_once(p, a, place, monkeypatch):
     """m is found by one valuation; the modulus pi^(2m) is then a power
     of pi, with no second valuation of D^2."""
     data, at = glue_data(p, a, ["1"]), place_of(p, place)
+    c = data.c(0)
     calls = []
     valuation = Poly.valuation
 
@@ -634,7 +653,7 @@ def test_witness_reads_the_pole_order_once(p, a, place, monkeypatch):
         return valuation(self, pi)
 
     monkeypatch.setattr(Poly, "valuation", counted)
-    f1 = glue.local_unit_witness(data, at)
+    f1 = glue.local_unit_witness(c, at)
     assert calls == [at.poly]
     monkeypatch.undo()
     assert f1 == dense_oracle(data, at)[1]

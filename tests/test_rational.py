@@ -1,7 +1,9 @@
 """Canonical form of k(x): every operator agrees with normalising the raw result."""
 
+import operator
 import re
 import string
+import time
 from unittest.mock import patch
 
 import pytest
@@ -11,8 +13,8 @@ from dpglue import multipoly, rational
 from dpglue.fields import base_field
 from dpglue.multipoly import MPoly, parse_mpoly
 from dpglue.polynomials import Poly
-from dpglue.rational import (MAX_BITS, MAX_DEGREE, FunctionField, RationalFunction,
-                             _coefficient_bits, _tokenize, parse_rational)
+from dpglue.rational import (FunctionField, Place, RationalFunction, _check_size, _height,
+                             _tokenize, parse_rational)
 
 from conftest import IRREDUCIBLES
 
@@ -139,15 +141,122 @@ def test_power_leaves_a_denominator_of_one_alone(p, monkeypatch):
 
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_powers_over_a_prime_field_count_no_bits(p, monkeypatch):
-    def refuse(coeffs):
+    def refuse(*parts):
         raise AssertionError("bits counted over GF(p)")
 
-    monkeypatch.setattr(rational, "_coefficient_bits", refuse)
+    monkeypatch.setattr(rational, "_height", refuse)
     field = FunctionField(base_field(p))
     assert parse_rational(field, "(x+2)^3/(x-1)^-2") == (field.x + 2) ** 3 * (field.x - 1) ** 2
-    parse_mpoly(base_field(p), ("u", "v"), "(u+2*v)^4")
+    parse_mpoly(base_field(p), ("u", "v"), "(u+2*v)^4 - u*v")
     with pytest.raises(AssertionError, match="bits counted"):
         parse_rational(FunctionField(base_field(0)), "(x+2)^3")
+
+
+def test_each_operator_is_checked_before_it_runs(monkeypatch):
+    seen = []
+    check = rational._check_size
+
+    def recording(op, *args):
+        seen.append(op)
+        return check(op, *args)
+
+    monkeypatch.setattr(rational, "_check_size", recording)
+    assert parse_rational(FunctionField(base_field(3)), "(x+1)*(x-2)/x^3 - 4")
+    assert seen == ["+", "-", "*", "^", "/", "-"]
+    seen.clear()
+    assert parse_mpoly(base_field(0), ("u", "v"), "u*v + u^2 - 1")
+    assert seen == ["*", "^", "+", "-"]
+
+
+OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def slots_and_height(p, *parts):
+    """The slots and the height over Q that ``_check_size`` counts in a value."""
+    return (len(parts[0]) or 1) + len(parts[1]), 0 if p else _height(*parts)
+
+
+def unreduced(op, f, g):
+    """num and den of f op g before any gcd cancels; g is the exponent of a power."""
+    if op == "^":
+        num, den = (f.num, f.den) if g >= 0 else (f.den, f.num)
+        return num ** abs(g), den ** abs(g)
+    if op == "*":
+        return f.num * g.num, f.den * g.den
+    if op == "/":
+        return f.num * g.den, f.den * g.num
+    cross = g.num * f.den
+    return f.num * g.den + (cross if op == "+" else -cross), f.den * g.den
+
+
+@st.composite
+def sized_operands(draw, sparse):
+    """(p, f, g): elements of k(x), or MPolys in u, v, with fractions over Q."""
+    p = draw(st.sampled_from([0, 2, 3, 7, 1031]))
+    field = base_field(p)
+    coefficient = st.tuples(st.integers(-9, 9), st.integers(1, 1 if p else 6)).map(
+        lambda nd: field.from_int(nd[0]) / field.from_int(nd[1]))
+    if sparse:
+        term = st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)), coefficient)
+        operand = st.lists(term, max_size=5).map(lambda ts: MPoly(field, ("u", "v"), dict(ts)))
+        return p, draw(operand), draw(operand)
+    poly = st.lists(coefficient, max_size=5).map(lambda cs: Poly(field, cs))
+    operand = st.builds(lambda num, den: RationalFunction(field, num, den),
+                        poly, poly.filter(bool))
+    return p, draw(operand), draw(operand)
+
+
+@given(sized_operands(sparse=False), st.sampled_from("+-*/^"), st.integers(-6, 6))
+@settings(max_examples=400)
+def test_predicted_size_bounds_the_unreduced_result(case, op, e):
+    p, f, g = case
+    if op == "^" and e < 0 and not f or op == "/" and not g:
+        return
+    y = e if op == "^" else (g.num.coeffs, g.den.coeffs)
+    try:
+        slots, height = _check_size(op, (f.num.coeffs, f.den.coeffs), y, p.bit_length(), False)
+    except ValueError as refused:
+        assert "exceeds the limit" in str(refused)
+        return
+    num, den = unreduced(op, f, e if op == "^" else g)
+    n, h = slots_and_height(p, num.coeffs, den.coeffs)
+    assert slots >= n and height >= h
+    # cancelling only shortens: the built result fits the prediction too
+    built = f ** e if op == "^" else OPERATIONS[op](f, g)
+    assert slots >= slots_and_height(p, built.num.coeffs, built.den.coeffs)[0]
+
+
+@given(sized_operands(sparse=True), st.sampled_from("+-*^"), st.integers(0, 6))
+@settings(max_examples=300)
+def test_predicted_size_bounds_the_mpoly_result(case, op, e):
+    p, f, g = case
+    try:
+        slots, height = _check_size(op, (f.terms.values(), ()),
+                                    e if op == "^" else (g.terms.values(), ()),
+                                    p.bit_length(), True)
+    except ValueError as refused:
+        assert "exceeds the limit" in str(refused)
+        return
+    built = f ** e if op == "^" else OPERATIONS[op](f, g)
+    n, h = slots_and_height(p, built.terms.values(), ())
+    assert slots >= n and height >= h
+
+
+def test_order_at_a_pole_takes_one_valuation(monkeypatch):
+    field = FunctionField(base_field(3))
+    f = parse_rational(field, "(x+1)^2/(x^2+1)^3")
+    pole, zero = (Place.finite(parse_rational(field, t).num) for t in ("x^2+1", "x+1"))
+    calls = []
+    valuation = Poly.valuation
+
+    def counted(self, pi):
+        calls.append(self)
+        return valuation(self, pi)
+
+    monkeypatch.setattr(Poly, "valuation", counted)
+    assert f.order_at(pole) == -3 and calls == [f.den]
+    calls.clear()
+    assert f.order_at(zero) == 2 and calls == [f.den, f.num]
 
 
 @given(operand_pairs(), st.integers(-3, 3))
@@ -279,22 +388,24 @@ def test_tokenize_matches_the_character_loop(text):
 class RecursiveDescentParser:
     """The parser with peek()/next() and a separate atom() that ``_ExprParser`` replaced.
 
-    The adapter provides constant(int), variable(name), degree(value)
-    and coefficients(value), and its values support +, -, *, / and
-    integer **.  A power whose degree would exceed ``MAX_DEGREE``, or
-    whose numbers would exceed ``MAX_BITS`` by ``_coefficient_bits``,
-    raises ``ValueError`` before it is expanded.
+    The adapter provides constant(int), variable(name) and parts(value),
+    and its values support +, -, *, / and integer **.  Each + - * / ^
+    whose predicted size passes the budget raises ``ValueError`` from
+    ``_check_size`` before it runs; a sparse grammar has no division.
     """
 
-    def __init__(self, text: str, constant, variable, degree, coefficients,
-                 allow_division=True):
+    def __init__(self, text: str, constant, variable, parts, p, sparse=False):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.constant = constant
         self.variable = variable
-        self.degree = degree
-        self.coefficients = coefficients
-        self.allow_division = allow_division
+        self.parts = parts
+        self.slot_bits = p.bit_length()
+        self.sparse = sparse
+
+    def check(self, op, v, w):
+        _check_size(op, self.parts(v), w if op == "^" else self.parts(w), self.slot_bits,
+                    self.sparse)
 
     def peek(self):
         return self.tokens[self.pos][0]
@@ -321,6 +432,7 @@ class RecursiveDescentParser:
         while self.peek() in "+-":
             op = self.next()[0]
             rhs = self.term()
+            self.check(op, v, rhs)
             v = v + rhs if op == "+" else v - rhs
         return v
 
@@ -330,10 +442,12 @@ class RecursiveDescentParser:
             op = self.next()[0]
             rhs = self.factor()
             if op == "*":
+                self.check(op, v, rhs)
                 v = v * rhs
             else:
-                if not self.allow_division:
+                if self.sparse:
                     raise ValueError("division not allowed in this context")
+                self.check(op, v, rhs)
                 v = v / rhs
         return v
 
@@ -348,16 +462,9 @@ class RecursiveDescentParser:
             kind, val = self.next()
             if kind != "int":
                 raise ValueError("exponent must be an integer")
-            if self.degree(v) * val > MAX_DEGREE:
-                raise ValueError(f"a power of degree {self.degree(v) * val} exceeds "
-                                 f"the limit {MAX_DEGREE}")
-            # the adapters give no coefficients over GF(p)
-            if self.coefficients is not None:
-                bits = _coefficient_bits(self.coefficients(v)) * val
-                if bits > MAX_BITS:
-                    raise ValueError(f"a power with numbers up to 2^{bits} exceeds "
-                                     f"the limit 2^{MAX_BITS}")
-            v = v ** (-val if neg else val)
+            val = -val if neg else val
+            self.check("^", v, val)
+            v = v ** val
         return v
 
     def atom(self):
@@ -440,3 +547,49 @@ def test_parser_matches_the_recursive_descent(text):
                 w.num.coeffs, w.den.coeffs)
         else:
             assert type(g) is MPoly and g.terms == w.terms
+
+
+# -- the size budget on drawn expressions --------------------------------
+
+
+def budget_expression(draw, factors, division):
+    """An expression with this many factors; a divisor or a negative power
+    is of x or x^i + c, which are nonzero in every field."""
+    nonzero = st.one_of(st.just("x"), st.builds("(x^{}+{})".format, st.integers(1, 3),
+                                                 st.integers(1, 9)))
+    exponent = st.integers(-10**6 if division else 0, 10**6)
+    if factors == 1:
+        if draw(st.booleans()):
+            return str(draw(st.integers(0, 9)))
+        base = draw(nonzero)
+        return f"{base}^{draw(exponent)}" if draw(st.booleans()) else base
+    op = draw(st.sampled_from("+-*/" if division else "+-*"))
+    if op == "/":
+        text = f"{budget_expression(draw, factors - 1, division)}/{draw(nonzero)}^{draw(exponent)}"
+    else:
+        k = draw(st.integers(1, factors - 1))
+        text = (budget_expression(draw, k, division) + op
+                + budget_expression(draw, factors - k, division))
+    return f"({text})^{draw(st.integers(0, 10**6))}" if draw(st.booleans()) else f"({text})"
+
+
+@st.composite
+def budget_cases(draw):
+    p = draw(st.sampled_from([2, 7, 1031, 1000003, 10**18 + 9, 0]))
+    sparse = draw(st.booleans())
+    return p, sparse, budget_expression(draw, draw(st.integers(3, 8)), not sparse)
+
+
+@given(budget_cases())
+@settings(max_examples=300)
+def test_drawn_expressions_parse_or_are_refused_within_a_second(case):
+    p, sparse, text = case
+    start = time.perf_counter()
+    try:
+        if sparse:
+            parse_mpoly(base_field(p), ("x",), text)
+        else:
+            parse_rational(FunctionField(base_field(p)), text)
+    except ValueError as refused:
+        assert "exceeds the limit" in str(refused)
+    assert time.perf_counter() - start < 1.0
