@@ -10,7 +10,7 @@ this package constructs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from dpglue import linalg
 from dpglue.polynomials import Poly
@@ -240,8 +240,7 @@ def is_faithful(module: FiniteModule) -> bool:
 # -- subalgebras and the restriction trace ----------------------------
 
 
-@dataclass
-class Subalgebra:
+class Subalgebra(NamedTuple):
     """Subalgebra of a parent FiniteAlgebra, with its own abstract model.
 
     ``basis`` holds parent coordinates of the chosen basis vectors;

@@ -9,9 +9,9 @@ and the per-case Gorenstein checks run on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
-from dpglue.fields import base_field
+from dpglue.fields import base_field, is_prime
 from dpglue.multipoly import MPoly, parse_mpoly
 from dpglue.rational import _tokenize
 
@@ -19,8 +19,7 @@ from dpglue.rational import _tokenize
 # -- Picard lattice ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PicardClass:
+class PicardClass(NamedTuple):
     """Divisor class: c*L on the plane, or c1*A + c2*B on a scroll F_a.
 
     surface is ("P2",), ("F", a) or ("Fcone", a); cone classes live on
@@ -75,8 +74,7 @@ _CONIC_NATURE = {
 _BLOCK_TAGS = tuple(_CONIC_NATURE)
 
 
-@dataclass(frozen=True)
-class BuildingBlock:
+class BuildingBlock(NamedTuple):
     case: str
     a: int | None
     H: PicardClass
@@ -162,15 +160,24 @@ def block_table(a_max: int = 5):
 # -- gluing scenarios --------------------------------------------------
 
 
-@dataclass
 class GlueScenario:
-    characteristic: int
-    blocks: list
-    glue_case: str            # declared family: A | B | C | D
-    identifications: list = dc_field(default_factory=list)
-    derivation: object = None  # GenericGlueData for the D family
-    cover: str = "separable"   # case A metadata (char 2 dichotomy)
-    name: str = ""
+    """Blocks glued along their conductors, with the declared family's data."""
+
+    def __init__(self, characteristic: int, blocks: list, glue_case: str,
+                 identifications: list | None = None, derivation=None,
+                 cover: str = "separable", name: str = ""):
+        self.characteristic = characteristic
+        self.blocks = blocks
+        self.glue_case = glue_case  # declared family: A | B | C | D
+        self.identifications = [] if identifications is None else identifications
+        self.derivation = derivation  # GenericGlueData for the D family
+        self.cover = cover  # case A metadata (char 2 dichotomy)
+        self.name = name
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 class ScenarioError(ValueError):
@@ -412,8 +419,6 @@ def monomial_relation_check(p: int, n: int, h0: int = 1) -> bool:
     """v_i v_j - u^n v_{i+j} is a unit multiple of x^(i+j-2) y^2 for all
     1 <= i, j with i + j <= p - 1, where u = x^p and
     v_i = x^(np+i) - i h0 x^(i-1) y with h0 a unit."""
-    from dpglue.fields import is_prime
-
     if not is_prime(p) or p < 3:
         raise ValueError("p must be an odd prime")
     field = base_field(p)

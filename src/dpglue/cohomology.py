@@ -33,16 +33,13 @@ division.  No dense row, no change of basis and no back-substitution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from dpglue import linalg
 from dpglue.glue import GenericGlueData, wild_cusp_ring
 from dpglue.rational import Place
 
 
-@dataclass(frozen=True)
-class LineSheafSum:
+class LineSheafSum(NamedTuple):
     """A direct sum of line sheaves O(d_i) on the projective line."""
 
     degrees: tuple
@@ -188,6 +185,8 @@ def truncated_section_oracle(data: GenericGlueData, twist: int = 0,
     ``bound`` is B: at least the degree of the wild pole divisor plus
     |twist| + 2, by default that degree plus |twist| + 4.
     """
+    from dpglue import linalg  # deferred: only the oracles eliminate
+
     poles = total_pole_order(data)
     minimum = poles + abs(twist) + 2
     if bound is None:

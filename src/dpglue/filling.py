@@ -10,7 +10,7 @@ that and classifies the resulting codimension-1 singularity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 from dpglue import linalg
 from dpglue.artinian import (
@@ -27,7 +27,6 @@ from dpglue.artinian import (
 from dpglue.polynomials import Poly
 
 
-@dataclass(frozen=True)
 class BranchSpec:
     """One branch A_E = L_E[t]/(t^n): residue extension degree + multiplicity.
 
@@ -35,20 +34,28 @@ class BranchSpec:
     (None for the trivial extension L_E = K).
     """
 
-    n: int
-    minpoly: Poly | None = None
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, minpoly: Poly | None = None):
+        if n < 1:
             raise ValueError("multiplicity must be >= 1")
+        self.n, self.minpoly = n, minpoly
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.minpoly) == (other.n, other.minpoly)
+
+    def __hash__(self):
+        return hash((self.n, self.minpoly))
+
+    def __repr__(self):
+        return f"BranchSpec(n={self.n!r}, minpoly={self.minpoly!r})"
 
     @property
     def residue_degree(self) -> int:
         return 1 if self.minpoly is None else self.minpoly.degree
 
 
-@dataclass
-class ConductorRing:
+class ConductorRing(NamedTuple):
     """O_C = prod A_E realized as a FiniteAlgebra over K.
 
     Basis ordered branch by branch: u^a t^j for a < [L_E:K], j < n_E.
@@ -142,12 +149,20 @@ def build_conductor_ring(field, branches) -> ConductorRing:
 # -- part-fillings ----------------------------------------------------
 
 
-@dataclass
 class FillingResult:
-    ok: bool
-    reasons: list = dc_field(default_factory=list)
-    sub: Subalgebra | None = None
-    quotient: FiniteModule | None = None  # O_C/O_D over O_D
+    """A part-filling verdict: why it fails, or O_D and O_C/O_D over it."""
+
+    def __init__(self, ok: bool, reasons: list | None = None,
+                 sub: Subalgebra | None = None, quotient: FiniteModule | None = None):
+        self.ok = ok
+        self.reasons = [] if reasons is None else reasons
+        self.sub = sub
+        self.quotient = quotient  # O_C/O_D over O_D
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 def is_part_filling(basis_vectors, ring: ConductorRing) -> FillingResult:
@@ -254,8 +269,7 @@ def derivation_kernel(characteristic: int, a, b):
 # -- classification ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SingularityType:
+class SingularityType(NamedTuple):
     tag: str
     r: int = 0
 

@@ -21,32 +21,37 @@ None when a piece over Q cannot be factored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
-from dpglue import linalg
-from dpglue.artinian import FiniteAlgebra, Subalgebra, square_zero_algebra
 from dpglue.fields import base_field, is_prime
-from dpglue.filling import BranchSpec, ConductorRing, build_conductor_ring
 from dpglue.polynomials import Poly, split_squarefree
 from dpglue.rational import (FunctionField, Place, RationalFunction, format_poly,
                              parse_rational)
 
 
-@dataclass(frozen=True)
 class GenericGlueData:
     """Derivation datum (a, b) in characteristic p with r branches."""
 
-    characteristic: int
-    a: RationalFunction
-    b: tuple
-
-    def __post_init__(self):
-        if not self.b:
+    def __init__(self, characteristic: int, a: RationalFunction, b: tuple):
+        if not b:
             raise ValueError("at least one branch required")
-        for bi in self.b:
+        for bi in b:
             if bi.is_zero():
                 raise ValueError("every b_i must be nonzero")
+        self.characteristic, self.a, self.b = characteristic, a, b
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.characteristic, self.a, self.b) == (other.characteristic, other.a, other.b)
+
+    def __hash__(self):
+        return hash((self.characteristic, self.a, self.b))
+
+    def __repr__(self):
+        return (f"GenericGlueData(characteristic={self.characteristic!r}, "
+                f"a={self.a!r}, b={self.b!r})")
 
     @property
     def r(self) -> int:
@@ -130,8 +135,7 @@ def glue_data(characteristic: int, a, b) -> GenericGlueData:
     return GenericGlueData(characteristic, conv(a), tuple(conv(bi) for bi in b))
 
 
-@dataclass
-class KernelElement:
+class KernelElement(NamedTuple):
     """s(f,g) = sum (f_i + g_i y_i) s_i in per-branch coordinates."""
 
     f: list
@@ -157,6 +161,9 @@ def conductor_ring(characteristic: int, r: int) -> ConductorRing:
     is its nilpotent t_i and the basis order is e_1, y_1, e_2, y_2, ...
     The scalar field reuses the variable name x for xi.
     """
+    # deferred: dpglue run never builds O_C, so it never loads filling
+    from dpglue.filling import BranchSpec, build_conductor_ring
+
     return build_conductor_ring(_function_field(characteristic), [BranchSpec(2)] * r)
 
 
@@ -185,6 +192,8 @@ def kernel_basis(data: GenericGlueData) -> list:
 @lru_cache
 def kernel_algebra(characteristic: int, r: int) -> FiniteAlgebra:
     """O_D's table: k(xi) + k(xi)^(r-1) square-zero, verified once per (p, r)."""
+    from dpglue.artinian import square_zero_algebra  # deferred: only the oracles need it
+
     return square_zero_algebra(_function_field(characteristic), r - 1)
 
 
@@ -198,6 +207,8 @@ def kxi_engine(data: GenericGlueData) -> Subalgebra:
     eta_i lies in the y-span, which squares to 0 (checked once per
     (p, r) by ``nilpotents_square_to_zero``).
     """
+    from dpglue.artinian import Subalgebra  # deferred: only the oracles need it
+
     p, r = data.characteristic, data.r
     OC, one = conductor_ring(p, r).algebra, data.field.one
     basis = kernel_basis(data)
@@ -340,6 +351,8 @@ def local_unit_witness(c: RationalFunction, place: Place) -> Poly | None:
     unit, i.e. has some x^k pi^0 coefficient nonzero; f_1 = 1 when
     m = 0, and is None when no kernel vector is a unit.
     """
+    from dpglue import linalg  # deferred: only the oracles eliminate
+
     base = c.field
     pi, d = place.poly, place.poly.degree
     N, D = c.num, c.den
@@ -398,8 +411,7 @@ def _place_key(place: Place) -> str:
 # -- wild cusps -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WildCuspRing:
+class WildCuspRing(NamedTuple):
     p: int
     n: int
     generators: tuple

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
+from typing import NamedTuple
 
 from dpglue.polynomials import Poly, _is_element
 
@@ -292,8 +292,7 @@ class RationalFunction:
         return format_rational(self)
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(NamedTuple):
     """Closed point of the projective line: monic irreducible poly or infinity.
 
     ``Place(g)`` trusts g, as for a factor ``Poly.factor`` returned;

@@ -603,6 +603,11 @@ def test_verify_param_corpus():
     assert main(["verify-param", PARAMS]) == 0
 
 
+def test_verify_param_corpus_in_a_fresh_process():
+    code, _, err = run_cli(["verify-param", PARAMS])
+    assert (code, err) == (0, "")
+
+
 def test_verify_param_failure(tmp_path, capsys):
     doc = {"version": "1", "checks": [
         {"name": "broken", "characteristic": 0, "hypersurface": "y - 1",

@@ -279,9 +279,10 @@ def test_walker_refuses_what_it_does_not_implement(schema):
         scenarios._compile(schema)
 
 
-def printed_after_import(expr):
-    """What a fresh interpreter prints for expr after importing the CLI's modules."""
-    code = f"import sys, dpglue.cli, dpglue.cohomology, dpglue.glue\nprint({expr})"
+def printed_after_import(expr, setup=""):
+    """What a fresh interpreter prints for expr after importing the CLI's
+    modules and running the statements in setup."""
+    code = f"import sys, dpglue.cli, dpglue.cohomology, dpglue.glue\n{setup}\nprint({expr})"
     src = os.path.dirname(os.path.dirname(dpglue.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -297,3 +298,33 @@ def test_import_does_not_load_jsonschema():
 def test_import_builds_no_prime_field():
     # GF(p) builds its shared elements on first use, not at import
     assert printed_after_import("sorted(dpglue.fields._gf_cache)") == "[]\n"
+
+
+# ``dpglue run`` calls nothing in these; the oracles load them at first call
+DEFERRED = ("dpglue.artinian", "dpglue.filling", "dpglue.linalg")
+
+
+def test_import_loads_no_dataclasses_and_no_oracle_modules():
+    unloaded = ("dataclasses", "inspect") + DEFERRED
+    assert printed_after_import(f"[m for m in {unloaded!r} if m in sys.modules]") == "[]\n"
+
+
+ORACLES_ON_ONE_DATUM = """
+from dpglue.cohomology import h1_OX, truncated_section_oracle
+from dpglue.glue import glue_data, gorenstein_at_point, gorenstein_at_point_oracle, kxi_engine
+from dpglue.polynomials import Poly
+from dpglue.rational import Place
+data = glue_data(3, "1/x^3", ["1", "2"])
+x = Poly.x(data.field.base)
+places = [Place(x), Place(x + 1), Place(x * x + 1), Place.infinity()]
+checks = [len(kxi_engine(data).basis) == data.r,
+          truncated_section_oracle(data) == (1, h1_OX(data)) == (1, 2)]
+checks += [gorenstein_at_point_oracle(data, place) == gorenstein_at_point(data, place)
+           for place in places]
+"""
+
+
+def test_oracles_load_their_modules_at_first_call():
+    printed = printed_after_import(
+        f"all(checks), [m for m in {DEFERRED!r} if m in sys.modules]", ORACLES_ON_ONE_DATUM)
+    assert printed == f"True {list(DEFERRED)!r}\n"
