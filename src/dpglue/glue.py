@@ -63,13 +63,9 @@ class GenericGlueData:
 
     @cached_property
     def _c1(self) -> RationalFunction:
-        """a/b_1, divided alone: the trace-kernel pair reads no other a/b_i."""
+        """a/b_1, divided alone: the trace-kernel pair and the pointwise
+        criterion read no other a/b_i."""
         return self.a / self.b[0]
-
-    @cached_property
-    def _ratios(self) -> tuple:
-        """(a/b_1, ..., a/b_r), each divided once."""
-        return (self._c1, *(self.a / bi for bi in self.b[1:]))
 
     @cached_property
     def b_ratios(self) -> tuple:
@@ -78,8 +74,8 @@ class GenericGlueData:
         return tuple(bi / b1 for bi in self.b[1:])
 
     def c(self, i: int) -> RationalFunction:
-        """The ratio a/b_i."""
-        return self._ratios[i] if i else self._c1
+        """The ratio a/b_i; a/b_1 is divided once."""
+        return self.a / self.b[i] if i else self._c1
 
     @cached_property
     def poles(self) -> tuple:
@@ -90,7 +86,7 @@ class GenericGlueData:
         L, so deg L + e is the degree of the pole divisor.
         """
         den, at_infinity = Poly.one(self.field.base), 0
-        for c in self._ratios:
+        for c in map(self.c, range(self.r)):
             if c:
                 den = den * (c.den // den.gcd(c.den))
                 at_infinity = max(at_infinity, c.num.degree - c.den.degree)
@@ -282,18 +278,20 @@ def ker_trace_oracle(data: GenericGlueData, s: KernelElement) -> bool:
 
 def gorenstein_at_point(data: GenericGlueData, place: Place) -> bool:
     """b_i/b_j units at P, and each a/b_i regular at P or (char p) with
-    pole order divisible by p."""
-    p = data.characteristic
+    pole order divisible by p.
+
+    Once every b_i/b_1 is a unit at P, v_P(a/b_i) = v_P(a/b_1) -
+    v_P(b_i/b_1) = v_P(a/b_1), so the order of a/b_1 alone is read:
+    r - 1 orders, and one more when a is nonzero.
+    """
     for ratio in data.b_ratios:
         if ratio.order_at(place) != 0:
             return False
-    for i in range(data.r):
-        ci = data.c(i)
-        if ci:
-            order = ci.order_at(place)  # read once: a pole is order < 0
-            if order < 0 and (p == 0 or order % p):
-                return False
-    return True
+    c, p = data.c(0), data.characteristic
+    if not c:
+        return True
+    order = c.order_at(place)  # read once: a pole is order < 0
+    return order >= 0 or (p != 0 and order % p == 0)
 
 
 def _coefficient_rows(nums):

@@ -261,6 +261,11 @@ class Poly:
             raise ValueError("negative power of a polynomial")
         if not n:
             return Poly.one(self.field)
+        a = self.coeffs
+        if a and not any(a[:-1]):
+            # c x^k: (c x^k)^n = c^n x^(kn), with no product
+            field = self.field
+            return Poly._trusted(field, [field.zero] * ((len(a) - 1) * n) + [a[-1] ** n])
         # left to right over the bits of n: one squaring per bit after the
         # leading one, and one product by self per further set bit
         result = self
@@ -397,9 +402,13 @@ class Poly:
 
         The pieces are monic, square-free and pairwise coprime; piece m
         is the product of the irreducible factors of multiplicity m.
-        Musser's loop (y = gcd(w, c), with no derivative after the
-        first) takes out the multiplicities prime to p and leaves a p-th
-        power (Modern Computer Algebra, 14.6).  No factoring.
+        The multiplicities prime to p come first, ascending, then the
+        multiples of p in the order the p-th root's pieces come.  Yun's
+        loop runs on w = f/c and f'/c, c = gcd(f, f'), whose degrees the
+        radical bounds; its step m takes the factors of multiplicity
+        m mod p (Modern Computer Algebra, 14.6).  If some multiplicity
+        reaches p, c over each piece to the m - 1 is a p-th power, and
+        its root's pieces are merged in.  No factoring.
         """
         if self.is_zero():
             raise ValueError("cannot factor zero")
@@ -412,18 +421,32 @@ class Poly:
                 return []
             return [(g, m * p) for g, m in f.pth_root().squarefree()]
         c = f.gcd(d)
-        w = f // c
-        out = []
-        m = 1
+        w, y = f // c, d // c
+        pieces, m, covered = [], 1, 0
         while w.degree > 0:
-            y = w.gcd(c)
-            piece = w // y
-            if piece.degree > 0:
-                out.append((piece, m))
-            w, c, m = y, c // y, m + 1
-        if c.degree > 0:
-            out += [(g, k * p) for g, k in c.pth_root().squarefree()]
-        return out
+            z = y - w.derivative()
+            g = w.gcd(z)
+            if g.degree > 0:
+                pieces.append((g, m))
+                covered += m * g.degree
+                w, z = w // g, z // g
+            y, m = z, m + 1
+        if covered == f.degree:
+            return pieces
+        # a factor of multiplicity m + kp lies in piece m and in the root's piece k
+        for g, m in pieces:
+            c = c // g ** (m - 1)
+        merged, multiples = [], []
+        for h, k in c.pth_root().squarefree():
+            for i, (g, m) in enumerate(pieces):
+                common = g.gcd(h)
+                if common.degree > 0:
+                    merged.append((common, m + k * p))
+                    pieces[i], h = (g // common, m), h // common
+            if h.degree > 0:
+                multiples.append((h, k * p))
+        merged += [(g, m) for g, m in pieces if g.degree > 0]
+        return sorted(merged, key=lambda piece: piece[1]) + multiples
 
     def factor(self):
         """Factor into monic irreducibles; returns (unit, [(factor, mult)]).

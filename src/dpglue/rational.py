@@ -403,6 +403,25 @@ def _tokenize(text: str):
     return tokens
 
 
+def _degree_bound(tokens) -> int:
+    """B = (names) * prod max(1, |e|) over the exponents e in the tokens.
+
+    Every value the grammar builds from these tokens, before or after a
+    gcd cancels, has numerator and denominator of degree at most B: a
+    name has degree 1, degrees add under + - * / and multiply by |e|
+    under ^.  An int after "^" or "^-" counts whether or not it parses.
+    """
+    names, product = 0, 1
+    for i, (kind, _) in enumerate(tokens):
+        if kind == "name":
+            names += 1
+        elif kind == "^":
+            kind, e = tokens[i + 2] if tokens[i + 1][0] == "-" else tokens[i + 1]
+            if kind == "int" and e > 1:
+                product *= e
+    return names * product
+
+
 # The one size budget of the expression grammar, in bits: slots times bits
 # per slot, predicted by ``_check_size`` before each + - * / ^ runs.  A
 # dense product or power costs about the square of its slots, so this is
@@ -488,7 +507,11 @@ class _ExprParser:
     predicted size passes ``SIZE_BUDGET``, and parentheses nested deeper
     than ``MAX_NESTING``, raise ``ValueError`` before anything is
     expanded.  p is the characteristic; a sparse grammar (MPoly) has no
-    division.  The grammar, over the token list that ``pos`` indexes:
+    division.  Over GF(p) the dense grammar predicts at most 2B + 2
+    slots for any operation, B the ``_degree_bound`` of its tokens, so
+    when that fits the budget no check can refuse and none runs; over Q,
+    where a gcd can raise a height, and for MPoly, each one runs.  The
+    grammar, over the token list that ``pos`` indexes:
 
         expr   := ["+" | "-"] term (("+" | "-") term)*
         term   := factor (("*" | "/") factor)*
@@ -507,6 +530,8 @@ class _ExprParser:
         self.parts = parts
         self.slot_bits = p.bit_length()
         self.sparse = sparse
+        self.checked = (sparse or not p
+                        or (2 * _degree_bound(self.tokens) + 2) * self.slot_bits > SIZE_BUDGET)
 
     def parse(self):
         v = self.expr()
@@ -525,7 +550,8 @@ class _ExprParser:
         while (op := tokens[self.pos][0]) == "+" or op == "-":
             self.pos += 1
             rhs = self.term()
-            _check_size(op, self.parts(v), self.parts(rhs), self.slot_bits, self.sparse)
+            if self.checked:
+                _check_size(op, self.parts(v), self.parts(rhs), self.slot_bits, self.sparse)
             v = v + rhs if op == "+" else v - rhs
         return v
 
@@ -538,7 +564,8 @@ class _ExprParser:
             rhs = self.factor()
             if op == "/" and self.sparse:
                 raise ValueError("division not allowed in this context")
-            _check_size(op, self.parts(v), self.parts(rhs), self.slot_bits, self.sparse)
+            if self.checked:
+                _check_size(op, self.parts(v), self.parts(rhs), self.slot_bits, self.sparse)
             v = v * rhs if op == "*" else v / rhs
         return v
 
@@ -578,12 +605,16 @@ class _ExprParser:
         if kind != "int":
             raise ValueError("exponent must be an integer")
         val = -val if neg else val
-        _check_size("^", self.parts(v), val, self.slot_bits, self.sparse)
+        if self.checked:
+            _check_size("^", self.parts(v), val, self.slot_bits, self.sparse)
         return v ** val
 
 
 def parse_rational(field: FunctionField, text: str) -> RationalFunction:
     """Parse the CLI/config grammar into k(x); the variable must be x."""
+    # a bare decimal integer has nothing for the grammar to check
+    if text.strip().isdecimal():
+        return field.from_int(int(text))
 
     def variable(name):
         if name != "x":

@@ -138,6 +138,36 @@ def swinnerton_dyer(primes) -> str:
     return " + ".join(f"({c})*x^{i}" for i, c in enumerate(f.coeffs) if c)
 
 
+def musser_squarefree(f):
+    """``Poly.squarefree`` by Musser's loop, frozen as a reference.
+
+    y = gcd(w, c) with no derivative after the first takes out the
+    multiplicities prime to p, ascending, and leaves a p-th power whose
+    root's pieces follow (Modern Computer Algebra, 14.6).
+    """
+    if f.is_zero():
+        raise ValueError("cannot factor zero")
+    f = f.monic()
+    p = f.field.characteristic
+    d = f.derivative()
+    if not d:
+        if f.degree == 0:
+            return []
+        return [(g, m * p) for g, m in musser_squarefree(f.pth_root())]
+    c = f.gcd(d)
+    w = f // c
+    out, m = [], 1
+    while w.degree > 0:
+        y = w.gcd(c)
+        piece = w // y
+        if piece.degree > 0:
+            out.append((piece, m))
+        w, c, m = y, c // y, m + 1
+    if c.degree > 0:
+        out += [(g, k * p) for g, k in musser_squarefree(c.pth_root())]
+    return out
+
+
 def parse_rational_pow(p, k):
     """x^k in k(x) over the prime field of characteristic p, k any integer."""
     F = ff(p)

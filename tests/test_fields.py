@@ -14,8 +14,8 @@ from dpglue.polynomials import Poly
 from dpglue.rational import (SIZE_BUDGET, FunctionField, Place, RationalFunction, format_poly,
                              parse_rational)
 
-from conftest import (CHARACTERISTICS, IRREDUCIBLES, ff, rand_poly, rand_ratfunc,
-                      swinnerton_dyer)
+from conftest import (CHARACTERISTICS, IRREDUCIBLES, ff, musser_squarefree, rand_poly,
+                      rand_ratfunc, swinnerton_dyer)
 
 
 def test_prime_field_arithmetic():
@@ -238,6 +238,27 @@ def test_power_equals_repeated_product(p, cs, n):
     for _ in range(n):
         expected = expected * f
     assert f ** n == expected
+
+
+@pytest.mark.parametrize("p", [2, 5, 1000003, 0])
+def test_monomial_power_equals_repeated_product(p, monkeypatch):
+    field = base_field(p)
+    cases = [(c, k, n) for c in (1, 3, -3) for k in (0, 1, 2, 5) for n in (1, 2, 3, 7)]
+    expected = []
+    for c, k, n in cases:
+        f = Poly(field, [field.zero] * k + [field.from_int(c)])
+        product = Poly.one(field)
+        for _ in range(n):
+            product = product * f
+        expected.append(product)
+
+    def refuse(self, other):
+        raise AssertionError("a product")
+
+    monkeypatch.setattr(Poly, "__mul__", refuse)
+    for (c, k, n), product in zip(cases, expected):
+        power = Poly(field, [field.zero] * k + [field.from_int(c)]) ** n
+        assert power == product and power.coeffs[-1]
 
 
 @pytest.mark.parametrize("n, products", [(1, 0), (2, 1), (3, 2), (1024, 10)])
@@ -675,6 +696,35 @@ def test_factorization_reassembles(rng, p):
             else:
                 assert {format_poly(g): m for g, m in factors} == dict.fromkeys(names, 1)
                 assert not f.is_irreducible()
+
+
+@st.composite
+def powered_products(draw):
+    """c * prod g_i^m_i over Q or GF(p), the g_i of degree 1 or 2 and not
+    always coprime or irreducible, and multiplicities up to 2p + 3."""
+    p = draw(st.sampled_from([0, 2, 3, 5, 7, 11]))
+    field = base_field(p)
+    g = st.lists(st.integers(-5, 5), min_size=2, max_size=3).map(
+        lambda cs: Poly.from_ints(field, cs)).filter(lambda g: g.degree >= 1)
+    f = Poly.const(field, field.from_int(draw(st.integers(1, (p or 7) - 1))))
+    for g, m in draw(st.lists(st.tuples(g, st.integers(1, 2 * (p or 4) + 3)), max_size=3)):
+        f = f * g ** m
+    return f
+
+
+@given(powered_products())
+@settings(max_examples=300)
+def test_squarefree_matches_musser_loop(f):
+    assert f.squarefree() == musser_squarefree(f)
+
+
+def test_squarefree_takes_a_multiplicity_apart_digit_by_digit():
+    # 3^7 + 3^3 + 1: one piece of Yun's loop, merged with a root seven levels down
+    g, m = parse_rational(ff(3), "x^2+1").num, 3**7 + 3**3 + 1
+    x = Poly.x(g.field)
+    start = time.perf_counter()
+    assert (g ** m * x ** 9 * (x + 1)).squarefree() == [(x + 1, 1), (g, m), (x, 9)]
+    assert time.perf_counter() - start < 0.5
 
 
 @given(st.sampled_from([2, 3, 5, 7]), st.lists(st.integers(0, 6), max_size=7),

@@ -427,11 +427,59 @@ def test_b_ratios_are_divided_once_per_datum(a, b, gorenstein, monkeypatch):
 ])
 def test_criterion_reads_each_order_once(p, a, b, place, monkeypatch):
     data, at = glue_data(p, a, b), place_of(p, place)
-    nonzero = sum(1 for i in range(data.r) if data.c(i))
     assert len(data.b_ratios) == data.r - 1  # divided before counting
+    data.c(0)
     calls = count_calls(monkeypatch, "order_at")
     assert gorenstein_at_point(data, at)
-    assert len(calls) == data.r - 1 + nonzero
+    # the b_i/b_1 and, for a nonzero a, a/b_1 alone
+    assert len(calls) == data.r - 1 + bool(data.a)
+
+
+def per_branch_criterion(data, place):
+    """``gorenstein_at_point`` reading the order of every a/b_i, frozen as a reference."""
+    p = data.characteristic
+    for ratio in data.b_ratios:
+        if ratio.order_at(place) != 0:
+            return False
+    for bi in data.b:
+        ci = data.a / bi
+        if ci:
+            order = ci.order_at(place)
+            if order < 0 and (p == 0 or order % p):
+                return False
+    return True
+
+
+@st.composite
+def units_apart(draw):
+    """(data, place): b_i = b_1 u_i for non-constant u_i, most often units
+    at the place, and a with a pole there of order up to 2p + 1."""
+    p = draw(st.sampled_from(CHARACTERISTICS))
+    place = place_of(p, draw(st.sampled_from(PLACES[p] + [[0, 1]])))
+    field = base_field(p)
+    # a function of order 1 at the place
+    t = RationalFunction.from_poly(Poly.x(field) if place.is_infinity() else place.poly)
+    t = t ** -1 if place.is_infinity() else t
+    poly = st.lists(st.integers(-4, 4), min_size=1, max_size=4).map(
+        lambda cs: Poly.from_ints(field, cs))
+    function = st.tuples(poly.filter(bool), poly.filter(bool)).map(
+        lambda nd: RationalFunction(field, *nd))
+    b1 = draw(function)
+    b = [b1]
+    for _ in range(draw(st.integers(1, 4))):
+        u = draw(function)
+        if draw(st.integers(0, 3)):
+            u = u / t ** u.order_at(place)
+        b.append(b1 * (u if not u.is_constant() else u + t))
+    a = pole_at(draw(function), place, draw(st.integers(0, 2 * (p or 3) + 1)))
+    return glue_data(p, a if draw(st.integers(0, 5)) else 0, b), place
+
+
+@given(units_apart())
+@settings(max_examples=150)
+def test_criterion_matches_the_per_branch_reading(case):
+    data, place = case
+    assert gorenstein_at_point(data, place) == per_branch_criterion(data, place)
 
 
 def test_oracle_simple_pole_char0():

@@ -13,8 +13,8 @@ from dpglue import multipoly, rational
 from dpglue.fields import base_field
 from dpglue.multipoly import MPoly, parse_mpoly
 from dpglue.polynomials import Poly
-from dpglue.rational import (FunctionField, Place, RationalFunction, _check_size, _height,
-                             _tokenize, parse_rational)
+from dpglue.rational import (SIZE_BUDGET, FunctionField, Place, RationalFunction, _check_size,
+                             _degree_bound, _height, _tokenize, parse_rational)
 
 from conftest import IRREDUCIBLES
 
@@ -161,11 +161,96 @@ def test_each_operator_is_checked_before_it_runs(monkeypatch):
         return check(op, *args)
 
     monkeypatch.setattr(rational, "_check_size", recording)
-    assert parse_rational(FunctionField(base_field(3)), "(x+1)*(x-2)/x^3 - 4")
-    assert seen == ["+", "-", "*", "^", "/", "-"]
+    # over GF(1031) a slot is 11 bits, and B = 3 * 300 passes the bound
+    for p in (1031, 0):
+        seen.clear()
+        assert parse_rational(FunctionField(base_field(p)), "(x+1)*(x-2)/x^300 - 4")
+        assert seen == ["+", "-", "*", "^", "/", "-"]
     seen.clear()
     assert parse_mpoly(base_field(0), ("u", "v"), "u*v + u^2 - 1")
     assert seen == ["*", "^", "+", "-"]
+    # B = 3 * 3 over GF(3): no operation can pass the budget, and none is checked
+    seen.clear()
+    assert parse_rational(FunctionField(base_field(3)), "(x+1)*(x-2)/x^3 - 4")
+    assert seen == []
+
+
+@pytest.mark.parametrize("text, bound", [
+    ("7", 0), ("x", 1), ("x^0 + x^1", 2), ("(x+1)^3*x^-5", 30),
+    ("((x^2+1)/(x-1))^-4", 16), ("x^", 1), ("2^9*x", 9), ("x^-", 1),
+])
+def test_degree_bound_counts_names_and_exponents(text, bound):
+    assert _degree_bound(_tokenize(text)) == bound
+
+
+def parsed_or_refused(field, text):
+    """The parsed value, or the type and message of what parsing raised."""
+    try:
+        return parse_rational(field, text)
+    except (ValueError, ZeroDivisionError) as error:
+        return type(error), str(error)
+
+
+@st.composite
+def near_the_bound(draw):
+    """(p, text): an expression over GF(p) whose ``_degree_bound`` lies
+    within a few exponent steps of the largest that runs unchecked, or of
+    half or twice it, with negative exponents and nested quotients."""
+    p = draw(st.sampled_from([2, 3, 7, 1021, 1031, 1000003]))
+    unchecked = (SIZE_BUDGET // p.bit_length() - 2) // 2
+    leaf = st.sampled_from(["x", "x+1", "2*x-1", "3", "0", "x^2+x+1", "x^3", "x+1/x"])
+    inner = st.recursive(leaf, lambda sub: st.one_of(
+        st.builds("({}){}({})".format, sub, st.sampled_from("+-*/"), sub),
+        st.builds("({})^{}".format, sub, st.integers(-3, 3))), max_leaves=3)
+    text = draw(inner)
+    bound = max(1, _degree_bound(_tokenize(text)) * draw(st.sampled_from([1, 1, 2, 4])) // 2)
+    e = min(3000, max(1, unchecked // bound + draw(st.integers(-2, 2))))
+    text = f"({text})^{'-' * draw(st.booleans())}{e}"
+    if draw(st.booleans()):
+        text += draw(st.sampled_from(["+", "-", "*", "/"])) + draw(leaf)
+    return p, text
+
+
+@given(near_the_bound())
+@settings(max_examples=60)
+def test_unchecked_expressions_parse_as_checked_ones(case):
+    """Where the bound lets a parse skip every check, checking each
+    operation gives the same value, or the same error."""
+    p, text = case
+    field = FunctionField(base_field(p))
+    got = parsed_or_refused(field, text)
+    with patch.object(rational, "_degree_bound", lambda tokens: SIZE_BUDGET):
+        assert parsed_or_refused(field, text) == got
+
+
+@pytest.mark.parametrize("text", ["007", " 12 ", "\u0663", "0", "1000003"])
+def test_a_bare_integer_is_read_without_the_grammar(text, monkeypatch):
+    field = FunctionField(base_field(5))
+    grammar = parse_rational(field, f"({text})")
+    monkeypatch.setattr(rational, "_tokenize", None)
+    assert parse_rational(field, text) == grammar
+
+
+@pytest.mark.parametrize("text, outcome", [
+    ("+3", 3), ("\u00b3", "unexpected character '\u00b3' at position 0"),
+    ("1_0", "trailing input at token 1"), ("12 3", "trailing input at token 1"),
+])
+def test_other_integer_texts_go_through_the_grammar(text, outcome, monkeypatch):
+    tokenized = []
+    tokenize = rational._tokenize
+
+    def counting(text):
+        tokenized.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(rational, "_tokenize", counting)
+    field = FunctionField(base_field(5))
+    if isinstance(outcome, int):
+        assert parse_rational(field, text) == outcome
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(outcome)}$"):
+            parse_rational(field, text)
+    assert tokenized == [text]
 
 
 OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
