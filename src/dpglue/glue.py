@@ -64,7 +64,7 @@ class GenericGlueData:
     @cached_property
     def _c1(self) -> RationalFunction:
         """a/b_1, divided alone: the trace-kernel pair and the pointwise
-        criterion read no other a/b_i."""
+        criterion read no other a/b_i, and ``poles`` reads each one off it."""
         return self.a / self.b[0]
 
     @cached_property
@@ -83,13 +83,23 @@ class GenericGlueData:
         pole order of an a/b_i at infinity (0 when there is none).
 
         Every place of L is a pole of some a/b_i, of its multiplicity in
-        L, so deg L + e is the degree of the pole divisor.
+        L, so deg L + e is the degree of the pole divisor.  Each a/b_i is
+        read as a/b_1 over the cached b_i/b_1: a constant ratio only
+        scales a/b_1 and adds nothing, and a denominator equal to L so
+        far takes no lcm step.
         """
-        den, at_infinity = Poly.one(self.field.base), 0
-        for c in map(self.c, range(self.r)):
-            if c:
-                den = den * (c.den // den.gcd(c.den))
-                at_infinity = max(at_infinity, c.num.degree - c.den.degree)
+        c = self.c(0)
+        if not c:
+            return Poly.one(self.field.base), 0
+        den, at_infinity = c.den, max(0, c.num.degree - c.den.degree)
+        for ratio in self.b_ratios:
+            # a/b_i = (a/b_1)/(b_i/b_1), a scaling of a/b_1 when the ratio is constant
+            if ratio.is_constant():
+                continue
+            ci = c / ratio
+            if ci.den != den:
+                den = den * (ci.den // den.gcd(ci.den))
+            at_infinity = max(at_infinity, ci.num.degree - ci.den.degree)
         return den, at_infinity
 
     @cached_property
@@ -294,26 +304,16 @@ def gorenstein_at_point(data: GenericGlueData, place: Place) -> bool:
     return order >= 0 or (p != 0 and order % p == 0)
 
 
-def _coefficient_rows(nums):
-    """Sparse rows {j: coefficient of x^k in nums_j}, one for each k with
-    a nonzero entry, in increasing k."""
-    rows = {}
-    for j, n in enumerate(nums):
-        for k, c in enumerate(n.coeffs):
-            if c:
-                rows.setdefault(k, {})[j] = c
-    return [rows[k] for k in sorted(rows)]
-
-
 def gorenstein_at_point_oracle(data: GenericGlueData, place: Place) -> bool:
     """Search for a local generator of ker Tr at the place.
 
-    Looks for f_1 = sum c_kj x^k pi^j (k < deg P) that is a unit at P,
-    with (a f_1/b_1)' regular there, and then asks every (b_i/b_1) f_1
-    to be a unit; solved by linear algebra over the base field
-    (``local_unit_witness``).  The condition reads f_1 only modulo
-    pi^m, m the pole order of a/b_1 at P, and the x^k pi^j with j < m
-    span every class of O_P/pi^m, so the search is complete.
+    Looks for a polynomial f_1 = sum c_i x^i (i < m deg P) that is a
+    unit at P, with (a f_1/b_1)' regular there, and then asks every
+    (b_i/b_1) f_1 to be a unit; solved by linear algebra over the base
+    field (``local_unit_witness``).  The condition reads f_1 only
+    modulo pi^m, m the pole order of a/b_1 at P, and the monomials
+    x^i with i < m deg P span every class of O_P/pi^m, so the search is
+    complete.  At infinity it runs in the coordinate 1/x, at (x).
     """
     c, ratios = data.c(0), data.b_ratios
     if place.is_infinity():
@@ -342,43 +342,53 @@ def local_unit_witness(c: RationalFunction, place: Place) -> Poly | None:
     With a/b_1 = N/D and D = pi^m E, E a unit at P, each
     (N w/D)' = (w A + w' N D)/D^2 with A = N'D - ND', so the rows are
     the coefficients of polynomial numerators modulo pi^(2m), the part
-    of D^2 at P.  For j >= m, N w/D is regular at P and so is its
-    derivative: those numerators are 0 modulo pi^(2m) and constrain
-    nothing, so the system has the m * deg P columns x^k pi^j with
-    j < m.  f_1 is its first kernel vector, in column order, that is a
-    unit, i.e. has some x^k pi^0 coefficient nonzero; f_1 = 1 when
-    m = 0, and is None when no kernel vector is a unit.
+    of D^2 at P.  The condition reads w only modulo pi^m, and the
+    monomials x^i, i < m * deg P, span O_P/pi^m, so the system has
+    those m * deg P columns.  Column i's numerator is
+    x^i A + i x^(i-1) N D; as (x w)' = x w' + w, column i + 1's is x
+    times column i's plus x^i N D.  So with A and N D reduced once,
+    each column and each x^i N D takes one shift and one reduction of
+    the last, with no product.
+    f_1 is the first kernel vector, in column order, that is a unit,
+    i.e. nonzero modulo pi; f_1 = 1 when m = 0, and None when no
+    kernel vector is a unit.
     """
     from dpglue import linalg  # deferred: only the oracles eliminate
 
     base = c.field
-    pi, d = place.poly, place.poly.degree
-    N, D = c.num, c.den
+    pi, N, D = place.poly, c.num, c.den
     m = D.valuation(pi)
     if not m:
         return Poly.one(base)
-    # the rows read each numerator mod pi^(2m): reduce A and N D first
     modulus = pi ** (2 * m)
-    A = (N.derivative() * D - N * D.derivative()) % modulus
-    ND, dpi = N * D % modulus, pi.derivative()
-    nums = []
-    power, dpower = Poly.one(base), Poly.zero(base)  # pi^j and (pi^j)'
-    for _ in range(m):
-        for k in range(d):
-            dw = dpower.shift(k)
-            if k:
-                dw = dw + power.shift(k - 1).scale(base.from_int(k))
-            nums.append(power.shift(k) * A + dw * ND)
-        power, dpower = power * pi, dpower * pi + power * dpi
-    rows = _coefficient_rows([n % modulus for n in nums])
-    witness = next((v for v in linalg.kernel_vectors(base, rows, len(nums)) if any(v[:d])),
-                   None)
-    if witness is None:
-        return None
-    f1 = Poly.zero(base)
-    for j in reversed(range(m)):
-        f1 = f1 * pi + Poly(base, witness[j * d:(j + 1) * d])
-    return f1
+    n, zero = modulus.degree, base.zero
+    low = modulus.coeffs[:n]  # pi is monic: x^n = -low modulo pi^(2m)
+
+    def reduced(f):
+        cs = (f % modulus).coeffs
+        return cs + [zero] * (n - len(cs))
+
+    def times_x(s):
+        top, out = s[-1], [zero] + s[:-1]
+        return [o - top * y for o, y in zip(out, low)] if top else out
+
+    # column i's numerator and x^(i-1) N D modulo pi^(2m), n dense
+    # coefficients each
+    col, xnd = reduced(N.derivative() * D - N * D.derivative()), reduced(N * D)
+    cols = m * pi.degree
+    rows = [{} for _ in range(n)]
+    for i in range(cols):
+        if i:
+            col = [u + v for u, v in zip(times_x(col), xnd)]
+            xnd = times_x(xnd)
+        for row, v in zip(rows, col):
+            if v:
+                row[i] = v
+    for v in linalg.kernel_vectors(base, [row for row in rows if row], cols):
+        f1 = Poly(base, v)
+        if f1 % pi:
+            return f1
+    return None
 
 
 # -- tameness ---------------------------------------------------------

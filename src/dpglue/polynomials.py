@@ -466,15 +466,49 @@ class Poly:
     def is_irreducible(self) -> bool:
         """True iff ``factor`` would return this polynomial, made monic, once.
 
-        Over GF(p) with no factoring: f is square-free, and distinct-degree
-        factorisation finds no factor of degree below deg f.
+        A polynomial of degree 1 is irreducible over any field.  Over
+        GF(p) with no factoring: f is square-free, and distinct-degree
+        factorisation finds no factor of degree below deg f.  Over Q, f
+        is first scaled to a monic F in Z[x], as ``_split_rational`` does;
+        a factorisation of F over Q is one into monic integer factors
+        (Gauss), which would survive reduction mod any prime.  So F
+        square-free and irreducible mod one of ``CERTIFICATE_PRIMES``
+        certifies f, and otherwise f is factored, so the answer stays
+        exact.
         """
-        if self.degree < 1:
-            return False
+        if self.degree <= 1:
+            return self.degree == 1
+        f = self.monic()
         if isinstance(self.field, PrimeField):
-            f = self.monic()
-            return f.gcd(f.derivative()).degree == 0 and _distinct_degree(f) == [(f, f.degree)]
-        return self.factor()[1] == [(self.monic(), 1)]
+            return _irreducible_mod_p(f)
+        if isinstance(self.field, RationalField):
+            F = _monic_integer(f)[1]
+            for q in CERTIFICATE_PRIMES:
+                if _irreducible_mod_p(Poly.from_ints(GF(q), F)):
+                    return True
+        return self.factor()[1] == [(f, 1)]
+
+
+def _irreducible_mod_p(f: Poly) -> bool:
+    """Whether a monic f over GF(p) is square-free with no factor of lower degree."""
+    return f.gcd(f.derivative()).degree == 0 and _distinct_degree(f) == [(f, f.degree)]
+
+
+# The primes that ``Poly.is_irreducible`` tries for a certificate over Q.
+# An irreducible f stays irreducible mod q for about 1/deg f of the primes
+# (Chebotarev, for the full symmetric group); x^4 - 10x^2 + 1 splits mod
+# every prime, and is factored.
+CERTIFICATE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+def _monic_integer(f: Poly) -> tuple:
+    """(L, F) for a monic f over Q: L the lcm of its denominators, and the
+    integer coefficients, low degree first, of the monic F(y) = L^n f(y/L)."""
+    from math import lcm
+
+    n = f.degree
+    L = lcm(*(c.denominator for c in f.coeffs))
+    return L, [int(c * L ** (n - i)) for i, c in enumerate(f.coeffs)]
 
 
 def split_squarefree(f: Poly) -> list:
@@ -584,13 +618,12 @@ def _split_rational(f: Poly) -> list:
     """
     from functools import reduce
     from itertools import combinations, count
-    from math import isqrt, lcm, prod
+    from math import isqrt, prod
 
     n = f.degree
-    L = lcm(*(c.denominator for c in f.coeffs))
-    F = [int(c * L ** (n - i)) for i, c in enumerate(f.coeffs)]
+    L, F = _monic_integer(f)
     for q in filter(is_prime, count(2)):
-        image = Poly(GF(q), [GF(q).from_int(c) for c in F])
+        image = Poly.from_ints(GF(q), F)
         if image.gcd(image.derivative()).degree == 0:
             break
     gs = split_squarefree(image)

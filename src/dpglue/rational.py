@@ -280,11 +280,23 @@ class RationalFunction:
         return -pole if pole else self.num.valuation(place.poly)
 
     def invert_variable(self) -> "RationalFunction":
-        """The function f(1/x); turns the place at infinity into (x)."""
-        d = max(self.num.degree, self.den.degree)
-        return RationalFunction(
-            self.field, self.num.reverse(d), self.den.reverse(d)
-        )
+        """The function f(1/x); turns the place at infinity into (x).
+
+        num and den are reversed to d = max(deg num, deg den) and made
+        monic by scaling alone, with no gcd: x divides at most one of the
+        reversals, and any other common factor would reverse to one of
+        num and den, which are coprime.  0 stays 0/1.
+        """
+        num, den = self.num, self.den
+        if not num:
+            return self
+        d = max(num.degree, den.degree)
+        num, den = num.reverse(d), den.reverse(d)
+        lead = den.coeffs[-1]
+        if lead != self.field.one:
+            inv = self.field.one / lead
+            num, den = num.scale(inv), den.scale(inv)
+        return RationalFunction._reduced(self.field, num, den)
 
     # -- printing -----------------------------------------------------
 

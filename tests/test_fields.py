@@ -6,7 +6,7 @@ import time
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dpglue.fields import PRIME_LIMIT, SHARED_BELOW, FpElement, PrimeField, base_field, is_prime
 from dpglue.multipoly import parse_mpoly
@@ -739,3 +739,46 @@ def test_irreducibility_over_gf_p_needs_no_factoring(p, coeffs, power):
     want = bool(f) and f.factor()[1] == [(f.monic(), 1)]
     with patch.object(Poly, "factor", side_effect=AssertionError("factored")):
         assert f.is_irreducible() == want
+
+
+@st.composite
+def rational_polys(draw):
+    """Polynomials over Q of degree 1-6 with integer or rational
+    coefficients, and products of two of them."""
+    field = base_field(0)
+    coefficient = st.one_of(
+        st.integers(-9, 9).map(fractions.Fraction),
+        st.builds(fractions.Fraction, st.integers(-9, 9), st.integers(1, 6)))
+    factor = st.lists(coefficient, min_size=2, max_size=7).map(
+        lambda cs: Poly(field, cs)).filter(lambda f: f.degree >= 1)
+    f = draw(factor)
+    return f * draw(factor) if draw(st.booleans()) else f
+
+
+@given(rational_polys())
+@example(parse_rational(ff(0), "x^4-10*x^2+1").num)  # splits mod every prime
+@settings(max_examples=200)
+def test_irreducibility_over_q_agrees_with_factoring(f):
+    """A certificate mod a small prime, or else the full factorisation,
+    gives the answer of the full factorisation."""
+    assert f.is_irreducible() == (f.factor()[1] == [(f.monic(), 1)])
+
+
+def test_irreducibility_over_q_factors_only_without_a_certificate(monkeypatch):
+    F = ff(0)
+    calls = []
+    factor = Poly.factor
+
+    def counted(self):
+        calls.append(self)
+        return factor(self)
+
+    monkeypatch.setattr(Poly, "factor", counted)
+    for text in ("x^3-2", "x^2+1", "x^6+x+1", "x^2+1/3", "x/2+1/3"):
+        assert parse_rational(F, text).num.is_irreducible()
+    assert calls == []
+    # reducible, or irreducible and split mod every prime: factored
+    for text, want in (("x^2-1", False), ("x^4-10*x^2+1", True)):
+        f = parse_rational(F, text).num
+        assert f.is_irreducible() == want and calls == [f]
+        calls.clear()

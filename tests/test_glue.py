@@ -631,16 +631,33 @@ def point_checks(draw):
     return glue_data(p, a, b), place
 
 
+def assert_is_a_witness(f1, c, place):
+    """f_1 has the defining properties of the oracle's witness for c at a
+    finite place: a unit there, of degree below m deg P for m the pole
+    order of c there (f_1 = 1 when c has none), with (c f_1)' regular."""
+    pi = place.poly
+    m = c.den.valuation(pi) if c else 0
+    assert f1 % pi
+    assert f1.degree < max(m * pi.degree, 1)
+    deriv = (c * RationalFunction.from_poly(f1)).derivative()
+    assert not deriv or deriv.order_at(place) >= 0
+
+
 @given(point_checks())
 @settings(max_examples=150)
 def test_oracle_matches_its_dense_form(case):
-    """The same answer and the same f_1 as the frozen dense oracle."""
+    """The answer of the frozen dense oracle, and a witness exactly when it
+    finds one; which witness depends on the basis of the columns, so f_1
+    is checked by its defining properties."""
     datum, place = case
     local, at = (at_origin(datum), origin(datum.characteristic)) if place.is_infinity() \
         else (datum, place)
-    answer, f1 = dense_oracle(datum, place)
+    answer, dense_f1 = dense_oracle(datum, place)
     assert gorenstein_at_point_oracle(datum, place) == answer
-    assert glue.local_unit_witness(local.c(0), at) == f1
+    f1 = glue.local_unit_witness(local.c(0), at)
+    assert (f1 is None) == (dense_f1 is None)
+    if f1 is not None:
+        assert_is_a_witness(f1, local.c(0), at)
 
 
 @pytest.mark.parametrize("p, a, b", [
@@ -752,6 +769,27 @@ def test_wild_places_name_the_pole_divisor(p, a, b, places):
     data = glue_data(p, a, b)
     assert [(glue._place_key(place), order)
             for place, order in data.wild_places] == places
+
+
+def per_branch_poles(data):
+    """``GenericGlueData.poles`` dividing a by every b_i and taking every
+    lcm step, frozen as a reference."""
+    den, at_infinity = Poly.one(data.field.base), 0
+    for bi in data.b:
+        c = data.a / bi
+        if c:
+            den = den * (c.den // den.gcd(c.den))
+            at_infinity = max(at_infinity, c.num.degree - c.den.degree)
+    return den, at_infinity
+
+
+# a = 0 and non-constant b_i/b_1 from ``units_apart``, constant ratios
+# from ``point_checks``, and poles at finite places and at infinity in both
+@given(st.one_of(units_apart(), point_checks()))
+@settings(max_examples=200)
+def test_poles_match_the_per_branch_reading(case):
+    data, _ = case
+    assert data.poles == per_branch_poles(data)
 
 
 # -- wild cusp rings ---------------------------------------------------

@@ -387,6 +387,35 @@ def test_derivative_over_gcd_matches_the_quotient_rule(case):
     assert_same(f.derivative(), want)
 
 
+@st.composite
+def to_invert(draw):
+    """(field, f) over GF(2, 3, 5, 7) or Q: zero, constants, and num or den
+    divisible by x, which the reversal drops to a lower degree."""
+    field = base_field(draw(st.sampled_from([0, 2, 3, 5, 7])))
+    kind = draw(st.sampled_from(["zero", "constant", "general"]))
+    if kind == "zero":
+        return field, RationalFunction(field, Poly.zero(field))
+    num = draw(polys(field, 0 if kind == "constant" else 4, nonzero=True))
+    den = draw(polys(field, 0 if kind == "constant" else 4, nonzero=True))
+    x = Poly.x(field)
+    if kind == "general":
+        num = num * x ** draw(st.integers(0, 2))
+        den = den * x ** draw(st.integers(0, 2))
+    return field, RationalFunction(field, num, den)
+
+
+@given(to_invert())
+@settings(max_examples=200)
+def test_invert_variable_scales_and_takes_no_gcd(case):
+    field, f = case
+    d = max(f.num.degree, f.den.degree)
+    want = RationalFunction(field, f.num.reverse(d), f.den.reverse(d))
+    with patch.object(Poly, "gcd", side_effect=AssertionError("a gcd")), \
+            patch.object(RationalFunction, "__init__", side_effect=AssertionError("normalised")):
+        got = f.invert_variable()
+    assert_same(got, want)
+
+
 def test_mpoly_is_not_hashable():
     """MPoly equals an int it coerces, so it has no hash that could agree."""
     three = MPoly.const(base_field(0), ("x",), base_field(0).from_int(3))
