@@ -2,10 +2,11 @@
 
 Field objects are lightweight descriptors handing out elements that
 support +, -, *, /, ==, bool.  Rational arithmetic is delegated to
-``fractions.Fraction``.  GF(p) elements wrap an int mod p; below
-``SHARED_BELOW`` the field builds each of its p elements once, keeps
-them as its ``table``, and arithmetic returns those shared objects
-instead of allocating; every other field's ``table`` is None.
+``fractions.Fraction``.  GF(p) elements wrap an int mod p, and every
+GF(p) hands them out through its ``table``: ``table[v]`` is the element
+v mod p.  Below ``SHARED_BELOW`` the table is the list of the p
+elements, each built once and shared; above it, an indexer that
+allocates.  The rationals have no table.
 Function fields k(x) live in :mod:`dpglue.rational` and follow the same
 protocol, so generic linear algebra works over any of them.
 """
@@ -52,29 +53,37 @@ def is_prime(n: int) -> bool:
 
 
 # GF(p) below this bound builds each of its p elements once, and all
-# arithmetic hands out those shared objects; at p = 1021 the table takes
-# about 89 KiB.  Above it elements are allocated, as a table would cost
+# arithmetic hands out those shared objects; at p = 1021 the list takes
+# about 89 KiB.  Above it elements are allocated, as a list would cost
 # memory linear in p.
 SHARED_BELOW = 2**10
+
+
+class _Allocator:
+    """The ``table`` of GF(p) for p >= ``SHARED_BELOW``: ``t[v]`` allocates v mod p."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def __getitem__(self, v: int) -> "FpElement":
+        return FpElement(v, self.p, self)
 
 
 class FpElement:
     """Element of GF(p), normalized to 0 <= value < p.
 
-    ``table`` is the list of all p elements when p < ``SHARED_BELOW``
-    (see ``PrimeField``), and None otherwise.
+    ``table`` is its field's table (see ``PrimeField``), through which
+    every result is handed out.
     """
 
     __slots__ = ("value", "p", "table")
 
-    def __init__(self, value: int, p: int, table=None):
+    def __init__(self, value: int, p: int, table):
         self.value = value % p
         self.p = p
         self.table = table
-
-    def _make(self, v: int) -> "FpElement":
-        t = self.table
-        return t[v % self.p] if t is not None else FpElement(v, self.p)
 
     def _other(self, other):
         """The value of a same-field element or an int; None otherwise."""
@@ -94,8 +103,7 @@ class FpElement:
             if v is None:
                 return NotImplemented
             v += self.value
-        t = self.table
-        return t[v % self.p] if t is not None else FpElement(v, self.p)
+        return self.table[v % self.p]
 
     __radd__ = __add__
 
@@ -107,14 +115,13 @@ class FpElement:
             if v is None:
                 return NotImplemented
             v = self.value - v
-        t = self.table
-        return t[v % self.p] if t is not None else FpElement(v, self.p)
+        return self.table[v % self.p]
 
     def __rsub__(self, other):
         v = self._other(other)
         if v is None:
             return NotImplemented
-        return self._make(v - self.value)
+        return self.table[(v - self.value) % self.p]
 
     def __mul__(self, other):
         if other.__class__ is FpElement and other.p == self.p:
@@ -124,8 +131,7 @@ class FpElement:
             if v is None:
                 return NotImplemented
             v *= self.value
-        t = self.table
-        return t[v % self.p] if t is not None else FpElement(v, self.p)
+        return self.table[v % self.p]
 
     __rmul__ = __mul__
 
@@ -140,29 +146,27 @@ class FpElement:
         if not d:
             raise ZeroDivisionError("division by zero in GF(p)")
         v = self.value * pow(d, -1, self.p)
-        t = self.table
-        return t[v % self.p] if t is not None else FpElement(v, self.p)
+        return self.table[v % self.p]
 
     def __rtruediv__(self, other):
         v = self._other(other)
         if v is None:
             return NotImplemented
-        return self._make(v) / self
+        return self.table[v % self.p] / self
 
     def __neg__(self):
-        # t[-v] is t[p - v], and t[-0] is t[0]
-        t = self.table
-        return t[-self.value] if t is not None else FpElement(-self.value, self.p)
+        # table[-v] is the element p - v, and table[-0] is table[0]
+        return self.table[-self.value]
 
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** -n
-        return self._make(pow(self.value, n, self.p))
+        return self.table[pow(self.value, n, self.p)]
 
     def inverse(self):
         if not self.value:
             raise ZeroDivisionError("division by zero in GF(p)")
-        return self._make(pow(self.value, -1, self.p))
+        return self.table[pow(self.value, -1, self.p)]
 
     def __eq__(self, other):
         if other.__class__ is FpElement:
@@ -206,11 +210,12 @@ class RationalField:
 
 
 class PrimeField:
-    """GF(p) for prime p; below ``SHARED_BELOW`` it builds its p elements once.
+    """GF(p) for prime p, handing out its elements through ``table``.
 
-    ``table`` is then the list of them, ``table[v]`` the element v mod p,
-    so that code holding ints mod p can hand out the shared elements;
-    at or above ``SHARED_BELOW`` it is None.
+    ``table[v]`` is the element v mod p for v in (-p, p), so that code
+    holding ints mod p hands out elements with no arithmetic on them.
+    Below ``SHARED_BELOW`` it is the list of the p elements, built once
+    and shared; at or above it, an indexer that allocates.
     """
 
     def __init__(self, p: int):
@@ -221,14 +226,12 @@ class PrimeField:
         if p < SHARED_BELOW:
             table: list = []
             table.extend(FpElement(v, p, table) for v in range(p))
-            self.zero, self.one = table[0], table[1]
         else:
-            table = None
-            self.zero, self.one = FpElement(0, p), FpElement(1, p)
-        self.table = table
+            table = _Allocator(p)
+        self.table, self.zero, self.one = table, table[0], table[1]
 
     def from_int(self, n: int) -> FpElement:
-        return self.zero._make(n)
+        return self.table[n % self.p]
 
     def pth_root(self, e: FpElement) -> FpElement:
         # Frobenius is the identity on the prime field.

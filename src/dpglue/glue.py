@@ -62,7 +62,7 @@ class GenericGlueData:
         return _function_field(self.characteristic)
 
     @cached_property
-    def _c1(self) -> RationalFunction:
+    def c1(self) -> RationalFunction:
         """a/b_1, divided alone: the trace-kernel pair and the pointwise
         criterion read no other a/b_i, and ``poles`` reads each one off it."""
         return self.a / self.b[0]
@@ -72,10 +72,6 @@ class GenericGlueData:
         """(b_2/b_1, ..., b_r/b_1), each divided once."""
         b1 = self.b[0]
         return tuple(bi / b1 for bi in self.b[1:])
-
-    def c(self, i: int) -> RationalFunction:
-        """The ratio a/b_i; a/b_1 is divided once."""
-        return self.a / self.b[i] if i else self._c1
 
     @cached_property
     def poles(self) -> tuple:
@@ -88,7 +84,7 @@ class GenericGlueData:
         scales a/b_1 and adds nothing, and a denominator equal to L so
         far takes no lcm step.
         """
-        c = self.c(0)
+        c = self.c1
         if not c:
             return Poly.one(self.field.base), 0
         den, at_infinity = c.den, max(0, c.num.degree - c.den.degree)
@@ -239,12 +235,12 @@ def ker_trace_closed_form(data: GenericGlueData, s: KernelElement) -> bool:
 
     f_i = (b_i/b_1) f_1 is f_i/b_i = f_1/b_1, since every b_i is nonzero,
     with no division per branch: the ratios are the cached ``b_ratios``,
-    and a/b_1 is the cached ``c(0)`` that ``change_of_basis`` reads too.
+    and a/b_1 is the cached ``c1`` that ``change_of_basis`` reads too.
     """
     f1 = s.f[0]
     if any(fi != ratio * f1 for fi, ratio in zip(s.f[1:], data.b_ratios)):
         return False
-    return (data.c(0) * f1).derivative() == -sum(s.g, data.field.zero)
+    return (data.c1 * f1).derivative() == -sum(s.g, data.field.zero)
 
 
 def change_of_basis(data: GenericGlueData, s: KernelElement):
@@ -257,7 +253,7 @@ def change_of_basis(data: GenericGlueData, s: KernelElement):
     product that cancels first, since every kernel member has c f_1 = H
     with H' = -sum g_i.
     """
-    c, f1 = data.c(0), s.f[0]
+    c, f1 = data.c1, s.f[0]
     # f(x_1) = f(xi) + c f'(xi) y_1, then times (1 + c' y_1)
     first = (f1, (c * f1).derivative() + s.g[0])
     return [first] + list(zip(s.f[1:], s.g[1:]))
@@ -297,7 +293,7 @@ def gorenstein_at_point(data: GenericGlueData, place: Place) -> bool:
     for ratio in data.b_ratios:
         if ratio.order_at(place) != 0:
             return False
-    c, p = data.c(0), data.characteristic
+    c, p = data.c1, data.characteristic
     if not c:
         return True
     order = c.order_at(place)  # read once: a pole is order < 0
@@ -309,13 +305,14 @@ def gorenstein_at_point_oracle(data: GenericGlueData, place: Place) -> bool:
 
     Looks for a polynomial f_1 = sum c_i x^i (i < m deg P) that is a
     unit at P, with (a f_1/b_1)' regular there, and then asks every
-    (b_i/b_1) f_1 to be a unit; solved by linear algebra over the base
+    (b_i/b_1) f_1 to be a unit, which, f_1 being one, reads the order of
+    b_i/b_1 alone; f_1 is solved for by linear algebra over the base
     field (``local_unit_witness``).  The condition reads f_1 only
     modulo pi^m, m the pole order of a/b_1 at P, and the monomials
     x^i with i < m deg P span every class of O_P/pi^m, so the search is
     complete.  At infinity it runs in the coordinate 1/x, at (x).
     """
-    c, ratios = data.c(0), data.b_ratios
+    c, ratios = data.c1, data.b_ratios
     if place.is_infinity():
         # the coordinate 1/x, where the proof's derivative is the local one;
         # x -> 1/x is a field map, so it takes a/b_1 and b_i/b_1 there
@@ -325,15 +322,12 @@ def gorenstein_at_point_oracle(data: GenericGlueData, place: Place) -> bool:
     f1 = local_unit_witness(c, place)
     if f1 is None:
         return False
-    f1 = RationalFunction.from_poly(f1)
     # sanity: the found f_1 really solves (2)
-    deriv = (c * f1).derivative()
+    deriv = (c * RationalFunction.from_poly(f1)).derivative()
     if deriv and deriv.order_at(place) < 0:
         raise AssertionError("oracle witness fails its own constraint")
-    for fi in (f1, *(ratio * f1 for ratio in ratios)):
-        if fi.order_at(place) != 0:
-            return False
-    return True
+    # f_1 is a unit at P, so v_P((b_i/b_1) f_1) = v_P(b_i/b_1)
+    return all(ratio.order_at(place) == 0 for ratio in ratios)
 
 
 def local_unit_witness(c: RationalFunction, place: Place) -> Poly | None:

@@ -4,11 +4,10 @@ Coefficient lists are stored low degree first with no trailing zeros;
 the zero polynomial has an empty list.  All operations are exact and
 work over any field object from :mod:`dpglue.fields` (including function
 fields, which makes towers like K(x)[t] available for free).  Over a
-field with a ``table`` (GF(p) below ``fields.SHARED_BELOW``), +, -, *,
-``scale``, ``divmod``, ``gcd`` and ``valuation`` of two polynomials over
-that same field object run on the coefficients' int residues and look
-each result coefficient up in the table once; every other field takes
-the generic loops.
+field with a ``table``, which is every GF(p), +, -, *, ``scale``,
+``divmod``, ``gcd`` and ``valuation`` of two polynomials over that same
+field object run on the coefficients' int residues and look each result
+coefficient up in the table once; Q and k(x) take the generic loops.
 
 ``squarefree`` splits a polynomial by multiplicity into pairwise coprime
 square-free pieces without factoring.  ``factor`` splits those pieces

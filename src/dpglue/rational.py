@@ -339,10 +339,9 @@ class Place(NamedTuple):
 class FunctionField:
     """k(x) as a coefficient field for downstream linear algebra.
 
-    Over a base field with a ``table`` (GF(p) below
-    ``fields.SHARED_BELOW``), ``from_int`` hands out one shared constant
-    per residue; k(x) itself has no table, so polynomials over it take
-    the generic loops.
+    Over a base field whose ``table`` lists its elements (a small GF(p)),
+    ``from_int`` hands out one shared constant per residue; k(x) itself
+    has no table, so polynomials over it take the generic loops.
     """
 
     table = None
@@ -352,14 +351,14 @@ class FunctionField:
         self.characteristic = base.characteristic
 
     def from_int(self, n: int) -> RationalFunction:
-        if self.base.table is not None:
+        if isinstance(self.base.table, list):
             return self._constants[n % self.base.p]
         return RationalFunction.const(self.base, self.base.from_int(n))
 
     # built on first use and shared: RationalFunction is never mutated
     @cached_property
     def _constants(self) -> list:
-        """The p constants of k(x) over a base field with a table, by residue."""
+        """The p constants of k(x) over a base field with a listed table, by residue."""
         return [RationalFunction.const(self.base, c) for c in self.base.table]
 
     @cached_property

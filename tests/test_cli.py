@@ -330,10 +330,13 @@ def test_integral_floats_read_as_ints_in_either_order(tmp_path):
     (2, "1/(x^2+x+1)^4001", False, [["x^2 + x + 1", 4001]], None),
     (7, "1/(x^2+1)^2048", False, [["x^2 + 1", 2048]], None),
     (1031, "1/(x^2+x+1)^727", False, [["x^2 + x + 1", 727]], None),
+    # three dense powers over a field past fields.SHARED_BELOW
+    (1031, "(x^2+x+1)^730 + (x^2+2*x+3)^730 + (x^2+3*x+5)^730", False,
+     [["~oo", 1460]], None),
 ], ids=["Q-x300", "Q-x3000", "GF1000003-quadratic", "GF7-octic", "GF2-x8000",
         "Q-two-places", "Q-quartic", "Q-two-quadratics", "Q-root-at-0", "Q-sd32",
         "GF3-wild-oo", "GF3-tame-oo", "GF3-mixed-orders", "GF2-quadratic-4001",
-        "GF7-quadratic-2048", "GF1031-quadratic-727"])
+        "GF7-quadratic-2048", "GF1031-quadratic-727", "GF1031-three-powers-730"])
 def test_pole_divisor_inputs_run_quickly(tmp_path, capsys, monkeypatch, characteristic,
                                          a, gorenstein, wild, h1):
     factored, split = [], []

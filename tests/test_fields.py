@@ -337,7 +337,7 @@ def ref_gcd(a, b, zero):
     return [c / a[-1] for c in a] if a else []
 
 
-# GF(1000003) has no shared element table; k(x) coefficients are
+# GF(1000003) allocates its elements; k(x) coefficients are
 # themselves reduced fractions of polynomials
 POLY_CORE_FIELDS = [
     (base_field(2), st.integers(0, 1)),
@@ -421,10 +421,10 @@ def test_poly_core_matches_coefficient_lists(pair, k):
     assert f.coeffs == a and g.coeffs == b
 
 
-@given(st.sampled_from([2, 3, 7, LARGE_SHARED]), st.data())
+@given(st.sampled_from([2, 3, 7, LARGE_SHARED, SMALL_ALLOCATED, 1000003]), st.data())
 @settings(max_examples=200)
 def test_residue_loops_match_coefficient_lists(p, data):
-    """The int residue loops of a field with a table, at degrees up to about 30."""
+    """The int residue loops of GF(p), at degrees up to about 30."""
     F = base_field(p)
     assert F.table is not None
 
@@ -453,8 +453,58 @@ def test_residue_loops_match_coefficient_lists(p, data):
     for op, (got, want) in results.items():
         assert_poly_invariant(got)
         assert got.coeffs == want, op
-        assert all(x is F.table[x.value] for x in got.coeffs), op
+        if p < SHARED_BELOW:
+            assert all(x is F.table[x.value] for x in got.coeffs), op
+        else:
+            assert all(x == F.table[x.value] and x.table is F.table for x in got.coeffs), op
     assert f.coeffs == a and g.coeffs == b
+
+
+def ref_valuation(a, b, zero):
+    count = 0
+    while True:
+        q, r = ref_divmod(a, b, zero)
+        if r:
+            return count
+        a, count = q, count + 1
+
+
+@pytest.mark.parametrize("p", [SMALL_ALLOCATED, 1000003])
+def test_large_prime_fields_run_the_residue_loops(rng, p, monkeypatch):
+    """Past ``SHARED_BELOW`` too, polynomials over one GF(p) add, subtract,
+    multiply and divide on int residues: no generic division step and no
+    sum, difference or product of two elements."""
+    from dpglue import polynomials
+
+    F = base_field(p)
+
+    def poly(max_deg):
+        return Poly.from_ints(F, [rng.randrange(p) for _ in range(rng.randrange(max_deg) + 1)])
+
+    cases = []
+    while len(cases) < 40:
+        f, g = poly(14), poly(6)
+        if f and g.degree > 0:
+            cases.append((f, g, g.leading()))
+
+    def refused(*args):
+        raise AssertionError("a generic loop ran")
+
+    got = []
+    with monkeypatch.context() as m:
+        m.setattr(polynomials, "_reduce", refused)
+        for name in ("__add__", "__sub__", "__mul__"):
+            m.setattr(FpElement, name, refused)
+        for f, g, c in cases:
+            got.append([f + g, f - g, f * g, f.scale(c), *divmod(f, g), f.gcd(g),
+                        (f * g * g).valuation(g)])
+    for (f, g, c), results in zip(cases, got):
+        a, b, zero = f.coeffs, g.coeffs, F.zero
+        *polys, valuation = results
+        want = [ref_add(a, b, zero), ref_add(a, [-y for y in b], zero), ref_mul(a, b, zero),
+                _cut(c * x for x in a), *ref_divmod(a, b, zero), ref_gcd(a, b, zero)]
+        assert [h.coeffs for h in polys] == want
+        assert valuation == 2 + ref_valuation(a, b, zero)
 
 
 @pytest.mark.parametrize("p", [7, 1000003, 0])

@@ -303,7 +303,7 @@ def test_kernel_dimension_is_r(rng):
 
 def three_term_change_of_basis(data, s):
     """Frozen reference: the first pair with g_1 + c f_1' + c' f_1, c = a/b_1."""
-    c, f1 = data.c(0), s.f[0]
+    c, f1 = data.c1, s.f[0]
     first = (f1, c * f1.derivative() + s.g[0] + c.derivative() * f1)
     return [first] + list(zip(s.f[1:], s.g[1:]))
 
@@ -428,7 +428,7 @@ def test_b_ratios_are_divided_once_per_datum(a, b, gorenstein, monkeypatch):
 def test_criterion_reads_each_order_once(p, a, b, place, monkeypatch):
     data, at = glue_data(p, a, b), place_of(p, place)
     assert len(data.b_ratios) == data.r - 1  # divided before counting
-    data.c(0)
+    data.c1
     calls = count_calls(monkeypatch, "order_at")
     assert gorenstein_at_point(data, at)
     # the b_i/b_1 and, for a nonzero a, a/b_1 alone
@@ -578,7 +578,7 @@ def dense_oracle(data, place, degree_bound=None):
     p = data.characteristic
     base = data.field.base
     pi, d = place.poly, place.poly.degree
-    N, D = data.c(0).num, data.c(0).den
+    N, D = data.c1.num, data.c1.den
     m = D.valuation(pi)
     if degree_bound is None:
         degree_bound = m + max(p, 1) + 2
@@ -654,10 +654,10 @@ def test_oracle_matches_its_dense_form(case):
         else (datum, place)
     answer, dense_f1 = dense_oracle(datum, place)
     assert gorenstein_at_point_oracle(datum, place) == answer
-    f1 = glue.local_unit_witness(local.c(0), at)
+    f1 = glue.local_unit_witness(local.c1, at)
     assert (f1 is None) == (dense_f1 is None)
     if f1 is not None:
-        assert_is_a_witness(f1, local.c(0), at)
+        assert_is_a_witness(f1, local.c1, at)
 
 
 @pytest.mark.parametrize("p, a, b", [
@@ -670,7 +670,7 @@ def test_oracle_at_infinity_divides_nothing(p, a, b, monkeypatch):
     datum rebuilt to divide them again."""
     data = glue_data(p, a, b)
     # divided, and cached, before counting
-    assert data.c(0) and len(data.b_ratios) == len(b) - 1
+    assert data.c1 and len(data.b_ratios) == len(b) - 1
     calls = count_calls(monkeypatch, "__truediv__")
     answer = gorenstein_at_point_oracle(data, Place.infinity())
     assert calls == []
@@ -709,7 +709,7 @@ def test_witness_reads_the_pole_order_once(p, a, place, monkeypatch):
     """m is found by one valuation; the modulus pi^(2m) is then a power
     of pi, with no second valuation of D^2."""
     data, at = glue_data(p, a, ["1"]), place_of(p, place)
-    c = data.c(0)
+    c = data.c1
     calls = []
     valuation = Poly.valuation
 
