@@ -7,9 +7,9 @@ with pole order n_P p at P.  ``closed_form`` reads the datum's poles
 problems and h1 with no decomposition: over GF(p) the verdict is L' = 0
 and p | e, and N p = deg L + e.  It splits L square-free only to name a
 failing pole, and words a pole it cannot name by its piece.
-``global_gorenstein``, ``wild_multiplicity``, ``chi_OX`` and ``h1_OX``
-each read one call of it, ``total_pole_order`` is deg L + e, and
-``delta_P_wild`` counts gaps over L's square-free pieces.
+``wild_multiplicity``, ``chi_OX`` and ``h1_OX`` each read one call of
+it, ``total_pole_order`` is deg L + e, and ``delta_P_wild`` counts gaps
+over L's square-free pieces.
 
 These are cross-checked by a truncated two-chart section computation
 that treats O_D(n) as pairs (f, g_i) with a f' + sum b_i g_i = 0 inside
@@ -102,12 +102,6 @@ def _gorenstein_h1(data: GenericGlueData) -> int:
     if problems:
         raise ValueError("; ".join(problems))
     return h1
-
-
-def global_gorenstein(data: GenericGlueData):
-    """(ok, problems) of the pointwise criterion at every place at once."""
-    problems = closed_form(data).problems
-    return (not problems, problems)
 
 
 def wild_multiplicity(data: GenericGlueData) -> int:

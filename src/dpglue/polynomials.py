@@ -3,11 +3,12 @@
 Coefficient lists are stored low degree first with no trailing zeros;
 the zero polynomial has an empty list.  All operations are exact and
 work over any field object from :mod:`dpglue.fields` (including function
-fields, which makes towers like K(x)[t] available for free).  Over a
-field with a ``table``, which is every GF(p), +, -, *, ``scale``,
-``divmod``, ``gcd`` and ``valuation`` of two polynomials over that same
-field object run on the coefficients' int residues and look each result
-coefficient up in the table once; Q and k(x) take the generic loops.
+fields, which makes towers like K(x)[t] available for free).  The
+schoolbook product and long division are written once each, as
+``_product`` and ``_reduce`` over plain lists: of the coefficients over
+Q and k(x), of int residues over one GF(p) field object (each result
+coefficient looked up in its ``table`` once), and of integers in
+Zassenhaus's recombination.
 
 ``squarefree`` splits a polynomial by multiplicity into pairwise coprime
 square-free pieces without factoring.  ``factor`` splits those pieces
@@ -35,47 +36,39 @@ def _cut(cs: list) -> list:
     return cs
 
 
-def _reduce(r: list, b: list, inv, q=None) -> list:
+def _product(a: list, b: list, zero=0) -> list:
+    """The schoolbook product of two nonempty lists; zero is their entries' zero."""
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _reduce(r: list, b: list, m: int, inv, q=None) -> list:
     """The remainder of r modulo b, computed in place in r.
 
     inv is the inverse of b's leading coefficient, so each step of the
     division multiplies by it and divides nothing (Knuth, TAOCP 2,
-    4.6.1).  The quotient's coefficients go into q, if given.
+    4.6.1).  With m = p the entries are ints: b's lie in [0, p), r's may
+    be any ints, and they are taken mod p only where a step reads them
+    and once at the end, so the remainder comes back in [0, p).  With
+    m = 0 they are field elements, or integers when b is monic and
+    inv = 1.  The quotient's coefficients go into q, if given.
     """
     n = len(b) - 1
     low = b[:n]
     for k in range(len(r) - 1 - n, -1, -1):
-        c = r[k + n]
+        c = r[k + n] % m if m else r[k + n]
         if c:
-            c = c * inv
-            if q is not None:
-                q[k] = c
-            for j, y in enumerate(low, k):
-                r[j] = r[j] - c * y
-    del r[n:]
-    return _cut(r)
-
-
-def _reduce_residues(r: list, b: list, p: int, q=None) -> list:
-    """``_reduce`` on lists of ints: the remainder of r modulo b, mod p.
-
-    b's entries lie in [0, p) and its top is nonzero; r's may be any
-    ints, and r is overwritten.  Entries are taken mod p only where a
-    step reads them and once at the end, so the remainder comes back
-    in [0, p) and cut; the quotient's residues go into q, if given.
-    """
-    n = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    low = b[:n]
-    for k in range(len(r) - 1 - n, -1, -1):
-        c = r[k + n] % p
-        if c:
-            c = c * inv % p
+            c = c * inv % m if m else c * inv
             if q is not None:
                 q[k] = c
             for j, y in enumerate(low, k):
                 r[j] -= c * y
-    return _cut([v % p for v in r[:n]])
+    del r[n:]
+    return _cut([v % m for v in r] if m else r)
 
 
 class Poly:
@@ -149,7 +142,10 @@ class Poly:
     # -- arithmetic ---------------------------------------------------
     # A sum of unequal lengths, a product, a negation and a quotient keep
     # a nonzero leading coefficient; only equal-length sums and
-    # differences and remainders are cut.
+    # differences and remainders are cut.  Over one GF(p) field object
+    # each operation turns to int residues at its boundary: ``.value``
+    # in, ``table[v % p]`` out.  +, - and ``scale`` keep their own
+    # one-line residue comprehensions, which the ``stalk`` bench pays for.
 
     def _coerce(self, other):
         if isinstance(other, Poly):
@@ -229,20 +225,9 @@ class Poly:
         if table is not None and other.field is field:
             # int products summed, and each sum looked up once
             p = field.p
-            b = [y.value for y in b]
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                x = x.value
-                if x:
-                    for j, y in enumerate(b, i):
-                        out[j] += x * y
+            out = _product([x.value for x in a], [y.value for y in b])
             return Poly._trusted(field, [table[v % p] for v in out])
-        out = [field.zero] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] = out[j] + x * y
-        return Poly._trusted(field, out)
+        return Poly._trusted(field, _product(a, b, field.zero))
 
     __rmul__ = __mul__
 
@@ -277,7 +262,9 @@ class Poly:
     def __divmod__(self, other):
         if other.__class__ is not Poly:
             other = self._coerce(other)
-        if other is None or not other.coeffs:
+            if other is None:
+                return NotImplemented
+        if not other.coeffs:
             raise ZeroDivisionError("polynomial division by zero")
         a, b = self.coeffs, other.coeffs
         field = self.field
@@ -289,11 +276,11 @@ class Poly:
         table = field.table
         if table is not None and other.field is field:
             q = [0] * (len(a) - len(b) + 1)
-            r = _reduce_residues([x.value for x in a], [y.value for y in b], field.p, q)
+            r = _reduce([x.value for x in a], [y.value for y in b], field.p, inv.value, q)
             return (Poly._trusted(field, [table[v] for v in q]),
                     Poly._trusted(field, [table[v] for v in r]))
         q = [field.zero] * (len(a) - len(b) + 1)
-        r = _reduce(list(a), b, inv, q)
+        r = _reduce(list(a), b, 0, inv, q)
         return Poly._trusted(field, q), Poly._trusted(field, r)
 
     def __floordiv__(self, other):
@@ -328,26 +315,23 @@ class Poly:
     def gcd(self, other: "Poly") -> "Poly":
         """The monic gcd; Euclid's algorithm on remainders alone."""
         field = self.field
-        a, b = self.coeffs, other.coeffs
-        table = field.table
-        one = field.one
+        table, one = field.table, field.one
         if table is not None and other.field is field:
             # the whole loop on residues, converted once each way
-            p = field.p
-            a, b = [x.value for x in a], [y.value for y in b]
-            while len(b) > 1:
-                a, b = b, _reduce_residues(a, b, p)
-            if b:  # a nonzero constant: the gcd is 1
-                return Poly._trusted(field, [one])
-            if not a:
-                return Poly._trusted(field, [])
-            inv = pow(a[-1], -1, p)
-            return Poly._trusted(field, [table[v * inv % p] for v in a])
-        while len(b) > 1:
-            a, b = b, _reduce(list(a), b, one / b[-1])
-        if b:
+            m = field.p
+            a, b = [x.value for x in self.coeffs], [y.value for y in other.coeffs]
+        else:
+            m, a, b = 0, list(self.coeffs), list(other.coeffs)
+        while len(b) > 1:  # a and b are lists of our own, which _reduce overwrites
+            a, b = b, _reduce(a, b, m, pow(b[-1], -1, m) if m else one / b[-1])
+        if b:  # a nonzero constant: the gcd is 1
             return Poly._trusted(field, [one])
-        return Poly._trusted(field, a).monic()
+        if not m:
+            return Poly._trusted(field, a).monic()
+        if not a:
+            return Poly._trusted(field, [])
+        inv = pow(a[-1], -1, m)
+        return Poly._trusted(field, [table[v * inv % m] for v in a])
 
     def valuation(self, p: "Poly") -> int:
         """Multiplicity of the irreducible factor p; self must be nonzero."""
@@ -357,17 +341,17 @@ class Poly:
             # every division by a nonzero constant is exact
             raise ValueError("valuation at a constant")
         field = self.field
+        inv = field.one / p.coeffs[-1]
         if field.table is not None and p.field is field:
             # the loop on residues, converted once, as in ``gcd``
             a, b, zero = [x.value for x in self.coeffs], [y.value for y in p.coeffs], 0
-            reduce, arg = _reduce_residues, field.p
+            m, inv = field.p, inv.value
         else:
-            a, b, zero = list(self.coeffs), p.coeffs, field.zero
-            reduce, arg = _reduce, field.one / p.coeffs[-1]
+            a, b, zero, m = list(self.coeffs), p.coeffs, field.zero, 0
         count = 0
         while len(a) >= len(b):  # a's top is nonzero, and so is each quotient's
             q = [zero] * (len(a) - len(b) + 1)
-            if reduce(a, b, arg, q):
+            if _reduce(a, b, m, inv, q):
                 return count
             a, count = q, count + 1
         return count
@@ -632,7 +616,7 @@ def _split_rational(f: Poly) -> list:
     lifted = [[c.value for c in g.coeffs] for g in gs]
     m, bound = q, 2 ** (n + 1) * (isqrt(sum(c * c for c in F)) + 1)
     while m <= bound:
-        product = reduce(_int_mul, lifted)
+        product = reduce(_product, lifted)
         error = Poly(image.field, [image.field.from_int((a - b) // m)
                                    for a, b in zip(F, product)])
         for g, a, g_q in zip(lifted, inverses, gs):
@@ -659,9 +643,9 @@ def _split_rational(f: Poly) -> list:
             # a true factor's constant term divides F's, which is 0 if x | f
             if (F[0] % c0 if c0 else F[0]) != 0:
                 continue
-            G = [symmetric(c) for c in reduce(_int_mul, [lifted[i] for i in subset])]
-            rest = _int_exact_quotient(F, G)
-            if rest is not None:
+            G = [symmetric(c) for c in reduce(_product, [lifted[i] for i in subset])]
+            rest = [0] * (len(F) - len(G) + 1)
+            if not _reduce(list(F), G, 0, 1, rest):  # G is monic, so rest is F / G
                 found.append(G)
                 F = rest
                 used.update(subset)
@@ -670,22 +654,3 @@ def _split_rational(f: Poly) -> list:
         s += 1
     return [Poly(f.field, [Fraction(c, L ** (len(G) - 1 - i)) for i, c in enumerate(G)])
             for G in found + [F]]
-
-
-def _int_mul(a: list, b: list) -> list:
-    """The product of two integer coefficient lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _int_exact_quotient(a: list, b: list):
-    """a / b for integer coefficient lists with b monic; None if b does not divide a."""
-    r, d = list(a), len(b) - 1
-    for k in range(len(a) - 1 - d, -1, -1):
-        # r[k + d] is now the quotient's coefficient of x^k
-        for j in range(d):
-            r[k + j] -= r[k + d] * b[j]
-    return None if any(r[:d]) else r[d:]

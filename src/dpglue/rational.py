@@ -341,7 +341,8 @@ class FunctionField:
 
     Over a base field whose ``table`` lists its elements (a small GF(p)),
     ``from_int`` hands out one shared constant per residue; k(x) itself
-    has no table, so polynomials over it take the generic loops.
+    has no table, so polynomials over it run ``_product`` and ``_reduce``
+    on their coefficients.
     """
 
     table = None

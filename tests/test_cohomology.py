@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpglue.cohomology import (LineSheafSum, chi_OX, closed_form, d_plus_structure,
-                               delta_P_wild, global_gorenstein, h1_OX,
+                               delta_P_wild, h1_OX,
                                line_sheaf_chi, total_pole_order,
                                truncated_section_oracle, wild_multiplicity)
 from dpglue.glue import glue_data, gorenstein_at_point
@@ -73,20 +73,18 @@ def test_wild_p5_N2():
 
 def test_non_gorenstein_rejected():
     data = glue_data(0, "1/x", ["1"])
-    ok, problems = global_gorenstein(data)
-    assert not ok and problems
+    assert closed_form(data).problems
     with pytest.raises(ValueError):
         chi_OX(data)
 
 
 def test_bad_wild_order_rejected():
-    ok, problems = global_gorenstein(glue_data(3, "1/x^2", ["1"]))
-    assert not ok
+    assert closed_form(glue_data(3, "1/x^2", ["1"])).problems
 
 
 def test_nonconstant_b_ratio_rejected():
-    ok, problems = global_gorenstein(glue_data(0, "1", ["1", "x"]))
-    assert not ok and "b_2/b_1" in problems[0]
+    problems = closed_form(glue_data(0, "1", ["1", "x"])).problems
+    assert problems and "b_2/b_1" in problems[0]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

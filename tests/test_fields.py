@@ -117,8 +117,8 @@ def test_mixed_characteristics_raise(p, q):
 
 
 def test_polys_over_two_copies_of_a_small_field_agree():
-    # the residue loops need the same field object; an operand over a
-    # second GF(7) takes the generic loops, with the same values
+    # residues need the same field object; an operand over a second
+    # GF(7) runs _product and _reduce on its elements, with the same values
     F, G = base_field(7), PrimeField(7)
     a, b = [1, 2, 3, 4, 6], [5, 0, 1]
 
@@ -472,8 +472,9 @@ def ref_valuation(a, b, zero):
 @pytest.mark.parametrize("p", [SMALL_ALLOCATED, 1000003])
 def test_large_prime_fields_run_the_residue_loops(rng, p, monkeypatch):
     """Past ``SHARED_BELOW`` too, polynomials over one GF(p) add, subtract,
-    multiply and divide on int residues: no generic division step and no
-    sum, difference or product of two elements."""
+    multiply and divide on int residues: no division step on elements
+    (``_reduce`` with m = 0) and no sum, difference or product of two
+    elements."""
     from dpglue import polynomials
 
     F = base_field(p)
@@ -488,11 +489,16 @@ def test_large_prime_fields_run_the_residue_loops(rng, p, monkeypatch):
             cases.append((f, g, g.leading()))
 
     def refused(*args):
-        raise AssertionError("a generic loop ran")
+        raise AssertionError("a loop on elements ran")
+
+    def residues_only(r, b, m, *args, reduce=polynomials._reduce):
+        if not m:
+            refused()
+        return reduce(r, b, m, *args)
 
     got = []
     with monkeypatch.context() as m:
-        m.setattr(polynomials, "_reduce", refused)
+        m.setattr(polynomials, "_reduce", residues_only)
         for name in ("__add__", "__sub__", "__mul__"):
             m.setattr(FpElement, name, refused)
         for f, g, c in cases:
@@ -512,16 +518,44 @@ def test_gcd_with_a_nonzero_constant_is_one_at_once(p, monkeypatch):
     from dpglue import polynomials
 
     steps = []
-    for name in ("_reduce", "_reduce_residues"):
-        step = getattr(polynomials, name)
-        monkeypatch.setattr(polynomials, name,
-                            lambda *args, step=step: steps.append(1) or step(*args))
+    step = polynomials._reduce
+    monkeypatch.setattr(polynomials, "_reduce", lambda *args: steps.append(1) or step(*args))
     F = base_field(p)
     f, c = Poly.from_ints(F, [3, 0, 2, 1]), Poly.from_ints(F, [5])
     assert f.gcd(c).coeffs == [F.one] and not steps
     # a constant over a polynomial: one step leaves the constant as the remainder
     assert c.gcd(f).coeffs == [F.one] and len(steps) == 1
     assert f.gcd(f * f + c).coeffs == [F.one]
+
+
+def test_division_by_a_non_polynomial_is_a_type_error():
+    f = Poly.from_ints(base_field(5), [1, 2, 1])
+    for op in (divmod, operator.floordiv, operator.mod, operator.add):
+        with pytest.raises(TypeError):
+            op(f, "x")
+    for zero in (Poly.zero(f.field), 0):
+        for op in (divmod, operator.floordiv, operator.mod):
+            with pytest.raises(ZeroDivisionError):
+                op(f, zero)
+
+
+@given(st.lists(st.integers(-50, 50), max_size=4),
+       st.lists(st.integers(-50, 50), min_size=1, max_size=5).filter(lambda cs: cs[-1]),
+       st.lists(st.integers(-50, 50), max_size=4),
+       st.lists(st.integers(-3, 3), min_size=1, max_size=5))
+@settings(max_examples=200)
+def test_integer_lists_multiply_and_divide_exactly(low, Q, R, a):
+    """Zassenhaus's products and trial divisions in Z[x]: for a monic G and
+    R of lower degree, ``_reduce`` with m = 0 and inv = 1 gives back R as
+    the remainder of Q G + R and Q as the quotient."""
+    from dpglue.polynomials import _product, _reduce
+
+    G, R = low + [1], _cut(R[:len(low)])
+    product = _product(a, Q)
+    assert len(product) == len(a) + len(Q) - 1 and _cut(product) == ref_mul(a, Q, 0)
+    F = ref_add(ref_mul(Q, G, 0), R, 0)
+    q = [0] * (len(F) - len(G) + 1)
+    assert _reduce(list(F), G, 0, 1, q) == R and q == Q
 
 
 # -- orders at places --------------------------------------------------
