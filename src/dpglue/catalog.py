@@ -334,8 +334,8 @@ def scenario_report(scenario: GlueScenario) -> dict:
         try:
             problems, h1 = cohomology.closed_form(data)
             if case[0] == "D":
-                named = data.wild_places
-                wild_points = None if named is None else [
+                named = data.wild_places  # a piece worded as a str leaves them unnamed
+                wild_points = None if any(isinstance(pl, str) for pl, _ in named) else [
                     (glue._place_key(pl), order) for pl, order in named]
         except Exception as exc:  # one scenario's failure must not stop the run
             report["errors"].append(f"{type(exc).__name__}: {exc}")

@@ -5,11 +5,11 @@ N = sum of deg P * n_P over the wild places P of the derivation datum,
 with pole order n_P p at P.  ``closed_form`` reads the datum's poles
 (L, e) (``GenericGlueData.poles``) and returns the pointwise criterion's
 problems and h1 with no decomposition: over GF(p) the verdict is L' = 0
-and p | e, and N p = deg L + e.  It splits L square-free only to name a
-failing pole, and words a pole it cannot name by its piece.
-``wild_multiplicity``, ``chi_OX`` and ``h1_OX`` each read one call of
-it, ``total_pole_order`` is deg L + e, and ``delta_P_wild`` counts gaps
-over L's square-free pieces.
+and p | e, and N p = deg L + e.  A failing pole is worded as
+``GenericGlueData.wild_places`` names it.  ``wild_multiplicity``,
+``chi_OX`` and ``h1_OX`` each read one call of it, ``total_pole_order``
+is deg L + e, and ``delta_P_wild`` counts gaps over L's square-free
+pieces (``pole_pieces``).
 
 These are cross-checked by a truncated two-chart section computation
 that treats O_D(n) as pairs (f, g_i) with a f' + sum b_i g_i = 0 inside
@@ -36,7 +36,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from dpglue.glue import GenericGlueData, wild_cusp_ring
-from dpglue.rational import Place
 
 
 class LineSheafSum(NamedTuple):
@@ -83,13 +82,8 @@ def closed_form(data: GenericGlueData) -> ClosedForm:
     den, at_infinity = data.poles
     # in characteristic 0 every pole breaks the criterion
     if (den.derivative() or at_infinity % p) if p else (den.degree or at_infinity):
-        named = data.wild_places
-        if named is None:  # factoring over Q gave up: word each piece
-            named = [("the places of an unfactored square-free piece of degree "
-                      f"{piece.degree}", order) for piece, order in den.squarefree()]
-            named += [(Place.infinity(), at_infinity)] * (at_infinity > 0)
         problems += [f"pole of order {order} at {place} is not allowed"
-                     for place, order in named if p == 0 or order % p]
+                     for place, order in data.wild_places if p == 0 or order % p]
     h1 = None
     if not problems:
         # p divides every pole order, and there is no pole when p = 0
@@ -133,8 +127,8 @@ def delta_P_wild(data: GenericGlueData) -> int:
     def gaps(order):
         return wild_cusp_ring(data.characteristic, order // data.characteristic).delta
 
-    den, at_infinity = data.poles
-    total = sum(piece.degree * gaps(order) for piece, order in den.squarefree())
+    at_infinity = data.poles[1]
+    total = sum(piece.degree * gaps(order) for piece, order in data.pole_pieces)
     return total + (gaps(at_infinity) if at_infinity else 0)
 
 

@@ -14,9 +14,9 @@ criterion, tameness scans, and the wild-cusp local rings all live here.
 
 A datum's poles are computed once, in ``poles``: the pair (L, e) of the
 monic lcm of the a/b_i denominators and the pole order at infinity,
-which is all a verdict needs.  ``wild_places`` splits L square-free and
-factors its pieces to name the places, which only reports do; it is
-None when a piece over Q cannot be factored.
+which is all a verdict needs.  ``wild_places`` names the places for a
+report: it factors each square-free piece of L (``pole_pieces``) whose
+``naming_cost`` fits ``NAMING_BUDGET``, and words the others by degree.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from dpglue.fields import base_field, is_prime
-from dpglue.polynomials import Poly, split_squarefree
+from dpglue.polynomials import Poly, _monic_integer, split_squarefree
 from dpglue.rational import (FunctionField, Place, RationalFunction, format_poly,
                              parse_rational)
 
@@ -99,22 +99,47 @@ class GenericGlueData:
         return den, at_infinity
 
     @cached_property
-    def wild_places(self) -> tuple | None:
-        """((Place, pole order), ...): ``poles`` named by factoring.
+    def pole_pieces(self) -> list:
+        """L's square-free pieces [(piece, pole order), ...], split once per datum."""
+        return self.poles[0].squarefree()
 
-        L is split square-free once and each piece into irreducibles,
-        with no second square-free pass, and infinity is appended with
-        order e; each place appears once, sorted by place.  None when
-        factoring a piece over Q gives up; no verdict needs the names.
-        """
-        den, at_infinity = self.poles
-        try:
-            wild = [(Place(g), order) for piece, order in den.squarefree()
-                    for g in split_squarefree(piece)]
-        except NotImplementedError:
-            return None
-        wild += [(Place.infinity(), at_infinity)] * (at_infinity > 0)
-        return tuple(sorted(wild, key=lambda place_order: _place_key(place_order[0])))
+    @cached_property
+    def wild_places(self) -> tuple:
+        """((place, pole order), ...): the Places of each piece within
+        ``NAMING_BUDGET`` and infinity of order e, sorted by place, then each
+        piece past it, worded by its degree as a str.  No verdict needs them."""
+        at_infinity = self.poles[1]
+        wild, worded = [(Place.infinity(), at_infinity)] * (at_infinity > 0), []
+        for piece, order in self.pole_pieces:
+            if naming_cost(piece) <= NAMING_BUDGET:
+                wild += [(Place(g), order) for g in split_squarefree(piece)]
+            else:
+                worded.append(("the places of an unfactored square-free piece of degree "
+                               f"{piece.degree}", order))
+        return tuple(sorted(wild, key=lambda place_order: _place_key(place_order[0])) + worded)
+
+
+# The ``naming_cost`` past which a piece of L is worded, not factored: the worst
+# naming it accepts runs in under 0.5 s in each field (the README has the rows).
+NAMING_BUDGET = 1_000_000
+
+
+def naming_cost(piece: Poly) -> int:
+    """The predicted cost of ``split_squarefree`` on a monic square-free
+    piece, in units of about 1e-7 s; a linear piece is its own place.
+    Over GF(p), distinct-degree factorisation takes up to d/2 steps, each
+    a power by p and a gcd modulo the piece: d^3 log p.  Over Q, Zassenhaus
+    lifts the factors mod q >= 2 linearly to Mignotte's bound 2^h, in at
+    most h steps of d^2 products of h-bit integers, 32 + h/32 units each,
+    then tries up to 2^(d-1) subsets of about 2d units each.
+    """
+    d = piece.degree
+    if d == 1:
+        return 0
+    if piece.field.characteristic:
+        return d ** 3 * piece.field.p.bit_length()
+    h = d + 1 + max(abs(c) for c in _monic_integer(piece)[1]).bit_length()
+    return d * d * h * (h // 32 + 32) + (d << d)
 
 
 @lru_cache
@@ -394,16 +419,11 @@ def pole_places(f: RationalFunction):
     Nothing in the package calls it; ``bench/tracing.py`` profiles it by
     name, and one datum's poles are read from ``poles``.
     """
-    out = []
     if f.is_zero():
-        return out
-    if f.den.degree >= 1:
-        _, factors = f.den.factor()
-        for poly, mult in factors:
-            out.append((Place(poly), mult))
-    if f.num.degree > f.den.degree:
-        out.append((Place.infinity(), f.num.degree - f.den.degree))
-    return out
+        return []
+    at_infinity = f.num.degree - f.den.degree
+    return ([(Place(poly), mult) for poly, mult in f.den.factor()[1]]
+            + [(Place.infinity(), at_infinity)] * (at_infinity > 0))
 
 
 def _place_key(place: Place) -> str:

@@ -14,7 +14,8 @@ Zassenhaus's recombination.
 square-free pieces without factoring.  ``factor`` splits those pieces
 into irreducibles: over GF(p) by distinct-degree factorisation and
 Cantor-Zassenhaus, over Q by Zassenhaus's algorithm, which factors mod
-a small prime, Hensel-lifts the factors and recombines them.
+a small prime, Hensel-lifts the factors and recombines them, at any
+cost: a report predicts it first (``glue.naming_cost``).
 """
 
 from __future__ import annotations
@@ -434,13 +435,9 @@ class Poly:
     def factor(self):
         """Factor into monic irreducibles; returns (unit, [(factor, mult)]).
 
-        Splits each square-free piece, over GF(p) completely and over QQ
-        unless Zassenhaus recombination runs out of its budget of
-        ``RECOMBINATION_BUDGET`` subsets; over other fields only a
-        linear piece.  Otherwise NotImplementedError.
+        Splits each square-free piece over GF(p) and QQ completely, at any
+        cost, and elsewhere only a linear one; ValueError at zero.
         """
-        if self.is_zero():
-            raise ValueError("cannot factor zero")
         factors = [(g, m) for piece, m in self.squarefree()
                    for g in split_squarefree(piece)]
         factors.sort(key=lambda fm: (fm[0].degree, [str(c) for c in fm[0].coeffs]))
@@ -582,11 +579,6 @@ def _equal_degree(f: Poly, d: int, rng) -> list:
             return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
 
 
-# Subsets that Zassenhaus recombination tries before it gives up; size-1
-# subsets come first, so rational roots cost one trial per factor mod q.
-RECOMBINATION_BUDGET = 2**12
-
-
 def _split_rational(f: Poly) -> list:
     """Irreducible factors over QQ of a monic square-free f of degree >= 2.
 
@@ -603,7 +595,6 @@ def _split_rational(f: Poly) -> list:
     from itertools import combinations, count
     from math import isqrt, prod
 
-    n = f.degree
     L, F = _monic_integer(f)
     for q in filter(is_prime, count(2)):
         image = Poly.from_ints(GF(q), F)
@@ -614,7 +605,7 @@ def _split_rational(f: Poly) -> list:
         return [f]
     inverses = [_inverse_mod(image // g, g) for g in gs]
     lifted = [[c.value for c in g.coeffs] for g in gs]
-    m, bound = q, 2 ** (n + 1) * (isqrt(sum(c * c for c in F)) + 1)
+    m, bound = q, 2 ** len(F) * (isqrt(sum(c * c for c in F)) + 1)
     while m <= bound:
         product = reduce(_product, lifted)
         error = Poly(image.field, [image.field.from_int((a - b) // m)
@@ -629,16 +620,11 @@ def _split_rational(f: Poly) -> list:
 
     # a subset that failed stays a failure once factors leave F, so the
     # search goes on from where it found one (Modern Computer Algebra, 15.22)
-    found, used, trials, s = [], set(), 0, 1
+    found, used, s = [], set(), 1
     while 2 * s <= len(lifted) - len(used):
         for subset in combinations(range(len(lifted)), s):
             if used.intersection(subset):
                 continue
-            trials += 1
-            if trials > RECOMBINATION_BUDGET:
-                raise NotImplementedError(
-                    f"factoring over QQ gave up after {RECOMBINATION_BUDGET} "
-                    f"subsets of {len(gs)} factors mod {q}")
             c0 = symmetric(prod(lifted[i][0] for i in subset))
             # a true factor's constant term divides F's, which is 0 if x | f
             if (F[0] % c0 if c0 else F[0]) != 0:

@@ -4,7 +4,9 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -17,8 +19,10 @@ from hypothesis import example, given, settings, strategies as st
 import dpglue
 from dpglue import cli, cohomology, glue, scenarios
 from dpglue.cli import main
+from dpglue.fields import base_field, is_prime
+from dpglue.glue import NAMING_BUDGET, naming_cost
 from dpglue.polynomials import Poly, split_squarefree
-from dpglue.rational import MAX_NESTING
+from dpglue.rational import MAX_NESTING, format_poly
 
 from conftest import swinnerton_dyer
 
@@ -305,6 +309,12 @@ def test_integral_floats_read_as_ints_in_either_order(tmp_path):
     assert run_in_one_process(ints, floats) == alone * 2
 
 
+def random_monic(p, degree, seed=0):
+    """A monic polynomial of the given degree over GF(p), drawn from one seed."""
+    rng = random.Random(seed)
+    return Poly.from_ints(base_field(p), [rng.randrange(p) for _ in range(degree)] + [1])
+
+
 # Each of these once took seconds, hung or went unnamed: a root search
 # linear in the constant term or in p, trial division by every candidate
 # factor, or over Q no recombination of the factors mod a prime.  The
@@ -320,8 +330,8 @@ def test_integral_floats_read_as_ints_in_either_order(tmp_path):
     (0, "1/((x^2+2)*(x^2+x+1))^2", False, [["x^2 + 2", 2], ["x^2 + x + 1", 2]],
      None),
     (0, "1/(x*(x^2+1))", False, [["x", 1], ["x^2 + 1", 1]], None),
-    # 16 quadratic factors mod 19, more subsets than recombination tries:
-    # the pole goes unnamed, and over Q it breaks the criterion anyway
+    # 16 quadratic factors mod 19, 2^31 subsets in the worst case: the pole
+    # goes unnamed, and over Q it breaks the criterion anyway
     (0, f"1/({swinnerton_dyer([2, 3, 5, 7, 11])})", False, None, None),
     (3, "x^3", True, [["~oo", 3]], 2),
     (3, "x^2", False, [["~oo", 2]], None),
@@ -333,10 +343,16 @@ def test_integral_floats_read_as_ints_in_either_order(tmp_path):
     # three dense powers over a field past fields.SHARED_BELOW
     (1031, "(x^2+x+1)^730 + (x^2+2*x+3)^730 + (x^2+3*x+5)^730", False,
      [["~oo", 1460]], None),
+    # one square-free piece each, far past the naming budget, up to about
+    # the largest degree the size budget accepts
+    *[(1000003, f"1/({format_poly(random_monic(1000003, d))})", False, None, None)
+      for d in (100, 200, 400, 800)],
 ], ids=["Q-x300", "Q-x3000", "GF1000003-quadratic", "GF7-octic", "GF2-x8000",
         "Q-two-places", "Q-quartic", "Q-two-quadratics", "Q-root-at-0", "Q-sd32",
         "GF3-wild-oo", "GF3-tame-oo", "GF3-mixed-orders", "GF2-quadratic-4001",
-        "GF7-quadratic-2048", "GF1031-quadratic-727", "GF1031-three-powers-730"])
+        "GF7-quadratic-2048", "GF1031-quadratic-727", "GF1031-three-powers-730",
+        "GF1000003-random-100", "GF1000003-random-200", "GF1000003-random-400",
+        "GF1000003-random-800"])
 def test_pole_divisor_inputs_run_quickly(tmp_path, capsys, monkeypatch, characteristic,
                                          a, gorenstein, wild, h1):
     factored, split = [], []
@@ -365,16 +381,62 @@ def test_pole_divisor_inputs_run_quickly(tmp_path, capsys, monkeypatch, characte
     assert report["gorenstein"] is gorenstein
     assert report["wildPoints"] == wild and report["h1"] == h1
     # the errors name exactly the poles of an order p does not divide
+    data = glue.glue_data(characteristic, a, ["1"])
     if wild is None:
-        assert report["errors"] == ["pole of order 1 at the places of an unfactored "
-                                    "square-free piece of degree 32 is not allowed"]
+        # one square-free piece past the naming budget, worded by its degree
+        [(piece, order)] = data.pole_pieces
+        assert naming_cost(piece) > NAMING_BUDGET
+        assert report["errors"] == [f"pole of order {order} at the places of an unfactored "
+                                    f"square-free piece of degree {piece.degree} is not allowed"]
     else:
         assert report["errors"] == [
             f"pole of order {order} at Place({name.lstrip('~')}) is not allowed"
             for name, order in wild if characteristic == 0 or order % characteristic]
-    # each square-free piece of L is split once, with no second square-free pass
-    L, _ = glue.glue_data(characteristic, a, ["1"]).poles
-    assert split == [piece for piece, _ in L.squarefree()] and not factored
+    # each square-free piece within the naming budget is split once, with
+    # no second square-free pass, and no other piece is
+    assert split == [piece for piece, _ in data.pole_pieces
+                     if naming_cost(piece) <= NAMING_BUDGET] and not factored
+
+
+# The seed of random_monic whose draw is irreducible at the largest degree
+# NAMING_BUDGET accepts over GF(p): an irreducible piece is the worst case
+# of distinct-degree factorisation, d/2 steps at full degree.
+IRREDUCIBLE_SEEDS = {2: 142, 7: 39, 1031: 20, 1000003: 88}
+
+
+def worst_piece(characteristic, degree):
+    """A monic piece of the given degree, costly to name: over GF(p) the
+    draw of its seed, irreducible at the largest degree the budget names."""
+    if characteristic:
+        return random_monic(characteristic, degree, IRREDUCIBLE_SEEDS[characteristic])
+    # Zassenhaus's worst case: prod (x - i) + N is irreducible over Q, yet
+    # splits into linear factors mod the least prime that keeps it
+    # square-free, as N is 0 there, so every subset of up to half is tried
+    field = base_field(0)
+    f = Poly.one(field)
+    for i in range(1, degree + 1):
+        f = f * Poly.from_ints(field, [-i, 1])
+    N = math.prod(q for q in range(2, 2 * degree + 10) if is_prime(q))
+    return f + Poly.from_ints(field, [N])
+
+
+@pytest.mark.parametrize("characteristic", [2, 7, 1031, 1000003, 0])
+def test_naming_budget_calibration(monkeypatch, characteristic):
+    # the largest worst-case piece the budget names splits in under 0.5 s
+    degree = 2
+    while naming_cost(worst_piece(characteristic, degree + 1)) <= NAMING_BUDGET:
+        degree += 1
+    named = worst_piece(characteristic, degree)
+    start = time.perf_counter()
+    assert split_squarefree(named) == [named]
+    assert time.perf_counter() - start < 0.5
+    # the first one past it is worded, and never split
+    split = []
+    monkeypatch.setattr(glue, "split_squarefree", split.append)
+    worded = format_poly(worst_piece(characteristic, degree + 1))
+    data = glue.glue_data(characteristic, f"1/({worded})", ["1"])
+    assert data.wild_places == ((f"the places of an unfactored square-free piece of degree "
+                                 f"{degree + 1}", 1),) and not split
 
 
 def test_power_past_the_degree_limit_exits_two_quickly(tmp_path, capsys):

@@ -866,3 +866,11 @@ def test_irreducibility_over_q_factors_only_without_a_certificate(monkeypatch):
         f = parse_rational(F, text).num
         assert f.is_irreducible() == want and calls == [f]
         calls.clear()
+
+
+def test_factoring_over_q_needs_no_subset_budget():
+    # 16 quadratic factors mod the least good prime: every subset of up to
+    # eight is tried before SD(2, 3, 5, 7, 11) is found irreducible
+    f = parse_rational(ff(0), swinnerton_dyer([2, 3, 5, 7, 11])).num
+    assert f.degree == 32 and f.factor() == (1, [(f, 1)])
+    assert Place.finite(f) == Place(f)
